@@ -11,15 +11,18 @@ boundary.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "RegimeField",
     "SwitchingCostMatrix",
     "PenaltyFunction",
+    "NodeBand",
     "MonotoneSystem",
     "AffineSystem",
     "ShiftedSystem",
@@ -31,6 +34,7 @@ __all__ = [
     "qvi_residual",
     "penalized_residual",
     "penalized_slant",
+    "slant_band",
     "field_values",
     "as_costs",
 ]
@@ -174,6 +178,30 @@ class PenaltyFunction:
         return out
 
 
+@dataclass(frozen=True)
+class NodeBand:
+    """A slant in LAPACK band storage over node-major unknowns (index l*d + i).
+
+    ``ab[ku + p - q, q]`` holds entry (p, q), with ``kl`` diagonals below the
+    main one and ``ku`` above. The assembled models couple a node only to
+    itself and its mesh neighbours, so in this order their slants have
+    bandwidth d.
+    """
+
+    d: int
+    kl: int
+    ku: int
+    ab: np.ndarray
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The same matrix as CSR in regime-major order (index i*N + l)."""
+        size = self.ab.shape[1]
+        offsets = self.ku - np.arange(self.kl + self.ku + 1)
+        m = sp.dia_matrix((self.ab, offsets), shape=(size, size)).tocoo()
+        index = np.arange(size).reshape(self.d, -1).T.ravel()  # i*N + l at l*d + i
+        return sp.csr_matrix((m.data, (index[m.row], index[m.col])), shape=m.shape)
+
+
 class MonotoneSystem(abc.ABC):
     """A monotone map F on d-regime fields.
 
@@ -181,6 +209,10 @@ class MonotoneSystem(abc.ABC):
     linear growth rate of F at argmax components, property-tested rather than
     inferred), the map itself, and a slanting operator in regime-major flat
     ordering (index i*N + l) used by the Newton solver.
+
+    ``band_at`` may also declare the slant as a node-major :class:`NodeBand`;
+    the Newton drivers then assemble and solve every slant in band storage.
+    By default it declares none, and they use ``slant_at`` and SuperLU.
     """
 
     @property
@@ -202,6 +234,10 @@ class MonotoneSystem(abc.ABC):
     @abc.abstractmethod
     def slant_at(self, u) -> sp.spmatrix:
         """A generalized derivative of F at u, shape (d*N, d*N)."""
+
+    def band_at(self, u) -> NodeBand | None:
+        """``slant_at(u)`` as a NodeBand that callers never write to, or None."""
+        return None
 
     @property
     def is_affine(self) -> bool:
@@ -256,6 +292,23 @@ class AffineSystem(MonotoneSystem):
     def slant_at(self, u) -> sp.csr_matrix:
         return self._matrix
 
+    def band_at(self, u) -> NodeBand | None:
+        return self._band
+
+    @functools.cached_property
+    def _band(self) -> NodeBand | None:
+        coo = self._matrix.tocoo()
+        size = self._d * self._n
+        position = np.arange(size).reshape(self._n, self._d).T.ravel()  # l*d + i at i*N + l
+        p, q = position[coo.row], position[coo.col]
+        kl, ku = int((p - q).max(initial=0)), int((q - p).max(initial=0))
+        # a band far wider than the nonzeros wastes memory and flops: stay sparse
+        if (kl + ku + 1) * size > 16 * (coo.nnz + size):
+            return None
+        ab = np.zeros((kl + ku + 1, size))
+        np.add.at(ab, (ku + p - q, q), coo.data)
+        return NodeBand(self._d, kl, ku, ab)
+
 
 class ShiftedSystem(MonotoneSystem):
     """The base system with a constant subtracted: F(u) - shift."""
@@ -285,6 +338,9 @@ class ShiftedSystem(MonotoneSystem):
 
     def slant_at(self, u) -> sp.spmatrix:
         return self._base.slant_at(u)
+
+    def band_at(self, u) -> NodeBand | None:
+        return self._base.band_at(u)
 
 
 @dataclass(frozen=True)
@@ -385,41 +441,60 @@ def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
     return f - prob.rho * terms.sum(axis=1)
 
 
-def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:
+def slant_band(system: MonotoneSystem, u, keep=None,
+               coupling=None) -> NodeBand | sp.csr_matrix:
+    """The slant diag(keep) A + C, where A is the system's slant at u.
+
+    ``keep`` is a (d, N) mask of the rows of A to keep (all when None), and
+    the (d, d, N) array ``coupling`` puts C[i, j, l] at row (i, l), column
+    (j, l), coupling the components of one node. Returns a fresh NodeBand
+    when the system declares a band, otherwise regime-major CSR.
+    """
+    d, n = system.d, system.N
+    base = system.band_at(u)
+    if base is None:
+        a = system.slant_at(u).tocsr()
+        if keep is not None:
+            a = sp.diags(np.ravel(keep).astype(float)) @ a
+        if coupling is not None:
+            i, j, l = np.nonzero(coupling)
+            a = a + sp.csr_matrix((coupling[i, j, l], (i * n + l, j * n + l)), shape=a.shape)
+        return a.tocsr()
+    ab = base.ab
+    if keep is not None:
+        # band entry [r, q] lies on node-major row q + r - ku
+        rows = np.concatenate([np.zeros(base.ku), np.ravel(keep, order="F"), np.zeros(base.kl)])
+        ab = ab * sliding_window_view(rows, d * n)
+    kl, ku = max(base.kl, d - 1), max(base.ku, d - 1)
+    out = np.zeros((kl + ku + 1, d * n))
+    out[ku - base.ku:ku + base.kl + 1] = ab
+    if coupling is not None:
+        i, j = np.indices((d, d))[:, :, :, None]
+        out[ku + i - j, np.arange(n) * d + j] += coupling
+    return NodeBand(d, kl, ku, out)
+
+
+def _penalized_band(u, prob: PenalizedProblem) -> NodeBand | sp.csr_matrix:
     """Slant of the penalized residual; degree-1 penalty only.
 
     Active terms (argument strictly positive) add +rho on the (i, l) diagonal
     and -rho at column (j, l); the kink at zero counts as inactive.
     """
     v = field_values(u, prob.system.d, prob.system.N)
-    base = prob.system.slant_at(v).tocsr()
     if prob.rho == 0.0:
-        return base
+        return slant_band(prob.system, v)
     if prob.penalty.sigma != 1.0:
         raise ValueError(
             f"Newton slant supports penalty degree 1 only, got sigma={prob.penalty.sigma}"
         )
-    d, n = v.shape
+    d = v.shape[0]
     active = _penalty_args(v, prob.costs) > 0.0
     active[np.arange(d), np.arange(d), :] = False
-    rows, cols, vals = [], [], []
-    for i in range(d):
-        for j in range(d):
-            if j == i:
-                continue
-            idx = np.nonzero(active[i, j])[0]
-            if idx.size == 0:
-                continue
-            rows.append(i * n + idx)
-            cols.append(i * n + idx)
-            vals.append(np.full(idx.size, prob.rho))
-            rows.append(i * n + idx)
-            cols.append(j * n + idx)
-            vals.append(np.full(idx.size, -prob.rho))
-    if not rows:
-        return base
-    extra = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=base.shape,
-    )
-    return (base + extra).tocsr()
+    # np.eye(d)[:, :, None] * x[:, None] puts x[i, l] at coupling[i, i, l]
+    count = np.eye(d)[:, :, None] * active.sum(axis=1)[:, None]
+    return slant_band(prob.system, v, coupling=prob.rho * (count - active))
+
+
+def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:
+    """The penalized slant as regime-major CSR."""
+    return _penalized_band(u, prob).tocsr()

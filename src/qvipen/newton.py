@@ -1,12 +1,15 @@
-"""Semismooth Newton driver, sparse linear solve, and stopping criterion.
+"""Semismooth Newton driver, direct linear solve, and stopping criterion.
 
 The iteration is plain undamped Newton on a piecewise-differentiable residual:
-solve L[u_k] delta = -G(u_k), update, repeat. It stops once BOTH the relative
-increment ||delta|| / max(||u||, scale) drops below tol AND the residual
-sup-norm is at or below residual_tol; the increment rule alone can declare
-victory on a stagnating iteration, and the residual check costs one evaluation
-that is needed anyway. The iteration count is the number of updates performed,
-including the final confirming one.
+solve L[u_k] delta = -G(u_k), update, repeat. Every driver builds L with
+:func:`qvipen.core.slant_band`, solved by LAPACK band LU when the system
+declares a node-major band and by SuperLU otherwise, without iterative
+refinement: both leave a backward error near roundoff. It stops once BOTH the
+relative increment ||delta|| / max(||u||, scale) drops below tol AND the
+residual sup-norm is at or below residual_tol; the increment rule alone can
+declare victory on a stagnating iteration, and the residual check costs one
+evaluation that is needed anyway. The iteration count is the number of updates
+performed, including the final confirming one.
 """
 from __future__ import annotations
 
@@ -16,15 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, solve_banded
 
 from .core import (
     MonotoneSystem,
+    NodeBand,
     PenalizedProblem,
     RegimeField,
     SolveReport,
+    _penalized_band,
     field_values,
     penalized_residual,
-    penalized_slant,
+    slant_band,
     sup_norm,
 )
 
@@ -97,20 +103,25 @@ class MaxIterExceeded(Exception):
 
 
 def linear_solve(op, rhs: np.ndarray) -> np.ndarray:
-    """Sparse direct solve with one step of iterative refinement.
+    """Direct solve of op x = rhs; rhs and x are in regime-major order.
 
-    The refinement step pushes the backward error to the roundoff floor, which
-    the extreme penalty weights need. Rank deficiency surfaces as
-    SingularSlant.
+    A NodeBand is factored by LAPACK band LU with partial pivoting, after
+    permuting rhs to node-major order; its storage is overwritten. Any other
+    operator goes through SuperLU. Rank deficiency surfaces as SingularSlant.
     """
-    matrix = sp.csc_matrix(op)
     rhs = np.asarray(rhs, dtype=float)
-    try:
-        lu = spla.splu(matrix)
-        x = lu.solve(rhs)
-        x += lu.solve(rhs - matrix @ x)
-    except RuntimeError as exc:  # raised by SuperLU on exact singularity
-        raise SingularSlant(f"sparse factorization failed: {exc}") from exc
+    if isinstance(op, NodeBand):
+        try:
+            x = solve_banded((op.kl, op.ku), op.ab, rhs.reshape(op.d, -1).T.flatten(),
+                             overwrite_ab=True, overwrite_b=True, check_finite=False)
+        except LinAlgError as exc:
+            raise SingularSlant(f"band factorization failed: {exc}") from exc
+        x = x.reshape(-1, op.d).T.ravel()
+    else:
+        try:
+            x = spla.splu(sp.csc_matrix(op)).solve(rhs)
+        except RuntimeError as exc:  # raised by SuperLU on exact singularity
+            raise SingularSlant(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSlant("linear solve produced non-finite entries")
     return x
@@ -156,7 +167,7 @@ def _newton(residual_at, slant_at, initial, cfg: NewtonConfig):
 def solve_root(system: MonotoneSystem, initial, cfg: NewtonConfig | None = None):
     """Solve F(u) = 0; one exact step plus a confirming one when F is affine."""
     cfg = cfg or NewtonConfig()
-    return _newton(system.evaluate, system.slant_at, initial, cfg)
+    return _newton(system.evaluate, lambda u: slant_band(system, u), initial, cfg)
 
 
 def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = None):
@@ -169,7 +180,7 @@ def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = 
     cfg = cfg or NewtonConfig()
     return _newton(
         lambda u: penalized_residual(u, prob),
-        lambda u: penalized_slant(u, prob),
+        lambda u: _penalized_band(u, prob),
         initial,
         cfg,
     )
@@ -189,15 +200,17 @@ def _obstacle_residual(prob: ObstacleProblem, u: np.ndarray) -> np.ndarray:
     return np.minimum(prob.system.evaluate(u), constraint)
 
 
-def _obstacle_slant(prob: ObstacleProblem, u: np.ndarray) -> sp.csr_matrix:
+def _obstacle_band(prob: ObstacleProblem, u: np.ndarray) -> NodeBand | sp.csr_matrix:
     # row per component: the F-row where F is the smaller branch (ties go to
     # F, treating the constraint as inactive at equality), else (1+eps) * identity
     constraint, epsilon = _obstacle_parts(prob, u)
-    f_rows = (prob.system.evaluate(u) <= constraint).ravel()
-    base = prob.system.slant_at(u).tocsr()
-    keep = sp.diags(f_rows.astype(float))
-    ident = sp.diags(np.where(f_rows, 0.0, 1.0 + epsilon))
-    return (keep @ base + ident).tocsr()
+    f_rows = prob.system.evaluate(u) <= constraint
+    diagonal = np.where(f_rows, 0.0, 1.0 + epsilon)
+    return slant_band(prob.system, u, f_rows, np.eye(prob.system.d)[:, :, None] * diagonal[:, None])
+
+
+def _obstacle_slant(prob: ObstacleProblem, u: np.ndarray) -> sp.csr_matrix:
+    return _obstacle_band(prob, u).tocsr()
 
 
 def solve_obstacle(prob: ObstacleProblem, initial, cfg: NewtonConfig | None = None):
@@ -205,7 +218,7 @@ def solve_obstacle(prob: ObstacleProblem, initial, cfg: NewtonConfig | None = No
     cfg = cfg or NewtonConfig()
     return _newton(
         lambda u: _obstacle_residual(prob, u),
-        lambda u: _obstacle_slant(prob, u),
+        lambda u: _obstacle_band(prob, u),
         initial,
         cfg,
     )

@@ -29,6 +29,7 @@ from .core import (
     field_values,
     intervention,
     qvi_residual,
+    slant_band,
     sup_norm,
 )
 from .newton import NewtonConfig, ObstacleProblem, _newton, solve_obstacle, solve_penalized, solve_root
@@ -203,25 +204,13 @@ def apply_T(u, system: MonotoneSystem, costs, epsilon: float,
         return np.minimum(system.evaluate(v), constraint)
 
     def slant(v):
-        constraint = v - _obstacles(v, costs) + epsilon * (v - anchor)
-        f_rows = (system.evaluate(v) <= constraint).ravel()
-        base = sp.diags(f_rows.astype(float)) @ system.slant_at(v).tocsr()
-        rows, cols, vals = [], [], []
+        # F-rows where F is the smaller branch (ties go to F), else (1+eps) on
+        # the diagonal and -1 at the regime switched to
+        f_rows = system.evaluate(v) <= v - _obstacles(v, costs) + epsilon * (v - anchor)
+        coupling = np.eye(d)[:, :, None] * np.where(f_rows, 0.0, 1.0 + epsilon)[:, None]
         for i in range(d):
-            _, argmax = intervention(v, costs, i)
-            take = ~f_rows[i * n:(i + 1) * n]
-            idx = np.nonzero(take)[0]
-            rows.append(i * n + idx)
-            cols.append(i * n + idx)
-            vals.append(np.full(idx.size, 1.0 + epsilon))
-            rows.append(i * n + idx)
-            cols.append(argmax[idx] * n + idx)
-            vals.append(np.full(idx.size, -1.0))
-        extra = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=base.shape,
-        )
-        return (base + extra).tocsr()
+            coupling[i, intervention(v, costs, i)[1], np.arange(n)] -= ~f_rows[i]
+        return slant_band(system, v, f_rows, coupling)
 
     out, _ = _newton(residual, slant, anchor, cfg or NewtonConfig())
     return out
@@ -253,9 +242,9 @@ def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray, epsilon: f
     def slant(v):
         # each active term depends on v only through -(1+epsilon) * v^i, so
         # the penalty part of the slant is purely diagonal
-        count = (args_at(v) > 0.0).sum(axis=1).ravel()
-        return (system.slant_at(v).tocsr()
-                + sp.diags(prob.rho * (1.0 + epsilon) * count.astype(float)))
+        count = (args_at(v) > 0.0).sum(axis=1)
+        diagonal = prob.rho * (1.0 + epsilon) * count
+        return slant_band(system, v, coupling=np.eye(d)[:, :, None] * diagonal[:, None])
 
     out, _ = _newton(residual, slant, frozen, cfg or NewtonConfig())
     return out
