@@ -196,10 +196,14 @@ class NodeBand:
     def tocsr(self) -> sp.csr_matrix:
         """The same matrix as CSR in regime-major order (index i*N + l)."""
         size = self.ab.shape[1]
-        offsets = self.ku - np.arange(self.kl + self.ku + 1)
-        m = sp.dia_matrix((self.ab, offsets), shape=(size, size)).tocoo()
-        index = np.arange(size).reshape(self.d, -1).T.ravel()  # i*N + l at l*d + i
-        return sp.csr_matrix((m.data, (index[m.row], index[m.col])), shape=m.shape)
+        m = sp.dia_matrix((self.ab, self.ku - np.arange(self.kl + self.ku + 1)), shape=(size, size))
+        position = _node_major(self.d, size // self.d)
+        return m.tocsr()[position][:, position]
+
+
+def _node_major(d: int, n: int) -> np.ndarray:
+    """Node-major index l*d + i of each regime-major index i*N + l."""
+    return np.arange(d * n).reshape(n, d).T.ravel()
 
 
 class MonotoneSystem(abc.ABC):
@@ -236,7 +240,7 @@ class MonotoneSystem(abc.ABC):
         """A generalized derivative of F at u, shape (d*N, d*N)."""
 
     def band_at(self, u) -> NodeBand | None:
-        """``slant_at(u)`` as a NodeBand that callers never write to, or None."""
+        """``slant_at(u)`` as a read-only NodeBand, or None."""
         return None
 
     @property
@@ -292,21 +296,18 @@ class AffineSystem(MonotoneSystem):
     def slant_at(self, u) -> sp.csr_matrix:
         return self._matrix
 
-    def band_at(self, u) -> NodeBand | None:
+    def band_at(self, u) -> NodeBand:
         return self._band
 
     @functools.cached_property
-    def _band(self) -> NodeBand | None:
+    def _band(self) -> NodeBand:
         coo = self._matrix.tocoo()
-        size = self._d * self._n
-        position = np.arange(size).reshape(self._n, self._d).T.ravel()  # l*d + i at i*N + l
+        position = _node_major(self._d, self._n)
         p, q = position[coo.row], position[coo.col]
         kl, ku = int((p - q).max(initial=0)), int((q - p).max(initial=0))
-        # a band far wider than the nonzeros wastes memory and flops: stay sparse
-        if (kl + ku + 1) * size > 16 * (coo.nnz + size):
-            return None
-        ab = np.zeros((kl + ku + 1, size))
+        ab = np.zeros((kl + ku + 1, self._d * self._n))
         np.add.at(ab, (ku + p - q, q), coo.data)
+        ab.setflags(write=False)
         return NodeBand(self._d, kl, ku, ab)
 
 
@@ -481,9 +482,7 @@ def _penalized_band(u, prob: PenalizedProblem) -> NodeBand | sp.csr_matrix:
     and -rho at column (j, l); the kink at zero counts as inactive.
     """
     v = field_values(u, prob.system.d, prob.system.N)
-    if prob.rho == 0.0:
-        return slant_band(prob.system, v)
-    if prob.penalty.sigma != 1.0:
+    if prob.rho != 0.0 and prob.penalty.sigma != 1.0:
         raise ValueError(
             f"Newton slant supports penalty degree 1 only, got sigma={prob.penalty.sigma}"
         )

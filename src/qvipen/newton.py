@@ -106,22 +106,20 @@ def linear_solve(op, rhs: np.ndarray) -> np.ndarray:
     """Direct solve of op x = rhs; rhs and x are in regime-major order.
 
     A NodeBand is factored by LAPACK band LU with partial pivoting, after
-    permuting rhs to node-major order; its storage is overwritten. Any other
-    operator goes through SuperLU. Rank deficiency surfaces as SingularSlant.
+    permuting rhs to node-major order; the band itself is left untouched. Any
+    other operator goes through SuperLU. Rank deficiency surfaces as
+    SingularSlant.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if isinstance(op, NodeBand):
-        try:
+    try:
+        if isinstance(op, NodeBand):
             x = solve_banded((op.kl, op.ku), op.ab, rhs.reshape(op.d, -1).T.flatten(),
-                             overwrite_ab=True, overwrite_b=True, check_finite=False)
-        except LinAlgError as exc:
-            raise SingularSlant(f"band factorization failed: {exc}") from exc
-        x = x.reshape(-1, op.d).T.ravel()
-    else:
-        try:
+                             overwrite_b=True, check_finite=False)
+            x = x.reshape(-1, op.d).T.ravel()
+        else:
             x = spla.splu(sp.csc_matrix(op)).solve(rhs)
-        except RuntimeError as exc:  # raised by SuperLU on exact singularity
-            raise SingularSlant(f"sparse factorization failed: {exc}") from exc
+    except (LinAlgError, RuntimeError) as exc:  # raised on exact singularity
+        raise SingularSlant(f"factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSlant("linear solve produced non-finite entries")
     return x

@@ -264,9 +264,9 @@ def test_band_solve_backward_error_at_converged_iterate():
     norm_op = abs(op).sum(axis=1).max()
     rng = np.random.default_rng(71)
     newton_rhs = -penalized_residual(u, prob).ravel()
+    band = _penalized_band(u, prob)
     for rhs in [newton_rhs] + [rng.normal(size=op.shape[0]) for _ in range(3)]:
-        # linear_solve overwrites the band, so each solve gets a fresh one
-        x = linear_solve(_penalized_band(u, prob), rhs)
+        x = linear_solve(band, rhs)
         backward = sup_norm(op @ x - rhs)
         assert backward <= 1e-14 * (norm_op * sup_norm(x) + sup_norm(rhs))
         if rhs is newton_rhs:
@@ -322,12 +322,17 @@ def test_strict_supersolution_takes_the_band_path(monkeypatch):
     assert not calls
 
 
-def test_wide_matrix_declares_no_band():
-    # coupling the first and last node pushes the node-major band to the full width
-    d, n = 2, 200
-    matrix = np.eye(d * n) * 3.0
-    matrix[0, d * n - 1] = matrix[d * n - 1, 0] = -1.0
+def test_band_solve_leaves_the_cached_band_intact():
+    # coupling only the two components of each node gives kl == ku == 1, which
+    # LAPACK solves in place when asked to; the cached band must stay unchanged
+    d, n = 2, 4
+    matrix = 3.0 * np.eye(d * n)
+    matrix[np.arange(n), n + np.arange(n)] = matrix[n + np.arange(n), np.arange(n)] = -1.0
     system = AffineSystem(matrix, np.ones((d, n)), gamma=1.0)
-    assert system.band_at(None) is None
-    u, _ = solve_root(system, np.zeros((d, n)))
-    assert sup_norm(system.evaluate(u)) <= 1e-12
+    band = system.band_at(None)
+    assert (band.kl, band.ku) == (1, 1)
+    assert not band.ab.flags.writeable
+    before = band.ab.copy()
+    x = linear_solve(band, np.ones(d * n))
+    assert np.array_equal(band.ab, before)
+    assert sup_norm(system.slant_at(None) @ x - 1.0) <= 1e-15
