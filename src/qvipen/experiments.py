@@ -10,6 +10,7 @@ import dataclasses
 import io
 import json
 import math
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -405,6 +406,12 @@ def _check(name, passed, detail):
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
+def _failure(exc: Exception) -> str:
+    """The exception's type and message, and the file and line that raised it."""
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"{type(exc).__name__} at {where.filename}:{where.lineno}: {exc}"
+
+
 def verify(config: ExperimentConfig | None = None) -> dict:
     """Run the oracle-agreement and invariant suites; failures are data."""
     config = config or ExperimentConfig()
@@ -427,8 +434,8 @@ def verify(config: ExperimentConfig | None = None) -> dict:
         )
         checks.append(_check("tiny-instance-closed-form", worst <= 1e-6,
                              f"max deviation {worst:.2e}"))
-    except Exception as exc:  # pragma: no cover - diagnostic path
-        checks.append(_check("tiny-instance-closed-form", False, repr(exc)))
+    except Exception as exc:
+        checks.append(_check("tiny-instance-closed-form", False, _failure(exc)))
 
     # 2. three solvers agree on random small instances
     rng = np.random.default_rng(2024)
@@ -450,8 +457,8 @@ def verify(config: ExperimentConfig | None = None) -> dict:
                 worst = max(worst, sup_norm(field_values(u_newton) - field_values(u_enum)))
         detail = f"max pairwise gap {worst:.2e} over 15 instances"
         checks.append(_check("solver-agreement", worst <= 1e-6, detail))
-    except Exception as exc:  # pragma: no cover - diagnostic path
-        checks.append(_check("solver-agreement", False, repr(exc)))
+    except Exception as exc:
+        checks.append(_check("solver-agreement", False, _failure(exc)))
 
     # 3. monotonicity probes on random systems
     rng = np.random.default_rng(7)
@@ -487,7 +494,7 @@ def verify(config: ExperimentConfig | None = None) -> dict:
         ok = all(1.8 <= r <= 2.2 for r in ratios)
         checks.append(_check("zero-cost-gap-halving", ok,
                              f"ratios {', '.join('%.3f' % r for r in ratios)}"))
-    except Exception as exc:  # pragma: no cover - diagnostic path
-        checks.append(_check("zero-cost-gap-halving", False, repr(exc)))
+    except Exception as exc:
+        checks.append(_check("zero-cost-gap-halving", False, _failure(exc)))
 
     return {"checks": checks, "passed": all(c["passed"] for c in checks)}

@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 from qvipen import ExperimentConfig, extract_regions, run_table, verify, write_table
+from qvipen import cli, experiments
 from qvipen.cli import main
-from qvipen.experiments import TABLE1_COSTS, TABLE1_RHO, TABLE2_COSTS, TABLE2_RHO
+from qvipen.experiments import (
+    TABLE1_COSTS,
+    TABLE1_RHO,
+    TABLE2_COSTS,
+    TABLE2_RHO,
+    RegimeRegions,
+    RegionReport,
+)
 from qvipen.newton import NewtonConfig
 
 from reference_tables import (
@@ -250,6 +258,20 @@ def test_verify_suite_passes():
     assert all(check["passed"] for check in summary["checks"])
 
 
+def test_verify_names_the_exception_type_and_location(monkeypatch):
+    def broken_march(prob, **kwargs):
+        raise RuntimeError("march broke")
+
+    line = broken_march.__code__.co_firstlineno + 1
+    monkeypatch.setattr(experiments, "pseudo_time_solve", broken_march)
+    summary = verify()
+    assert not summary["passed"]
+    check = next(c for c in summary["checks"] if c["name"] == "solver-agreement")
+    assert not check["passed"]
+    assert check["detail"].startswith("RuntimeError at ")
+    assert f"test_experiments.py:{line}: march broke" in check["detail"]
+
+
 # -------------------------------------------------------------------- the CLI
 
 
@@ -320,6 +342,25 @@ def test_cli_regions_emits_json(tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["match"] is True
+
+
+def region_report(included):
+    """A report whose estimate never matches; regime 0 misses node 5 unless included."""
+    exact = (3,) if included else (3, 5)
+    region = RegimeRegions(regime=0, exact=exact, estimated=(3, 4), match=False,
+                           missing=() if included else (5,), spurious=(4,),
+                           included=included)
+    return RegionReport(rho_used=1e3, rho_reference=1e5, C0_estimate=1.0,
+                        threshold=0.1, regions=[region], match=False)
+
+
+@pytest.mark.parametrize("included, status", [(True, 0), (False, 1)])
+def test_cli_regions_exit_follows_inclusion_not_match(monkeypatch, capsys, included, status):
+    monkeypatch.setattr(cli, "extract_regions", lambda config, rho: region_report(included))
+    assert main(["regions", "--case", "two-regime", "--cost", "0.5"]) == status
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["match"] is False
+    assert payload["regions"][0]["included"] is included
 
 
 def test_cli_hjb_reports_zero_cost_path(tmp_path):

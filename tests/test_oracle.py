@@ -2,14 +2,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvipen.core import (
     AffineSystem,
     PenalizedProblem,
     PenaltyFunction,
     SwitchingCostMatrix,
+    penalized_residual,
     sup_norm,
 )
+from qvipen.newton import solve_penalized
 from qvipen.oracle import (
     DivergenceDetected,
     MaxStepsExceeded,
@@ -18,6 +22,7 @@ from qvipen.oracle import (
     active_set_enumerate,
     pseudo_time_solve,
 )
+from qvipen.oracle import _residual as oracle_residual
 from qvipen.testing import random_affine_system
 
 
@@ -150,3 +155,60 @@ def test_no_consistent_pattern_is_detectable():
     object.__setattr__(prob, "rho", -1.0)
     with pytest.raises(NoConsistentPattern):
         active_set_enumerate(prob)
+
+
+def test_enumerate_skips_singular_pattern():
+    # pattern 1 (regime 0 on) lifts diag(-2, 1) to [[0, -2], [0, 1]], which is
+    # exactly singular; the enumeration passes it over and keeps the all-off
+    # pattern at the root (0, 0)
+    system = AffineSystem(sp.csr_matrix(np.diag([-2.0, 1.0])), np.zeros((2, 1)), gamma=1.0)
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 1.0), rho=2.0)
+    u = np.asarray(active_set_enumerate(prob))
+    assert np.array_equal(u, np.zeros((2, 1)))
+
+
+def test_enumerate_across_batches_matches_newton():
+    # d=2, n=7: 14 penalty terms, 16384 patterns; the solution's pattern,
+    # 6344, lies past the first batch of 4096
+    rng = np.random.default_rng(59)
+    system = random_affine_system(rng, d=2, n=7)
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.1), rho=5.0)
+    exact = np.asarray(active_set_enumerate(prob))
+    newton, report = solve_penalized(prob, np.zeros((2, 7)))
+    assert report.converged
+    assert sup_norm(exact - np.asarray(newton)) <= 1e-9
+
+
+instances = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "d": st.sampled_from([2, 3]),
+    "n": st.sampled_from([1, 2]),
+    "cost": st.sampled_from([0.0, 0.1, 1.0]),
+    "rho": st.floats(0.0, 1e3),
+})
+
+
+def random_problem(case, sigma=1.0):
+    rng = np.random.default_rng(case["seed"])
+    system = random_affine_system(rng, d=case["d"], n=case["n"])
+    costs = SwitchingCostMatrix.uniform(case["d"], case["cost"])
+    prob = PenalizedProblem(system, costs, case["rho"], PenaltyFunction(sigma))
+    return prob, rng
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(instances, st.sampled_from([0.5, 1.0, 2.0]))
+def test_march_residual_matches_core(case, sigma):
+    prob, rng = random_problem(case, sigma)
+    u = rng.uniform(-2.0, 2.0, (case["d"], case["n"]))
+    assert sup_norm(oracle_residual(prob, u) - penalized_residual(u, prob)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(instances)
+def test_enumerate_matches_newton(case):
+    prob, _ = random_problem(case)
+    exact = np.asarray(active_set_enumerate(prob))
+    newton, report = solve_penalized(prob, np.zeros((case["d"], case["n"])))
+    assert report.converged
+    assert sup_norm(exact - np.asarray(newton)) <= 1e-9
