@@ -16,6 +16,8 @@ from qvipen.experiments import (
     RegionReport,
 )
 from qvipen.newton import NewtonConfig
+from qvipen.pde import assemble
+from qvipen.regularize import hjb_limit_solve
 
 from reference_tables import (
     TWO_REGIME_INCREMENTS,
@@ -116,15 +118,6 @@ def test_sweep_cells_are_ordered_deterministically(small_table):
     ]
 
 
-def test_threaded_sweep_matches_serial(small_table):
-    config, table = small_table
-    threaded = run_table(config, threads=3)
-    for a, b in zip(table.cells, threaded.cells):
-        assert (a.c, a.rho, a.value, a.increment, a.iterations, a.converged) == (
-            b.c, b.rho, b.value, b.increment, b.iterations, b.converged
-        )
-
-
 def test_sweep_records_failures_and_continues():
     config = ExperimentConfig.from_mapping({
         "case": "two-regime",
@@ -139,6 +132,44 @@ def test_sweep_records_failures_and_continues():
         assert not cell.converged
         assert cell.error is not None
         assert cell.value is None
+
+
+def test_zero_cost_failures_are_recorded_per_cell():
+    config = ExperimentConfig.from_mapping({
+        "case": "two-regime",
+        "cost_list": [0.0],
+        "rho_list": [1e3, 2e3, 4e3],
+        # the pinned counts are 4, 4, 3: only the last cell fits the budget
+        "newton": {"max_iter": 3},
+    })
+    first, second, last = run_table(config).cells
+    for cell in (first, second):
+        assert not cell.converged
+        assert cell.error is not None
+    assert last.converged and last.error is None
+    assert last.iterations == 3
+    assert last.value == pytest.approx(TWO_REGIME_VALUES[0.0][2], abs=1e-3)
+    assert last.increment is None
+
+
+def test_sweep_reraises_programming_errors(monkeypatch):
+    def broken_solve(*args, **kwargs):
+        raise ValueError("not a solver failure")
+
+    monkeypatch.setattr(experiments, "solve_penalized", broken_solve)
+    config = ExperimentConfig.from_mapping(
+        {"case": "two-regime", "cost_list": [0.5], "rho_list": [1e3]}
+    )
+    with pytest.raises(ValueError, match="not a solver failure"):
+        run_table(config)
+
+
+def test_zero_cost_regime_gaps_match_the_hjb_limit(small_table):
+    config, table = small_table
+    result = hjb_limit_solve(assemble(config.pde_params()), config.rho_list, config.newton)
+    gaps = [cell.regime_gap for cell in table.cells if cell.c == 0.0]
+    assert gaps == result.regime_gaps
+    assert all(cell.regime_gap is not None for cell in table.cells)
 
 
 def test_keep_solutions_stores_fields():
@@ -157,7 +188,9 @@ def test_csv_schema(small_table):
     _, table = small_table
     text = write_table(table, fmt="csv")
     lines = text.strip().split("\n")
-    assert lines[0] == "case,c,rho,probe_x,value,increment,iterations,runtime_s,converged"
+    assert lines[0] == (
+        "case,c,rho,probe_x,value,increment,iterations,runtime_s,converged,regime_gap"
+    )
     assert len(lines) == 1 + len(table.cells)
     first = lines[1].split(",")
     assert first[0] == "two-regime"
@@ -169,7 +202,7 @@ def test_csv_schema(small_table):
 
 def test_csv_deterministic_except_runtime(small_table):
     config, table = small_table
-    again = run_table(config, threads=2)
+    again = run_table(config)
 
     def strip_runtime(text):
         rows = [line.split(",") for line in text.strip().split("\n")]
@@ -258,6 +291,15 @@ def test_verify_suite_passes():
     assert all(check["passed"] for check in summary["checks"])
 
 
+def test_verify_reports_a_failed_bound_solve():
+    # enough iterations for the affine root solve, too few for the penalized one
+    summary = verify(ExperimentConfig.from_mapping({"newton": {"max_iter": 2}}))
+    assert not summary["passed"]
+    check = next(c for c in summary["checks"] if c["name"] == "a-priori-bound")
+    assert not check["passed"]
+    assert check["detail"].startswith("MaxIterExceeded at ")
+
+
 def test_verify_names_the_exception_type_and_location(monkeypatch):
     def broken_march(prob, **kwargs):
         raise RuntimeError("march broke")
@@ -321,7 +363,9 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     bad_key.write_text(json.dumps({"volume": 11}))
     assert main(["table", "--config", str(bad_key)]) == 2
     assert "volume" in capsys.readouterr().err
-    assert main(["table", "--case", "two-regime", "--threads", "0"]) == 2
+    with pytest.raises(SystemExit) as usage:
+        main(["table", "--case", "two-regime", "--threads", "1"])
+    assert usage.value.code == 2
     capsys.readouterr()
 
 
@@ -333,6 +377,19 @@ def test_cli_solve_reports_probe_value(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["value"] == pytest.approx(6.849917, abs=1e-3)
     assert payload["converged"] is True
+
+
+def test_cli_solve_reports_a_failed_cell(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "case": "two-regime", "cost_list": [0.125], "rho_list": [1e3],
+        "newton": {"max_iter": 2},
+    }))
+    assert main(["solve", "--config", str(config_path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is False
+    assert payload["value"] is None
+    assert payload["error"]
 
 
 def test_cli_regions_emits_json(tmp_path):
@@ -369,9 +426,18 @@ def test_cli_hjb_reports_zero_cost_path(tmp_path):
                "--format", "json", "--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
-    values = [stage["value"] for stage in payload["stages"]]
+    values = [cell["value"] for cell in payload["cells"]]
     assert values[0] == pytest.approx(6.38903, abs=1e-3)
     assert values[2] == pytest.approx(6.49624, abs=1e-3)
+
+
+def test_cli_hjb_is_the_zero_cost_row(capsys):
+    rc = main(["hjb", "--case", "two-regime", "--cost", "0.5", "--rho", "1000,2000",
+               "--format", "csv"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0].endswith(",converged,regime_gap")
+    assert [line.split(",")[1] for line in lines[1:]] == ["0", "0"]
 
 
 def test_cli_verify_exits_by_outcome(tmp_path):
