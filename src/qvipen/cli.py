@@ -101,7 +101,7 @@ def _cmd_table(config: ExperimentConfig) -> int:
 
 def _cmd_regions(config: ExperimentConfig) -> int:
     report = extract_regions(config, config.rho_list[0])
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", config)
+    _emit(json.dumps(dataclasses.asdict(report), indent=2) + "\n", config)
     # inclusion of the exact regions is the proven property; match is informational
     return 0 if all(r.included for r in report.regions) else 1
 

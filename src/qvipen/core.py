@@ -193,6 +193,20 @@ class NodeBand:
     ku: int
     ab: np.ndarray
 
+    @classmethod
+    def from_matrix(cls, matrix, d: int) -> "NodeBand":
+        """A regime-major square matrix, with d regimes, in node-major band storage."""
+        coo = sp.coo_matrix(matrix)
+        size = coo.shape[0]
+        if coo.shape != (size, size) or size % d:
+            raise ValueError(f"need a square matrix of a size that d={d} divides, got {coo.shape}")
+        position = _node_major(d, size // d)
+        p, q = position[coo.row], position[coo.col]
+        kl, ku = int((p - q).max(initial=0)), int((q - p).max(initial=0))
+        ab = np.zeros((kl + ku + 1, size))
+        np.add.at(ab, (ku + p - q, q), coo.data)
+        return cls(d, kl, ku, ab)
+
     def tocsr(self) -> sp.csr_matrix:
         """The same matrix as CSR in regime-major order (index i*N + l)."""
         size = self.ab.shape[1]
@@ -214,9 +228,10 @@ class MonotoneSystem(abc.ABC):
     inferred), the map itself, and a slanting operator in regime-major flat
     ordering (index i*N + l) used by the Newton solver.
 
-    ``band_at`` may also declare the slant as a node-major :class:`NodeBand`;
-    the Newton drivers then assemble and solve every slant in band storage.
-    By default it declares none, and they use ``slant_at`` and SuperLU.
+    The Newton drivers assemble and solve every slant as the node-major
+    :class:`NodeBand` that ``band_at`` returns. By default it converts
+    ``slant_at(u)`` on every call; a system whose slant is constant can
+    override it to return a cached band.
     """
 
     @property
@@ -239,9 +254,9 @@ class MonotoneSystem(abc.ABC):
     def slant_at(self, u) -> sp.spmatrix:
         """A generalized derivative of F at u, shape (d*N, d*N)."""
 
-    def band_at(self, u) -> NodeBand | None:
-        """``slant_at(u)`` as a read-only NodeBand, or None."""
-        return None
+    def band_at(self, u) -> NodeBand:
+        """``slant_at(u)`` as a NodeBand; callers must not write to it."""
+        return NodeBand.from_matrix(self.slant_at(u), self.d)
 
     @property
     def is_affine(self) -> bool:
@@ -301,14 +316,9 @@ class AffineSystem(MonotoneSystem):
 
     @functools.cached_property
     def _band(self) -> NodeBand:
-        coo = self._matrix.tocoo()
-        position = _node_major(self._d, self._n)
-        p, q = position[coo.row], position[coo.col]
-        kl, ku = int((p - q).max(initial=0)), int((q - p).max(initial=0))
-        ab = np.zeros((kl + ku + 1, self._d * self._n))
-        np.add.at(ab, (ku + p - q, q), coo.data)
-        ab.setflags(write=False)
-        return NodeBand(self._d, kl, ku, ab)
+        band = NodeBand.from_matrix(self._matrix, self._d)
+        band.ab.setflags(write=False)
+        return band
 
 
 class ShiftedSystem(MonotoneSystem):
@@ -340,7 +350,7 @@ class ShiftedSystem(MonotoneSystem):
     def slant_at(self, u) -> sp.spmatrix:
         return self._base.slant_at(u)
 
-    def band_at(self, u) -> NodeBand | None:
+    def band_at(self, u) -> NodeBand:
         return self._base.band_at(u)
 
 
@@ -442,25 +452,15 @@ def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
     return f - prob.rho * terms.sum(axis=1)
 
 
-def slant_band(system: MonotoneSystem, u, keep=None,
-               coupling=None) -> NodeBand | sp.csr_matrix:
-    """The slant diag(keep) A + C, where A is the system's slant at u.
+def slant_band(system: MonotoneSystem, u, keep=None, coupling=None) -> NodeBand:
+    """The slant diag(keep) A + C, where A is the system's band at u.
 
     ``keep`` is a (d, N) mask of the rows of A to keep (all when None), and
     the (d, d, N) array ``coupling`` puts C[i, j, l] at row (i, l), column
-    (j, l), coupling the components of one node. Returns a fresh NodeBand
-    when the system declares a band, otherwise regime-major CSR.
+    (j, l), coupling the components of one node. Returns a fresh NodeBand.
     """
     d, n = system.d, system.N
     base = system.band_at(u)
-    if base is None:
-        a = system.slant_at(u).tocsr()
-        if keep is not None:
-            a = sp.diags(np.ravel(keep).astype(float)) @ a
-        if coupling is not None:
-            i, j, l = np.nonzero(coupling)
-            a = a + sp.csr_matrix((coupling[i, j, l], (i * n + l, j * n + l)), shape=a.shape)
-        return a.tocsr()
     ab = base.ab
     if keep is not None:
         # band entry [r, q] lies on node-major row q + r - ku
@@ -475,7 +475,7 @@ def slant_band(system: MonotoneSystem, u, keep=None,
     return NodeBand(d, kl, ku, out)
 
 
-def _penalized_band(u, prob: PenalizedProblem) -> NodeBand | sp.csr_matrix:
+def _penalized_band(u, prob: PenalizedProblem) -> NodeBand:
     """Slant of the penalized residual; degree-1 penalty only.
 
     Active terms (argument strictly positive) add +rho on the (i, l) diagonal

@@ -235,11 +235,9 @@ def _fmt(x, spec="%.6g"):
     return "" if x is None else spec % x
 
 
-def write_table(table: TableResult, destination=None, fmt: str = "csv") -> str:
+def write_table(table: TableResult, fmt: str = "csv") -> str:
     """Render a sweep as CSV (runtime to 4 decimals, other floats to 6
     significant digits, increments blank on each row's first weight) or JSON.
-    Writes to ``destination`` (path or file object) when given; returns the
-    rendered text either way.
     """
     if fmt == "csv":
         buf = io.StringIO()
@@ -258,9 +256,9 @@ def write_table(table: TableResult, destination=None, fmt: str = "csv") -> str:
                 "true" if cell.converged else "false",
                 _fmt(cell.regime_gap),
             ]) + "\n")
-        text = buf.getvalue()
-    elif fmt == "json":
-        text = json.dumps(
+        return buf.getvalue()
+    if fmt == "json":
+        return json.dumps(
             {
                 "case": table.case,
                 "probe_x": table.probe_x,
@@ -268,15 +266,7 @@ def write_table(table: TableResult, destination=None, fmt: str = "csv") -> str:
             },
             indent=2,
         ) + "\n"
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    if destination is not None:
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w") as handle:
-                handle.write(text)
-    return text
+    raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
 REGION_TOL = 1e-6
@@ -301,16 +291,6 @@ class RegionReport:
     threshold: float
     regions: list
     match: bool
-
-    def to_dict(self):
-        return {
-            "rho_used": self.rho_used,
-            "rho_reference": self.rho_reference,
-            "C0_estimate": self.C0_estimate,
-            "threshold": self.threshold,
-            "match": self.match,
-            "regions": [dataclasses.asdict(r) for r in self.regions],
-        }
 
 
 def _binding_sets(u, costs, tol, signed):

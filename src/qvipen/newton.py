@@ -2,14 +2,14 @@
 
 The iteration is plain undamped Newton on a piecewise-differentiable residual:
 solve L[u_k] delta = -G(u_k), update, repeat. Every driver builds L with
-:func:`qvipen.core.slant_band`, solved by LAPACK band LU when the system
-declares a node-major band and by SuperLU otherwise, without iterative
-refinement: both leave a backward error near roundoff. It stops once BOTH the
-relative increment ||delta|| / max(||u||, scale) drops below tol AND the
-residual sup-norm is at or below residual_tol; the increment rule alone can
-declare victory on a stagnating iteration, and the residual check costs one
-evaluation that is needed anyway. The iteration count is the number of updates
-performed, including the final confirming one.
+:func:`qvipen.core.slant_band` as a node-major band and solves it by LAPACK
+band LU, without iterative refinement: that leaves a backward error near
+roundoff. It stops once BOTH the relative increment ||delta|| / max(||u||,
+scale) drops below tol AND the residual sup-norm is at or below
+residual_tol; the increment rule alone can declare victory on a stagnating
+iteration, and the residual check costs one evaluation that is needed
+anyway. The iteration count is the number of updates performed, including
+the final confirming one.
 """
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, solve_banded
 
 from .core import (
@@ -64,26 +62,14 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class ObstacleProblem:
-    """min(F(v), v - psi) = 0 with a fixed per-regime obstacle psi.
-
-    With ``pseudo_time = (epsilon, anchor)`` the constraint branch becomes
-    v - psi + epsilon*(v - anchor), which pulls the solve toward the anchor
-    and makes the enclosing sweep a contraction.
-    """
+    """min(F(v), v - psi) = 0 with a fixed per-regime obstacle psi."""
 
     system: MonotoneSystem
     psi: np.ndarray
-    pseudo_time: tuple | None = None
 
     def __post_init__(self) -> None:
         psi = field_values(self.psi, self.system.d, self.system.N)
         object.__setattr__(self, "psi", psi)
-        if self.pseudo_time is not None:
-            epsilon, anchor = self.pseudo_time
-            if not (np.isfinite(epsilon) and epsilon >= 0):
-                raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-            anchor = field_values(anchor, self.system.d, self.system.N)
-            object.__setattr__(self, "pseudo_time", (float(epsilon), anchor))
 
 
 class SingularSlant(Exception):
@@ -102,27 +88,22 @@ class MaxIterExceeded(Exception):
         self.report = report
 
 
-def linear_solve(op, rhs: np.ndarray) -> np.ndarray:
+def linear_solve(op: NodeBand, rhs: np.ndarray) -> np.ndarray:
     """Direct solve of op x = rhs; rhs and x are in regime-major order.
 
-    A NodeBand is factored by LAPACK band LU with partial pivoting, after
-    permuting rhs to node-major order; the band itself is left untouched. Any
-    other operator goes through SuperLU. Rank deficiency surfaces as
-    SingularSlant.
+    The band is factored by LAPACK band LU with partial pivoting, after
+    permuting rhs to node-major order; the band itself is left untouched.
+    Rank deficiency surfaces as SingularSlant.
     """
     rhs = np.asarray(rhs, dtype=float)
     try:
-        if isinstance(op, NodeBand):
-            x = solve_banded((op.kl, op.ku), op.ab, rhs.reshape(op.d, -1).T.flatten(),
-                             overwrite_b=True, check_finite=False)
-            x = x.reshape(-1, op.d).T.ravel()
-        else:
-            x = spla.splu(sp.csc_matrix(op)).solve(rhs)
-    except (LinAlgError, RuntimeError) as exc:  # raised on exact singularity
+        x = solve_banded((op.kl, op.ku), op.ab, rhs.reshape(op.d, -1).T.flatten(),
+                         overwrite_b=True, check_finite=False)
+    except LinAlgError as exc:  # raised on exact singularity
         raise SingularSlant(f"factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSlant("linear solve produced non-finite entries")
-    return x
+    return x.reshape(-1, op.d).T.ravel()
 
 
 def _newton(residual_at, slant_at, initial, cfg: NewtonConfig):
@@ -184,38 +165,18 @@ def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = 
     )
 
 
-def _obstacle_parts(prob: ObstacleProblem, u: np.ndarray):
-    constraint = u - prob.psi
-    epsilon = 0.0
-    if prob.pseudo_time is not None:
-        epsilon, anchor = prob.pseudo_time
-        constraint = constraint + epsilon * (u - anchor)
-    return constraint, epsilon
-
-
-def _obstacle_residual(prob: ObstacleProblem, u: np.ndarray) -> np.ndarray:
-    constraint, _ = _obstacle_parts(prob, u)
-    return np.minimum(prob.system.evaluate(u), constraint)
-
-
-def _obstacle_band(prob: ObstacleProblem, u: np.ndarray) -> NodeBand | sp.csr_matrix:
+def _obstacle_band(prob: ObstacleProblem, u: np.ndarray) -> NodeBand:
     # row per component: the F-row where F is the smaller branch (ties go to
-    # F, treating the constraint as inactive at equality), else (1+eps) * identity
-    constraint, epsilon = _obstacle_parts(prob, u)
-    f_rows = prob.system.evaluate(u) <= constraint
-    diagonal = np.where(f_rows, 0.0, 1.0 + epsilon)
-    return slant_band(prob.system, u, f_rows, np.eye(prob.system.d)[:, :, None] * diagonal[:, None])
-
-
-def _obstacle_slant(prob: ObstacleProblem, u: np.ndarray) -> sp.csr_matrix:
-    return _obstacle_band(prob, u).tocsr()
+    # F, treating the constraint as inactive at equality), else the identity
+    f_rows = prob.system.evaluate(u) <= u - prob.psi
+    return slant_band(prob.system, u, f_rows, np.eye(prob.system.d)[:, :, None] * ~f_rows[:, None])
 
 
 def solve_obstacle(prob: ObstacleProblem, initial, cfg: NewtonConfig | None = None):
-    """Solve min(F(v), v - psi [+ eps*(v - anchor)]) = 0 for fixed psi."""
+    """Solve min(F(v), v - psi) = 0 for fixed psi."""
     cfg = cfg or NewtonConfig()
     return _newton(
-        lambda u: _obstacle_residual(prob, u),
+        lambda u: np.minimum(prob.system.evaluate(u), u - prob.psi),
         lambda u: _obstacle_band(prob, u),
         initial,
         cfg,

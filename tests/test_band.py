@@ -1,11 +1,10 @@
-"""Node-major band slants: builder equivalence, band solve, sparse fallback.
+"""Node-major band slants: builder equivalence, band solve, derived bands.
 
 Each slant the Newton drivers build is checked against a dense matrix
 assembled here, entry by entry, from the definition of that slant.
 """
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from qvipen import regularize
 from qvipen.core import (
@@ -30,14 +29,14 @@ from qvipen.newton import (
     solve_root,
 )
 from qvipen.pde import PdeParams, RewardFunction, assemble
-from qvipen.regularize import strict_supersolution
 from qvipen.testing import random_affine_system
 
 CASES = ("all", "none", "ties")
 
 
 class NoBand(MonotoneSystem):
-    """An AffineSystem behind the bare interface: it declares no band."""
+    """An AffineSystem behind the bare interface: its band is derived from
+    ``slant_at`` on every call."""
 
     def __init__(self, base):
         self.base = base
@@ -85,14 +84,13 @@ def _quarters(d, n):
 
 
 def _assert_slant(system, build, reference):
-    """``build(system)`` matches the dense reference on both paths."""
-    band = build(system)
-    assert isinstance(band, NodeBand)
+    """``build(system)`` matches the dense reference, with the system's own
+    band and with one derived from its slant."""
     scale = np.abs(reference).max()
-    assert np.abs(band.tocsr().toarray() - reference).max() <= 1e-12 * scale
-    sparse = build(NoBand(system))
-    assert not isinstance(sparse, NodeBand)
-    assert np.abs(sparse.toarray() - reference).max() <= 1e-12 * scale
+    for s in (system, NoBand(system)):
+        band = build(s)
+        assert isinstance(band, NodeBand)
+        assert np.abs(band.tocsr().toarray() - reference).max() <= 1e-12 * scale
 
 
 def _dense_base(system):
@@ -166,18 +164,17 @@ def test_obstacle_slant_matches_definition(system, case):
     b = -system.evaluate(np.zeros((d, n)))
     shift = {"all": 1.0, "none": -1.0, "ties": _signs(d, n)}[case]
     psi = b + shift
-    epsilon = 0.5
     u = np.zeros((d, n))
     f_val = system.evaluate(u).ravel()
-    constraint = (u - psi + epsilon * u).ravel()
+    constraint = (u - psi).ravel()
     ref = _dense_base(system)
     for r in range(d * n):
         if not f_val[r] <= constraint[r]:
             ref[r] = 0.0
-            ref[r, r] = 1.0 + epsilon
+            ref[r, r] = 1.0
     if case == "ties":
         assert np.any(f_val == constraint)
-    build = lambda s: _obstacle_band(ObstacleProblem(s, psi, (epsilon, u)), u)  # noqa: E731
+    build = lambda s: _obstacle_band(ObstacleProblem(s, psi), u)  # noqa: E731
     _assert_slant(system, build, ref)
 
 
@@ -291,35 +288,21 @@ def test_singular_band_raises_with_iterate_and_report(d):
     assert not info.value.report.converged
 
 
-def _counting_splu(monkeypatch):
-    calls = []
-    original = spla.splu
-
-    def splu(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", splu)
-    return calls
-
-
-def test_system_without_band_solves_through_splu(monkeypatch):
+def test_system_without_a_cached_band_solves_through_a_derived_one():
     system = assemble(PdeParams(d=3, reward=RewardFunction.three_regime()))
     root, _ = solve_root(system, np.zeros((3, 100)))
     costs = SwitchingCostMatrix.uniform(3, 1 / 64)
-    calls = _counting_splu(monkeypatch)
-    banded, banded_report = solve_penalized(PenalizedProblem(system, costs, 32e3), root)
-    assert not calls
-    sparse, sparse_report = solve_penalized(PenalizedProblem(NoBand(system), costs, 32e3), root)
-    assert len(calls) == sparse_report.iterations == banded_report.iterations
-    assert sup_norm(np.asarray(sparse) - np.asarray(banded)) <= 1e-12
+    cached, cached_report = solve_penalized(PenalizedProblem(system, costs, 32e3), root)
+    derived, derived_report = solve_penalized(PenalizedProblem(NoBand(system), costs, 32e3), root)
+    assert derived_report.iterations == cached_report.iterations
+    assert np.array_equal(np.asarray(derived), np.asarray(cached))
 
 
-def test_strict_supersolution_takes_the_band_path(monkeypatch):
-    system = assemble(PdeParams(d=2, reward=RewardFunction.two_regime()))
-    calls = _counting_splu(monkeypatch)
-    strict_supersolution(system, SwitchingCostMatrix.uniform(2, 0.125), 0.0625)
-    assert not calls
+def test_band_from_matrix_rejects_a_shape_d_cannot_split():
+    with pytest.raises(ValueError):
+        NodeBand.from_matrix(np.eye(3), 2)
+    with pytest.raises(ValueError):
+        NodeBand.from_matrix(np.ones((4, 2)), 2)
 
 
 def test_band_solve_leaves_the_cached_band_intact():

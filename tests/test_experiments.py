@@ -1,4 +1,5 @@
 """Experiment harness and command line: configs, sweeps, regions, output."""
+import dataclasses
 import json
 
 import numpy as np
@@ -213,11 +214,9 @@ def test_csv_deterministic_except_runtime(small_table):
     assert strip_runtime(a) == strip_runtime(b)
 
 
-def test_json_output_roundtrips(small_table, tmp_path):
+def test_json_output_roundtrips(small_table):
     _, table = small_table
-    path = tmp_path / "out.json"
-    write_table(table, path, fmt="json")
-    loaded = json.loads(path.read_text())
+    loaded = json.loads(write_table(table, fmt="json"))
     assert loaded["case"] == "two-regime"
     assert len(loaded["cells"]) == len(table.cells)
     assert loaded["cells"][1]["increment"] == pytest.approx(0.00884, abs=5e-4)
@@ -274,7 +273,7 @@ def test_regions_reject_zero_cost():
 
 def test_region_report_serializes(region_config):
     report = extract_regions(region_config, 32e3)
-    payload = json.loads(json.dumps(report.to_dict()))
+    payload = json.loads(json.dumps(dataclasses.asdict(report)))
     assert payload["match"] is True
     assert payload["regions"][0]["regime"] == 0
 

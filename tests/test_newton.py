@@ -5,11 +5,12 @@ import scipy.sparse as sp
 
 from qvipen.core import (
     AffineSystem,
+    NodeBand,
     PenalizedProblem,
     PenaltyFunction,
     SwitchingCostMatrix,
+    _penalized_band,
     penalized_residual,
-    penalized_slant,
     sup_norm,
 )
 from qvipen.newton import (
@@ -17,7 +18,7 @@ from qvipen.newton import (
     NewtonConfig,
     ObstacleProblem,
     SingularSlant,
-    _obstacle_slant,
+    _obstacle_band,
     linear_solve,
     solve_obstacle,
     solve_penalized,
@@ -133,7 +134,7 @@ def test_newton_globalizes_from_below(three_regime):
     chain = []
     for _ in range(30):
         g = penalized_residual(u, prob)
-        delta = linear_solve(penalized_slant(u, prob), -g.ravel()).reshape(u.shape)
+        delta = linear_solve(_penalized_band(u, prob), -g.ravel()).reshape(u.shape)
         u = u + delta
         chain.append(u.copy())
         if sup_norm(delta) / max(sup_norm(u), 1.0) < 1e-9:
@@ -194,49 +195,42 @@ def test_obstacle_binding_clips_to_psi():
     assert np.allclose(np.asarray(u), [[1.0], [2.0]], atol=1e-12)
 
 
-def test_obstacle_pseudo_time_large_eps_pins_anchor():
-    system = identity_system(np.full((2, 2), -1.0))  # F(v) = v + 1 > 0 near 0
-    anchor = np.full((2, 2), 0.5)
-    prob = ObstacleProblem(system, np.zeros((2, 2)), pseudo_time=(1e6, anchor))
-    u, _ = solve_obstacle(prob, np.zeros((2, 2)))
-    assert sup_norm(np.asarray(u) - anchor) <= 1e-4
-
-
 def test_obstacle_tie_selects_f_row():
     system = identity_system(np.zeros((2, 1)))
     prob = ObstacleProblem(system, np.zeros((2, 1)))
     # at u = 0 both branches evaluate to 0; the slant must be F's
-    slant = _obstacle_slant(prob, np.zeros((2, 1)))
+    slant = _obstacle_band(prob, np.zeros((2, 1))).tocsr()
     assert (slant != system.slant_at(None)).nnz == 0
 
 
 def test_linear_solve_identity():
     rhs = np.array([3.0, -1.0, 4.0])
-    assert np.array_equal(linear_solve(sp.eye(3, format="csr"), rhs), rhs)
+    assert np.array_equal(linear_solve(NodeBand.from_matrix(sp.eye(3), 1), rhs), rhs)
 
 
 def test_linear_solve_matches_dense_elimination():
     poisson = sp.diags([-np.ones(4), 2.0 * np.ones(5), -np.ones(4)], [-1, 0, 1])
     rhs = np.ones(5)
     expected = np.linalg.solve(poisson.toarray(), rhs)
-    assert sup_norm(linear_solve(poisson, rhs) - expected) <= 1e-12
+    assert sup_norm(linear_solve(NodeBand.from_matrix(poisson, 1), rhs) - expected) <= 1e-12
 
 
 def test_linear_solve_backward_error(two_regime):
     _, system, root = two_regime
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.125), rho=32e3)
     u, _ = solve_penalized(prob, root)
-    op = penalized_slant(np.asarray(u), prob)
+    band = _penalized_band(np.asarray(u), prob)
+    op = band.tocsr()
     rng = np.random.default_rng(61)
     for _ in range(5):
         rhs = rng.normal(size=op.shape[0])
-        x = linear_solve(op, rhs)
+        x = linear_solve(band, rhs)
         assert sup_norm(op @ x - rhs) <= 1e-10 * (1.0 + sup_norm(rhs))
 
 
 def test_linear_solve_singular():
     with pytest.raises(SingularSlant):
-        linear_solve(sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]])), np.ones(2))
+        linear_solve(NodeBand.from_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]), 1), np.ones(2))
 
 
 def test_iteration_cap_carries_diagnostics(two_regime):

@@ -212,3 +212,31 @@ def test_enumerate_matches_newton(case):
     newton, report = solve_penalized(prob, np.zeros((case["d"], case["n"])))
     assert report.converged
     assert sup_norm(exact - np.asarray(newton)) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(instances)
+def test_solutions_increase_with_rho(case):
+    prob, _ = random_problem(case)
+    zero = np.zeros((case["d"], case["n"]))
+    previous = None
+    for rho in (0.0, 1.0, 10.0, 1e3):
+        u, _ = solve_penalized(PenalizedProblem(prob.system, prob.costs, rho), zero)
+        u = np.asarray(u)
+        if previous is not None:
+            assert np.all(u >= previous - 1e-12)
+        previous = u
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(instances)
+def test_comparison_principle(case):
+    # raising b in F(u) = Au - b turns u^rho into a subsolution of the new
+    # penalized equation, so the new solution lies above it
+    prob, rng = random_problem(case)
+    system, zero = prob.system, np.zeros((case["d"], case["n"]))
+    b = -system.evaluate(zero)
+    raised = AffineSystem(system.slant_at(None), b + rng.uniform(0.0, 1.0, b.shape), system.gamma)
+    low, _ = solve_penalized(prob, zero)
+    high, _ = solve_penalized(PenalizedProblem(raised, prob.costs, prob.rho), zero)
+    assert np.all(np.asarray(high) >= np.asarray(low) - 1e-12)
