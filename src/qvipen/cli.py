@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="JSON file with experiment settings")
         cmd.add_argument("--case", help="two-regime | three-regime | custom")
         cmd.add_argument("--out", help="output file path (default: stdout)")
-        cmd.add_argument("--format", choices=("csv", "json"), help="output format")
+        if name in ("table", "hjb"):
+            cmd.add_argument("--format", choices=("csv", "json"), help="output format")
         cmd.add_argument("--rho", type=_float_list, help="comma-separated weights")
         cmd.add_argument("--cost", type=_float_list, help="comma-separated costs")
         cmd.add_argument("--tol", type=float, help="Newton increment tolerance")
@@ -62,7 +63,7 @@ def _load_config(args) -> ExperimentConfig:
         mapping["rho_list"] = args.rho
     if args.cost is not None:
         mapping["cost_list"] = args.cost
-    if args.format:
+    if getattr(args, "format", None):
         mapping["format"] = args.format
     if args.out:
         mapping["output_path"] = args.out

@@ -150,10 +150,7 @@ def as_costs(costs, d: int) -> SwitchingCostMatrix:
 class PenaltyFunction:
     """The penalty family pi(y) = (max(y, 0))**(1/sigma).
 
-    ``tau`` is the constant in the lower bound pi(y) >= tau * y**(1/sigma) on
-    the relevant range; it equals 1 for this family. The subderivative at the
-    kink y=0 is taken to be 0, so the slant of a penalized residual on the
-    constraint boundary coincides with the unpenalized one.
+    It meets the lower bound pi(y) >= tau * y**(1/sigma) with tau = 1.
     """
 
     sigma: float = 1.0
@@ -162,20 +159,8 @@ class PenaltyFunction:
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"penalty degree must be positive, got {self.sigma}")
 
-    @property
-    def tau(self) -> float:
-        return 1.0
-
     def __call__(self, y):
         return np.maximum(np.asarray(y, dtype=float), 0.0) ** (1.0 / self.sigma)
-
-    def subderivative(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        pos = y > 0.0
-        e = 1.0 / self.sigma
-        out[pos] = e * y[pos] ** (e - 1.0)
-        return out
 
 
 @dataclass(frozen=True)
@@ -378,7 +363,7 @@ class SolveReport:
     """Iteration record of a solve.
 
     ``increments`` holds the relative increments
-    ||u_k - u_{k-1}|| / max(||u_k||, scale) per iteration; ``residuals`` the
+    ||u_k - u_{k-1}|| / max(||u_k||, 1) per iteration; ``residuals`` the
     residual sup-norm before the first and after every iteration.
     """
 
@@ -406,17 +391,17 @@ def intervention(u, costs, i: int):
     costs = as_costs(costs, d)
     if not 0 <= i < d:
         raise ValueError(f"regime index {i} out of range for d={d}")
-    others = np.array([j for j in range(d) if j != i])
-    cand = v[others] - costs.costs[i, others][:, None]
-    # argmax returns the first hit, which is the lowest competitor index
-    k = np.argmax(cand, axis=0)
-    cols = np.arange(v.shape[1])
-    return cand[k, cols], others[k]
+    values, regimes = _obstacles(v, costs)
+    return values[i], regimes[i]
 
 
-def _obstacles(v: np.ndarray, costs: SwitchingCostMatrix) -> np.ndarray:
-    """Stack M_i v over all regimes i into a (d, N) array."""
-    return np.stack([intervention(v, costs, i)[0] for i in range(v.shape[0])])
+def _obstacles(v: np.ndarray, costs: SwitchingCostMatrix):
+    """``(M, regimes)``: M_i v and its maximizing regime for every i, each (d, N)."""
+    d = v.shape[0]
+    cand = v[None, :, :] - costs.costs[:, :, None]
+    cand[np.arange(d), np.arange(d), :] = -np.inf
+    # argmax returns the first hit, so ties go to the lowest regime
+    return cand.max(axis=1), cand.argmax(axis=1)
 
 
 def qvi_residual(u, system: MonotoneSystem, costs) -> np.ndarray:
@@ -432,24 +417,34 @@ def qvi_residual(u, system: MonotoneSystem, costs) -> np.ndarray:
             "switching residual needs strictly positive costs; "
             "use the penalized or zero-cost path for c = 0"
         )
-    return np.minimum(system.evaluate(v), v - _obstacles(v, costs))
+    return np.minimum(system.evaluate(v), v - _obstacles(v, costs)[0])
 
 
-def _penalty_args(v: np.ndarray, costs: SwitchingCostMatrix) -> np.ndarray:
-    """Tensor of penalty arguments, entry [i, j, l] = v[j, l] - c[i, j] - v[i, l]."""
-    return v[None, :, :] - costs.costs[:, :, None] - v[:, None, :]
+def _penalized(u, prob: PenalizedProblem):
+    """``(residual, coupling)``: the penalized residual at u and the coupling
+    its degree-1 slant adds to F's, for :func:`slant_band`.
+
+    Active terms (argument strictly positive) add +rho on the (i, l) diagonal
+    and -rho at column (j, l); the kink at zero counts as inactive. At rho = 0
+    the residual is F(u) and the coupling None.
+    """
+    v = field_values(u, prob.system.d, prob.system.N)
+    f = prob.system.evaluate(v)
+    if prob.rho == 0.0:
+        return f, None
+    d = v.shape[0]
+    # entry [i, j, l] = v[j, l] - c[i, j] - v[i, l]; pi(-inf) = 0 drops i == j
+    args = v[None, :, :] - prob.costs.costs[:, :, None] - v[:, None, :]
+    args[np.arange(d), np.arange(d), :] = -np.inf
+    active = args > 0.0
+    # np.eye(d)[:, :, None] * x[:, None] puts x[i, l] at coupling[i, i, l]
+    count = np.eye(d)[:, :, None] * active.sum(axis=1)[:, None]
+    return f - prob.rho * prob.penalty(args).sum(axis=1), prob.rho * (count - active)
 
 
 def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
     """F(u) - rho * sum_{j != i} pi(u^j - c[i, j] - u^i); equals F(u) at rho=0."""
-    v = field_values(u, prob.system.d, prob.system.N)
-    f = prob.system.evaluate(v)
-    if prob.rho == 0.0:
-        return f
-    terms = prob.penalty(_penalty_args(v, prob.costs))
-    d = v.shape[0]
-    terms[np.arange(d), np.arange(d), :] = 0.0
-    return f - prob.rho * terms.sum(axis=1)
+    return _penalized(u, prob)[0]
 
 
 def slant_band(system: MonotoneSystem, u, keep=None, coupling=None) -> NodeBand:
@@ -475,25 +470,11 @@ def slant_band(system: MonotoneSystem, u, keep=None, coupling=None) -> NodeBand:
     return NodeBand(d, kl, ku, out)
 
 
-def _penalized_band(u, prob: PenalizedProblem) -> NodeBand:
-    """Slant of the penalized residual; degree-1 penalty only.
-
-    Active terms (argument strictly positive) add +rho on the (i, l) diagonal
-    and -rho at column (j, l); the kink at zero counts as inactive.
-    """
-    v = field_values(u, prob.system.d, prob.system.N)
+def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:
+    """The penalized slant as regime-major CSR; degree-1 penalty only."""
     if prob.rho != 0.0 and prob.penalty.sigma != 1.0:
         raise ValueError(
             f"Newton slant supports penalty degree 1 only, got sigma={prob.penalty.sigma}"
         )
-    d = v.shape[0]
-    active = _penalty_args(v, prob.costs) > 0.0
-    active[np.arange(d), np.arange(d), :] = False
-    # np.eye(d)[:, :, None] * x[:, None] puts x[i, l] at coupling[i, i, l]
-    count = np.eye(d)[:, :, None] * active.sum(axis=1)[:, None]
-    return slant_band(prob.system, v, coupling=prob.rho * (count - active))
-
-
-def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:
-    """The penalized slant as regime-major CSR."""
-    return _penalized_band(u, prob).tocsr()
+    v = field_values(u, prob.system.d, prob.system.N)
+    return slant_band(prob.system, v, coupling=_penalized(v, prob)[1]).tocsr()

@@ -20,8 +20,8 @@ from .core import (
     AffineSystem,
     PenalizedProblem,
     SwitchingCostMatrix,
+    _obstacles,
     field_values,
-    intervention,
     sup_norm,
 )
 from .newton import MaxIterExceeded, NewtonConfig, SingularSlant, solve_penalized, solve_root
@@ -67,18 +67,6 @@ CASES = {
     "three-regime": CaseSpec(3, RewardFunction.three_regime(), 1.0, TABLE2_RHO, TABLE2_COSTS),
 }
 
-_CONFIG_KEYS = {
-    "case",
-    "rho_list",
-    "cost_list",
-    "probe_point",
-    "newton",
-    "output_path",
-    "format",
-    "d",
-    "N",
-    "reward_pieces",
-}
 _NEWTON_KEYS = {f.name for f in dataclasses.fields(NewtonConfig)}
 
 
@@ -87,9 +75,10 @@ class ExperimentConfig:
     """One experiment: a named case, its (cost, weight) grid, and output."""
 
     case: str = "two-regime"
-    rho_list: tuple = TABLE1_RHO
-    cost_list: tuple = TABLE1_COSTS
-    probe_point: float = 0.5
+    # None takes the case's own grid and probe; a custom case takes two-regime's
+    rho_list: tuple | None = None
+    cost_list: tuple | None = None
+    probe_point: float | None = None
     newton: NewtonConfig = field(default_factory=NewtonConfig)
     output_path: str | None = None
     format: str = "csv"
@@ -102,6 +91,10 @@ class ExperimentConfig:
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.case not in ("two-regime", "three-regime", "custom"):
             raise ValueError(f"unknown case {self.case!r}")
+        spec = CASES.get(self.case, CASES["two-regime"])
+        for name in ("rho_list", "cost_list", "probe_point"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, getattr(spec, name))
         if not self.rho_list:
             raise ValueError("rho_list must be nonempty")
         if not self.cost_list:
@@ -127,12 +120,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         fields = dict(mapping)
-        case = fields.get("case", "two-regime")
-        spec = CASES.get(case)
-        if spec is not None:
-            fields.setdefault("probe_point", spec.probe_point)
-            fields.setdefault("rho_list", spec.rho_list)
-            fields.setdefault("cost_list", spec.cost_list)
         newton_map = fields.pop("newton", None)
         if newton_map is not None:
             bad = sorted(set(newton_map) - _NEWTON_KEYS)
@@ -158,6 +145,9 @@ class ExperimentConfig:
 
     def probe_node(self) -> int:
         return probe_index(self.pde_params(), self.probe_point)
+
+
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 @dataclass
@@ -294,12 +284,9 @@ class RegionReport:
 
 
 def _binding_sets(u, costs, tol, signed):
-    out = []
-    for i in range(u.shape[0]):
-        gap = u[i] - intervention(u, costs, i)[0]
-        mask = gap <= tol if signed else np.abs(gap) <= tol
-        out.append(tuple(int(l) for l in np.nonzero(mask)[0]))
-    return out
+    gap = u - _obstacles(u, costs)[0]
+    masks = gap <= tol if signed else np.abs(gap) <= tol
+    return [tuple(int(l) for l in np.nonzero(mask)[0]) for mask in masks]
 
 
 def extract_regions(config: ExperimentConfig, rho: float,

@@ -1,15 +1,21 @@
 """Semismooth Newton driver, direct linear solve, and stopping criterion.
 
+Every Newton problem is one function ``linearize(u) -> (G(u), keep,
+coupling)``: the residual at u and the slant of G at the same point,
+diag(keep) F'(u) + C, in the terms of :func:`qvipen.core.slant_band` (``keep``
+a (d, N) row mask of F's slant, None for all rows; ``coupling`` the (d, d, N)
+per-node block C, None for none). :func:`_newton` calls it once per iterate,
+so F and the obstacle are evaluated once per iterate, and builds the band
+only for a step it takes.
+
 The iteration is plain undamped Newton on a piecewise-differentiable residual:
-solve L[u_k] delta = -G(u_k), update, repeat. Every driver builds L with
-:func:`qvipen.core.slant_band` as a node-major band and solves it by LAPACK
-band LU, without iterative refinement: that leaves a backward error near
-roundoff. It stops once BOTH the relative increment ||delta|| / max(||u||,
-scale) drops below tol AND the residual sup-norm is at or below
-residual_tol; the increment rule alone can declare victory on a stagnating
-iteration, and the residual check costs one evaluation that is needed
-anyway. The iteration count is the number of updates performed, including
-the final confirming one.
+solve L[u_k] delta = -G(u_k), update, repeat. L is solved by LAPACK band LU,
+without iterative refinement: that leaves a backward error near roundoff. It
+stops once BOTH the relative increment ||delta|| / max(||u||, 1) drops below
+tol AND the residual sup-norm is at or below residual_tol; the increment rule
+alone can declare victory on a stagnating iteration, and the residual check
+costs one evaluation that is needed anyway. The iteration count is the number
+of updates performed, including the final confirming one.
 """
 from __future__ import annotations
 
@@ -25,9 +31,8 @@ from .core import (
     PenalizedProblem,
     RegimeField,
     SolveReport,
-    _penalized_band,
+    _penalized,
     field_values,
-    penalized_residual,
     slant_band,
     sup_norm,
 )
@@ -49,13 +54,12 @@ class NewtonConfig:
     """Stopping parameters; the defaults are used for every shipped experiment."""
 
     tol: float = 1e-9
-    scale: float = 1.0
     residual_tol: float = 1e-8
     max_iter: int = 100
 
     def __post_init__(self) -> None:
-        if not (self.tol > 0 and self.scale > 0 and self.residual_tol > 0):
-            raise ValueError("tol, scale, and residual_tol must be positive")
+        if not (self.tol > 0 and self.residual_tol > 0):
+            raise ValueError("tol and residual_tol must be positive")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -106,17 +110,19 @@ def linear_solve(op: NodeBand, rhs: np.ndarray) -> np.ndarray:
     return x.reshape(-1, op.d).T.ravel()
 
 
-def _newton(residual_at, slant_at, initial, cfg: NewtonConfig):
+def _newton(system: MonotoneSystem, linearize, initial, cfg: NewtonConfig | None = None):
+    cfg = cfg or NewtonConfig()
     u = field_values(initial).copy()
     start = time.perf_counter()
-    g = residual_at(u)
+    g, keep, coupling = linearize(u)
     increments: list = []
     residuals = [sup_norm(g)]
     iterations = 0
     converged = False
     for _ in range(cfg.max_iter):
         try:
-            delta = linear_solve(slant_at(u), -g.ravel()).reshape(u.shape)
+            slant = slant_band(system, u, keep, coupling)
+            delta = linear_solve(slant, -g.ravel()).reshape(u.shape)
         except SingularSlant as exc:
             exc.iterate = RegimeField(u)
             exc.report = SolveReport(iterations, residuals[-1], increments,
@@ -124,9 +130,9 @@ def _newton(residual_at, slant_at, initial, cfg: NewtonConfig):
             raise
         u = u + delta
         iterations += 1
-        g = residual_at(u)
+        g, keep, coupling = linearize(u)
         residuals.append(sup_norm(g))
-        increments.append(sup_norm(delta) / max(sup_norm(u), cfg.scale))
+        increments.append(sup_norm(delta) / max(sup_norm(u), 1.0))
         if increments[-1] < cfg.tol and residuals[-1] <= cfg.residual_tol:
             converged = True
             break
@@ -143,10 +149,17 @@ def _newton(residual_at, slant_at, initial, cfg: NewtonConfig):
     return result, report
 
 
+def _min_rows(f: np.ndarray, constraint: np.ndarray, coupling: np.ndarray):
+    """Linearization of min(f, constraint): F's rows where f is the smaller
+    branch (ties go to F, the constraint counting as inactive at equality),
+    else the constraint's per-node ``coupling`` row."""
+    keep = f <= constraint
+    return np.minimum(f, constraint), keep, np.where(keep[:, None], 0.0, coupling)
+
+
 def solve_root(system: MonotoneSystem, initial, cfg: NewtonConfig | None = None):
     """Solve F(u) = 0; one exact step plus a confirming one when F is affine."""
-    cfg = cfg or NewtonConfig()
-    return _newton(system.evaluate, lambda u: slant_band(system, u), initial, cfg)
+    return _newton(system, lambda u: (system.evaluate(u), None, None), initial, cfg)
 
 
 def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = None):
@@ -156,28 +169,21 @@ def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = 
             f"Newton path supports penalty degree 1 only, got sigma={prob.penalty.sigma}; "
             "other degrees go through the marching oracle"
         )
-    cfg = cfg or NewtonConfig()
-    return _newton(
-        lambda u: penalized_residual(u, prob),
-        lambda u: _penalized_band(u, prob),
-        initial,
-        cfg,
-    )
 
+    def linearize(u):
+        residual, coupling = _penalized(u, prob)
+        return residual, None, coupling
 
-def _obstacle_band(prob: ObstacleProblem, u: np.ndarray) -> NodeBand:
-    # row per component: the F-row where F is the smaller branch (ties go to
-    # F, treating the constraint as inactive at equality), else the identity
-    f_rows = prob.system.evaluate(u) <= u - prob.psi
-    return slant_band(prob.system, u, f_rows, np.eye(prob.system.d)[:, :, None] * ~f_rows[:, None])
+    return _newton(prob.system, linearize, initial, cfg)
 
 
 def solve_obstacle(prob: ObstacleProblem, initial, cfg: NewtonConfig | None = None):
     """Solve min(F(v), v - psi) = 0 for fixed psi."""
-    cfg = cfg or NewtonConfig()
+    system = prob.system
+    identity = np.eye(system.d)[:, :, None]
     return _newton(
-        lambda u: np.minimum(prob.system.evaluate(u), u - prob.psi),
-        lambda u: _obstacle_band(prob, u),
+        system,
+        lambda u: _min_rows(system.evaluate(u), u - prob.psi, identity),
         initial,
         cfg,
     )

@@ -27,12 +27,18 @@ from .core import (
     _obstacles,
     as_costs,
     field_values,
-    intervention,
     qvi_residual,
-    slant_band,
     sup_norm,
 )
-from .newton import NewtonConfig, ObstacleProblem, _newton, solve_obstacle, solve_penalized, solve_root
+from .newton import (
+    NewtonConfig,
+    ObstacleProblem,
+    _min_rows,
+    _newton,
+    solve_obstacle,
+    solve_penalized,
+    solve_root,
+)
 
 __all__ = [
     "ErrorConstants",
@@ -184,7 +190,7 @@ def apply_Q(u, system: MonotoneSystem, costs, cfg: NewtonConfig | None = None) -
     """One iterated-stopping sweep: solve with the obstacle frozen at M_i u."""
     v = field_values(u, system.d, system.N)
     costs = as_costs(costs, system.d)
-    psi = _obstacles(v, costs)
+    psi = _obstacles(v, costs)[0]
     out, _ = solve_obstacle(ObstacleProblem(system, psi), v, cfg)
     return out
 
@@ -197,22 +203,17 @@ def apply_T(u, system: MonotoneSystem, costs, epsilon: float,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     anchor = field_values(u, system.d, system.N)
     costs = as_costs(costs, system.d)
-    d, n = anchor.shape
+    diagonal = (1.0 + epsilon) * np.eye(system.d)[:, :, None]
+    targets = np.arange(system.d)[:, None]
 
-    def residual(v):
-        constraint = v - _obstacles(v, costs) + epsilon * (v - anchor)
-        return np.minimum(system.evaluate(v), constraint)
+    def linearize(v):
+        obstacle, regimes = _obstacles(v, costs)
+        constraint = v - obstacle + epsilon * (v - anchor)
+        # (1 + eps) on the diagonal and -1 at the regime switched to
+        switch = diagonal - (regimes[:, None] == targets)
+        return _min_rows(system.evaluate(v), constraint, switch)
 
-    def slant(v):
-        # F-rows where F is the smaller branch (ties go to F), else (1+eps) on
-        # the diagonal and -1 at the regime switched to
-        f_rows = system.evaluate(v) <= v - _obstacles(v, costs) + epsilon * (v - anchor)
-        coupling = np.eye(d)[:, :, None] * np.where(f_rows, 0.0, 1.0 + epsilon)[:, None]
-        for i in range(d):
-            coupling[i, intervention(v, costs, i)[1], np.arange(n)] -= ~f_rows[i]
-        return slant_band(system, v, f_rows, coupling)
-
-    out, _ = _newton(residual, slant, anchor, cfg or NewtonConfig())
+    out, _ = _newton(system, linearize, anchor, cfg)
     return out
 
 
@@ -226,27 +227,21 @@ def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray, epsilon: f
         raise ValueError(
             f"Newton path supports penalty degree 1 only, got sigma={prob.penalty.sigma}"
         )
-    d, n = system.d, system.N
+    d = system.d
     c = prob.costs.costs
 
-    def args_at(v):
-        base = frozen[None, :, :] - c[:, :, None] - v[:, None, :]
+    def linearize(v):
+        args = frozen[None, :, :] - c[:, :, None] - v[:, None, :]
         if epsilon:
-            base = base - epsilon * (v - frozen)[:, None, :]
-        base[np.arange(d), np.arange(d), :] = -np.inf
-        return base
-
-    def residual(v):
-        return system.evaluate(v) - prob.rho * prob.penalty(args_at(v)).sum(axis=1)
-
-    def slant(v):
+            args = args - epsilon * (v - frozen)[:, None, :]
+        args[np.arange(d), np.arange(d), :] = -np.inf
+        residual = system.evaluate(v) - prob.rho * prob.penalty(args).sum(axis=1)
         # each active term depends on v only through -(1+epsilon) * v^i, so
         # the penalty part of the slant is purely diagonal
-        count = (args_at(v) > 0.0).sum(axis=1)
-        diagonal = prob.rho * (1.0 + epsilon) * count
-        return slant_band(system, v, coupling=np.eye(d)[:, :, None] * diagonal[:, None])
+        diagonal = prob.rho * (1.0 + epsilon) * (args > 0.0).sum(axis=1)
+        return residual, None, np.eye(d)[:, :, None] * diagonal[:, None]
 
-    out, _ = _newton(residual, slant, frozen, cfg or NewtonConfig())
+    out, _ = _newton(system, linearize, frozen, cfg)
     return out
 
 

@@ -6,7 +6,7 @@ assembled here, entry by entry, from the definition of that slant.
 import numpy as np
 import pytest
 
-from qvipen import regularize
+from qvipen import newton, regularize
 from qvipen.core import (
     AffineSystem,
     MonotoneSystem,
@@ -15,7 +15,7 @@ from qvipen.core import (
     RegimeField,
     ShiftedSystem,
     SwitchingCostMatrix,
-    _penalized_band,
+    _penalized,
     penalized_residual,
     slant_band,
     sup_norm,
@@ -23,8 +23,8 @@ from qvipen.core import (
 from qvipen.newton import (
     ObstacleProblem,
     SingularSlant,
-    _obstacle_band,
     linear_solve,
+    solve_obstacle,
     solve_penalized,
     solve_root,
 )
@@ -97,18 +97,21 @@ def _dense_base(system):
     return system.slant_at(None).toarray()
 
 
-def _captured_slant(monkeypatch, sweep):
-    """The slant a sweep hands to the Newton loop, captured without solving."""
+def _captured_slant(monkeypatch, solve):
+    """The slant, as a function of the iterate, of the problem a solve hands
+    to the Newton loop, captured without solving."""
     seen = {}
 
-    def fake_newton(residual_at, slant_at, initial, cfg):
-        seen["slant"] = slant_at
+    def fake_newton(system, linearize, initial, cfg=None):
+        seen["problem"] = system, linearize
         return RegimeField(initial), None
 
-    monkeypatch.setattr(regularize, "_newton", fake_newton)
-    sweep()
+    for module in (newton, regularize):
+        monkeypatch.setattr(module, "_newton", fake_newton)
+    solve()
     monkeypatch.undo()
-    return seen["slant"]
+    system, linearize = seen["problem"]
+    return lambda v: slant_band(system, v, *linearize(v)[1:])
 
 
 def test_affine_band_is_the_node_major_matrix(system):
@@ -131,7 +134,7 @@ def test_affine_band_is_the_node_major_matrix(system):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_penalized_slant_matches_definition(system, case):
+def test_penalized_slant_matches_definition(system, case, monkeypatch):
     # "all": with c = 0 and distinct components, one term of every pair is
     # active; both terms of a pair can never be
     d, n = system.d, system.N
@@ -154,11 +157,16 @@ def test_penalized_slant_matches_definition(system, case):
     pairs = d * (d - 1) // 2 * n
     assert ties > 0 if case == "ties" else active == {"all": pairs, "none": 0}[case]
     costs = SwitchingCostMatrix.uniform(d, cost)
-    _assert_slant(system, lambda s: _penalized_band(u, PenalizedProblem(s, costs, rho)), ref)
+
+    def build(s):
+        prob = PenalizedProblem(s, costs, rho)
+        return _captured_slant(monkeypatch, lambda: solve_penalized(prob, u))(u)
+
+    _assert_slant(system, build, ref)
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_obstacle_slant_matches_definition(system, case):
+def test_obstacle_slant_matches_definition(system, case, monkeypatch):
     # at u = 0, F(0) = -b and the constraint branch is -psi exactly
     d, n = system.d, system.N
     b = -system.evaluate(np.zeros((d, n)))
@@ -174,7 +182,11 @@ def test_obstacle_slant_matches_definition(system, case):
             ref[r, r] = 1.0
     if case == "ties":
         assert np.any(f_val == constraint)
-    build = lambda s: _obstacle_band(ObstacleProblem(s, psi), u)  # noqa: E731
+
+    def build(s):
+        solve = lambda: solve_obstacle(ObstacleProblem(s, psi), u)  # noqa: E731
+        return _captured_slant(monkeypatch, solve)(u)
+
     _assert_slant(system, build, ref)
 
 
@@ -257,11 +269,12 @@ def test_band_solve_backward_error_at_converged_iterate():
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 1 / 64), 32e3)
     u, report = solve_penalized(prob, root)
     assert report.converged
-    op = _penalized_band(u, prob).tocsr()
+    u = np.asarray(u)
+    band = slant_band(system, u, coupling=_penalized(u, prob)[1])
+    op = band.tocsr()
     norm_op = abs(op).sum(axis=1).max()
     rng = np.random.default_rng(71)
     newton_rhs = -penalized_residual(u, prob).ravel()
-    band = _penalized_band(u, prob)
     for rhs in [newton_rhs] + [rng.normal(size=op.shape[0]) for _ in range(3)]:
         x = linear_solve(band, rhs)
         backward = sup_norm(op @ x - rhs)

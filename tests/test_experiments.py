@@ -9,6 +9,7 @@ from qvipen import ExperimentConfig, extract_regions, run_table, verify, write_t
 from qvipen import cli, experiments
 from qvipen.cli import main
 from qvipen.experiments import (
+    CASES,
     TABLE1_COSTS,
     TABLE1_RHO,
     TABLE2_COSTS,
@@ -48,6 +49,15 @@ def test_config_defaults_follow_case():
     assert default.probe_point == 0.5
     assert default.rho_list == TABLE1_RHO
     assert default.cost_list == TABLE1_COSTS
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_config_case_defaults_do_not_depend_on_construction(case):
+    direct = ExperimentConfig(case=case)
+    assert direct == ExperimentConfig.from_mapping({"case": case})
+    spec = CASES[case]
+    assert (direct.rho_list, direct.cost_list, direct.probe_point) == (
+        spec.rho_list, spec.cost_list, spec.probe_point)
 
 
 def test_config_rejects_unknown_keys():
@@ -366,6 +376,14 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
         main(["table", "--case", "two-regime", "--threads", "1"])
     assert usage.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["solve", "regions", "verify"])
+def test_cli_format_is_a_usage_error_where_output_is_json_only(command, capsys):
+    with pytest.raises(SystemExit) as usage:
+        main([command, "--case", "two-regime", "--format", "csv"])
+    assert usage.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_cli_solve_reports_probe_value(tmp_path):

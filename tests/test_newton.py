@@ -3,14 +3,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from qvipen import newton, regularize
 from qvipen.core import (
     AffineSystem,
     NodeBand,
     PenalizedProblem,
     PenaltyFunction,
     SwitchingCostMatrix,
-    _penalized_band,
+    _penalized,
+    intervention,
     penalized_residual,
+    slant_band,
     sup_norm,
 )
 from qvipen.newton import (
@@ -18,7 +21,7 @@ from qvipen.newton import (
     NewtonConfig,
     ObstacleProblem,
     SingularSlant,
-    _obstacle_band,
+    _min_rows,
     linear_solve,
     solve_obstacle,
     solve_penalized,
@@ -52,7 +55,7 @@ def identity_system(b):
 
 def test_config_validation():
     cfg = NewtonConfig()
-    assert (cfg.tol, cfg.scale, cfg.residual_tol, cfg.max_iter) == (1e-9, 1.0, 1e-8, 100)
+    assert (cfg.tol, cfg.residual_tol, cfg.max_iter) == (1e-9, 1e-8, 100)
     with pytest.raises(ValueError):
         NewtonConfig(tol=0.0)
     with pytest.raises(ValueError):
@@ -133,8 +136,8 @@ def test_newton_globalizes_from_below(three_regime):
     u = root.copy()
     chain = []
     for _ in range(30):
-        g = penalized_residual(u, prob)
-        delta = linear_solve(_penalized_band(u, prob), -g.ravel()).reshape(u.shape)
+        g, coupling = _penalized(u, prob)
+        delta = linear_solve(slant_band(system, u, coupling=coupling), -g.ravel()).reshape(u.shape)
         u = u + delta
         chain.append(u.copy())
         if sup_norm(delta) / max(sup_norm(u), 1.0) < 1e-9:
@@ -197,9 +200,10 @@ def test_obstacle_binding_clips_to_psi():
 
 def test_obstacle_tie_selects_f_row():
     system = identity_system(np.zeros((2, 1)))
-    prob = ObstacleProblem(system, np.zeros((2, 1)))
+    u = np.zeros((2, 1))
     # at u = 0 both branches evaluate to 0; the slant must be F's
-    slant = _obstacle_band(prob, np.zeros((2, 1))).tocsr()
+    _, keep, coupling = _min_rows(system.evaluate(u), u, np.eye(2)[:, :, None])
+    slant = slant_band(system, u, keep, coupling).tocsr()
     assert (slant != system.slant_at(None)).nnz == 0
 
 
@@ -219,7 +223,8 @@ def test_linear_solve_backward_error(two_regime):
     _, system, root = two_regime
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.125), rho=32e3)
     u, _ = solve_penalized(prob, root)
-    band = _penalized_band(np.asarray(u), prob)
+    u = np.asarray(u)
+    band = slant_band(system, u, coupling=_penalized(u, prob)[1])
     op = band.tocsr()
     rng = np.random.default_rng(61)
     for _ in range(5):
@@ -241,6 +246,43 @@ def test_iteration_cap_carries_diagnostics(two_regime):
     assert info.value.report.iterations == 1
     assert not info.value.report.converged
     assert np.asarray(info.value.iterate).shape == (2, 100)
+
+
+NEWTON_SOLVES = {
+    "solve_root": lambda system, costs, prob, root: solve_root(system, 0.0 * root),
+    "solve_penalized": lambda system, costs, prob, root: solve_penalized(prob, root),
+    "solve_obstacle": lambda system, costs, prob, root: solve_obstacle(
+        ObstacleProblem(system, [intervention(root, costs, i)[0] for i in range(3)]), root),
+    "apply_Q": lambda system, costs, prob, root: regularize.apply_Q(root, system, costs),
+    "apply_T": lambda system, costs, prob, root: regularize.apply_T(root, system, costs, 1.0),
+    "apply_Q_rho": lambda system, costs, prob, root: regularize.apply_Q_rho(root, prob),
+    "apply_T_rho": lambda system, costs, prob, root: regularize.apply_T_rho(root, prob, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_SOLVES))
+def test_each_newton_solve_evaluates_F_once_per_iterate(three_regime, name, monkeypatch):
+    # from the root at c = 1/16, rho = 16e3 every solve but the root solve
+    # takes ten or more steps; each step is one linear solve
+    _, system, root = three_regime
+    costs = SwitchingCostMatrix.uniform(3, 1 / 16)
+    prob = PenalizedProblem(system, costs, 16e3)
+    counts = {"evaluate": 0, "steps": 0}
+    evaluate, solve = system.evaluate, newton.linear_solve
+
+    def counted_evaluate(u):
+        counts["evaluate"] += 1
+        return evaluate(u)
+
+    def counted_solve(op, rhs):
+        counts["steps"] += 1
+        return solve(op, rhs)
+
+    monkeypatch.setattr(system, "evaluate", counted_evaluate)
+    monkeypatch.setattr(newton, "linear_solve", counted_solve)
+    NEWTON_SOLVES[name](system, costs, prob, root)
+    assert counts["steps"] >= 2
+    assert counts["evaluate"] == counts["steps"] + 1
 
 
 def test_newton_agrees_with_enumeration():

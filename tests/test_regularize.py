@@ -129,7 +129,7 @@ def test_q_fixed_point_is_feasible(two_regime, q_fixed):
     system, _ = two_regime
     u_q = q_fixed[0]
     costs = SwitchingCostMatrix.uniform(2, COST)
-    assert (u_q - _obstacles(u_q, costs)).min() >= -1e-8
+    assert (u_q - _obstacles(u_q, costs)[0]).min() >= -1e-8
     assert sup_norm(qvi_residual(u_q, system, COST)) <= 1e-8
 
 
