@@ -43,7 +43,7 @@ __all__ = [
 def sup_norm(x) -> float:
     """Largest absolute entry of ``x``."""
     a = np.asarray(x, dtype=float)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,17 @@ class SwitchingCostMatrix:
     def is_positive(self) -> bool:
         return self.min_cost > 0.0
 
+    @functools.cached_property
+    def _cost_tensor(self) -> np.ndarray:
+        """Read-only (d, d, 1) tensor of c[i, j] with +inf at i == j: for a
+        finite field v, ``v[None] - _cost_tensor`` holds v^j - c[i, j] at
+        [i, j] and -inf where j == i, so no regime switches to itself."""
+        c = self.costs.copy()
+        np.fill_diagonal(c, np.inf)
+        c = c[:, :, None]
+        c.setflags(write=False)
+        return c
+
 
 def as_costs(costs, d: int) -> SwitchingCostMatrix:
     """Coerce a scalar, matrix, or SwitchingCostMatrix to a cost matrix of size d."""
@@ -198,6 +209,25 @@ class NodeBand:
         m = sp.dia_matrix((self.ab, self.ku - np.arange(self.kl + self.ku + 1)), shape=(size, size))
         position = _node_major(self.d, size // self.d)
         return m.tocsr()[position][:, position]
+
+
+@functools.lru_cache(maxsize=None)
+def _diagonal_block(d: int) -> np.ndarray:
+    """Read-only eye(d)[:, :, None]: ``_diagonal_block(d) * x[:, None]`` puts
+    x[i, l] at [i, i, l] of a (d, d, N) per-node block."""
+    eye = np.eye(d)[:, :, None]
+    eye.setflags(write=False)
+    return eye
+
+
+@functools.lru_cache(maxsize=16)
+def _coupling_index(d: int, n: int, ku: int) -> np.ndarray:
+    """Read-only (d, d, N) flat index into a C-ordered band of d*N columns
+    and ku upper diagonals: entry [i, j, l] addresses row (i, l), column (j, l)."""
+    i, j = np.indices((d, d))[:, :, :, None]
+    index = (ku + i - j) * (d * n) + np.arange(n) * d + j
+    index.setflags(write=False)
+    return index
 
 
 def _node_major(d: int, n: int) -> np.ndarray:
@@ -397,9 +427,7 @@ def intervention(u, costs, i: int):
 
 def _obstacles(v: np.ndarray, costs: SwitchingCostMatrix):
     """``(M, regimes)``: M_i v and its maximizing regime for every i, each (d, N)."""
-    d = v.shape[0]
-    cand = v[None, :, :] - costs.costs[:, :, None]
-    cand[np.arange(d), np.arange(d), :] = -np.inf
+    cand = v[None, :, :] - costs._cost_tensor
     # argmax returns the first hit, so ties go to the lowest regime
     return cand.max(axis=1), cand.argmax(axis=1)
 
@@ -432,13 +460,10 @@ def _penalized(u, prob: PenalizedProblem):
     f = prob.system.evaluate(v)
     if prob.rho == 0.0:
         return f, None
-    d = v.shape[0]
     # entry [i, j, l] = v[j, l] - c[i, j] - v[i, l]; pi(-inf) = 0 drops i == j
-    args = v[None, :, :] - prob.costs.costs[:, :, None] - v[:, None, :]
-    args[np.arange(d), np.arange(d), :] = -np.inf
+    args = v[None, :, :] - prob.costs._cost_tensor - v[:, None, :]
     active = args > 0.0
-    # np.eye(d)[:, :, None] * x[:, None] puts x[i, l] at coupling[i, i, l]
-    count = np.eye(d)[:, :, None] * active.sum(axis=1)[:, None]
+    count = _diagonal_block(v.shape[0]) * active.sum(axis=1)[:, None]
     return f - prob.rho * prob.penalty(args).sum(axis=1), prob.rho * (count - active)
 
 
@@ -465,8 +490,7 @@ def slant_band(system: MonotoneSystem, u, keep=None, coupling=None) -> NodeBand:
     out = np.zeros((kl + ku + 1, d * n))
     out[ku - base.ku:ku + base.kl + 1] = ab
     if coupling is not None:
-        i, j = np.indices((d, d))[:, :, :, None]
-        out[ku + i - j, np.arange(n) * d + j] += coupling
+        out.reshape(-1)[_coupling_index(d, n, ku)] += coupling
     return NodeBand(d, kl, ku, out)
 
 

@@ -9,13 +9,14 @@ so F and the obstacle are evaluated once per iterate, and builds the band
 only for a step it takes.
 
 The iteration is plain undamped Newton on a piecewise-differentiable residual:
-solve L[u_k] delta = -G(u_k), update, repeat. L is solved by LAPACK band LU,
-without iterative refinement: that leaves a backward error near roundoff. It
-stops once BOTH the relative increment ||delta|| / max(||u||, 1) drops below
-tol AND the residual sup-norm is at or below residual_tol; the increment rule
-alone can declare victory on a stagnating iteration, and the residual check
-costs one evaluation that is needed anyway. The iteration count is the number
-of updates performed, including the final confirming one.
+solve L[u_k] delta = -G(u_k), update, repeat. L is solved by a direct call to
+LAPACK's band LU driver ``gbsv``, without iterative refinement: that leaves a
+backward error near roundoff. It stops once BOTH the relative increment
+||delta|| / max(||u||, 1) drops below tol AND the residual sup-norm is at or
+below residual_tol; the increment rule alone can declare victory on a
+stagnating iteration, and the residual check costs one evaluation that is
+needed anyway. The iteration count is the number of updates performed,
+including the final confirming one.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .core import (
     MonotoneSystem,
@@ -31,6 +32,7 @@ from .core import (
     PenalizedProblem,
     RegimeField,
     SolveReport,
+    _diagonal_block,
     _penalized,
     field_values,
     slant_band,
@@ -77,12 +79,15 @@ class ObstacleProblem:
 
 
 class SingularSlant(Exception):
-    """Linear solve failed; carries the outer iterate when one exists."""
+    """Linear solve failed; carries the outer iterate when one exists, and
+    the regime and node of the zero pivot when the factorization found one."""
 
-    def __init__(self, message, iterate=None, report=None):
+    def __init__(self, message, iterate=None, report=None, regime=None, node=None):
         super().__init__(message)
         self.iterate = iterate
         self.report = report
+        self.regime = regime
+        self.node = node
 
 
 class MaxIterExceeded(Exception):
@@ -92,19 +97,29 @@ class MaxIterExceeded(Exception):
         self.report = report
 
 
+_gbsv = get_lapack_funcs("gbsv", dtype=np.float64)
+
+
 def linear_solve(op: NodeBand, rhs: np.ndarray) -> np.ndarray:
     """Direct solve of op x = rhs; rhs and x are in regime-major order.
 
-    The band is factored by LAPACK band LU with partial pivoting, after
+    The band is copied into a zeroed LU array with kl spare rows on top and
+    factored by LAPACK ``gbsv`` (band LU with partial pivoting), after
     permuting rhs to node-major order; the band itself is left untouched.
-    Rank deficiency surfaces as SingularSlant.
+    A zero pivot raises SingularSlant naming its regime and node.
     """
     rhs = np.asarray(rhs, dtype=float)
-    try:
-        x = solve_banded((op.kl, op.ku), op.ab, rhs.reshape(op.d, -1).T.flatten(),
-                         overwrite_b=True, check_finite=False)
-    except LinAlgError as exc:  # raised on exact singularity
-        raise SingularSlant(f"factorization failed: {exc}") from exc
+    kl, ku = op.kl, op.ku
+    lu = np.zeros((2 * kl + ku + 1, op.ab.shape[1]), order="F")
+    lu[kl:] = op.ab
+    _, _, x, info = _gbsv(kl, ku, lu, rhs.reshape(op.d, -1).T.flatten(),
+                          overwrite_ab=True, overwrite_b=True)
+    if info > 0:  # U[info-1, info-1] is exactly zero; columns are node-major
+        node, regime = divmod(info - 1, op.d)
+        raise SingularSlant(f"factorization failed: zero pivot at regime {regime}, node {node}",
+                            regime=regime, node=node)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gbsv")
     if not np.all(np.isfinite(x)):
         raise SingularSlant("linear solve produced non-finite entries")
     return x.reshape(-1, op.d).T.ravel()
@@ -180,7 +195,7 @@ def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = 
 def solve_obstacle(prob: ObstacleProblem, initial, cfg: NewtonConfig | None = None):
     """Solve min(F(v), v - psi) = 0 for fixed psi."""
     system = prob.system
-    identity = np.eye(system.d)[:, :, None]
+    identity = _diagonal_block(system.d)
     return _newton(
         system,
         lambda u: _min_rows(system.evaluate(u), u - prob.psi, identity),

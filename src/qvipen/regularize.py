@@ -24,6 +24,7 @@ from .core import (
     ShiftedSystem,
     SolveReport,
     SwitchingCostMatrix,
+    _diagonal_block,
     _obstacles,
     as_costs,
     field_values,
@@ -203,7 +204,7 @@ def apply_T(u, system: MonotoneSystem, costs, epsilon: float,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     anchor = field_values(u, system.d, system.N)
     costs = as_costs(costs, system.d)
-    diagonal = (1.0 + epsilon) * np.eye(system.d)[:, :, None]
+    diagonal = (1.0 + epsilon) * _diagonal_block(system.d)
     targets = np.arange(system.d)[:, None]
 
     def linearize(v):
@@ -227,19 +228,19 @@ def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray, epsilon: f
         raise ValueError(
             f"Newton path supports penalty degree 1 only, got sigma={prob.penalty.sigma}"
         )
-    d = system.d
-    c = prob.costs.costs
+    # entry [i, j, l] = frozen[j, l] - c[i, j], -inf at j == i
+    switch = frozen[None, :, :] - prob.costs._cost_tensor
+    block = _diagonal_block(system.d)
 
     def linearize(v):
-        args = frozen[None, :, :] - c[:, :, None] - v[:, None, :]
+        args = switch - v[:, None, :]
         if epsilon:
             args = args - epsilon * (v - frozen)[:, None, :]
-        args[np.arange(d), np.arange(d), :] = -np.inf
         residual = system.evaluate(v) - prob.rho * prob.penalty(args).sum(axis=1)
         # each active term depends on v only through -(1+epsilon) * v^i, so
         # the penalty part of the slant is purely diagonal
         diagonal = prob.rho * (1.0 + epsilon) * (args > 0.0).sum(axis=1)
-        return residual, None, np.eye(d)[:, :, None] * diagonal[:, None]
+        return residual, None, block * diagonal[:, None]
 
     out, _ = _newton(system, linearize, frozen, cfg)
     return out

@@ -5,6 +5,7 @@ assembled here, entry by entry, from the definition of that slant.
 """
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from qvipen import newton, regularize
 from qvipen.core import (
@@ -15,6 +16,8 @@ from qvipen.core import (
     RegimeField,
     ShiftedSystem,
     SwitchingCostMatrix,
+    _coupling_index,
+    _diagonal_block,
     _penalized,
     penalized_residual,
     slant_band,
@@ -95,6 +98,36 @@ def _assert_slant(system, build, reference):
 
 def _dense_base(system):
     return system.slant_at(None).toarray()
+
+
+def _penalized_reference(system, u, costs, rho):
+    """Dense residual and slant of the degree-1 penalized problem at u, term
+    by term from the definition, and the number of active terms."""
+    d, n = system.d, system.N
+    residual = system.evaluate(u).copy()
+    slant = _dense_base(system)
+    active = 0
+    for i in range(d):
+        for j in range(d):
+            for l in range(n):
+                arg = u[j, l] - costs[i, j] - u[i, l]
+                if j != i and arg > 0.0:
+                    active += 1
+                    residual[i, l] -= rho * arg
+                    slant[i * n + l, i * n + l] += rho
+                    slant[i * n + l, j * n + l] -= rho
+    return residual, slant, active
+
+
+def _pde_penalized(d):
+    """A converged three- or two-regime cell at N = 100 and its problem."""
+    reward = RewardFunction.two_regime() if d == 2 else RewardFunction.three_regime()
+    system = assemble(PdeParams(d=d, reward=reward))
+    root, _ = solve_root(system, np.zeros((d, system.N)))
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(d, 1 / 64), 32e3)
+    u, report = solve_penalized(prob, root)
+    assert report.converged
+    return prob, np.asarray(u)
 
 
 def _captured_slant(monkeypatch, solve):
@@ -285,17 +318,21 @@ def test_band_solve_backward_error_at_converged_iterate():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_singular_band_raises_with_iterate_and_report(d):
-    # one zero row: exactly singular; d=2 factors as tridiagonal, d=3 as band
+    # one zero row: exactly singular, whatever the band width (kl = ku = d - 1)
     n = 3
     diagonal = np.arange(1.0, d * n + 1.0)
     diagonal[n + 1] = 0.0
     system = AffineSystem(np.diag(diagonal), np.ones((d, n)), gamma=1.0)
     band = slant_band(system, None)
     assert isinstance(band, NodeBand)
-    with pytest.raises(SingularSlant):
+    with pytest.raises(SingularSlant) as info:
         linear_solve(band, np.ones(d * n))
+    # the zeroed entry is regime-major index n + 1: regime 1 at node 1
+    assert (info.value.regime, info.value.node) == (1, 1)
+    assert "regime 1, node 1" in str(info.value)
     with pytest.raises(SingularSlant) as info:
         solve_root(system, np.zeros((d, n)))
+    assert (info.value.regime, info.value.node) == (1, 1)
     assert np.asarray(info.value.iterate).shape == (d, n)
     assert info.value.report.iterations == 0
     assert not info.value.report.converged
@@ -319,8 +356,9 @@ def test_band_from_matrix_rejects_a_shape_d_cannot_split():
 
 
 def test_band_solve_leaves_the_cached_band_intact():
-    # coupling only the two components of each node gives kl == ku == 1, which
-    # LAPACK solves in place when asked to; the cached band must stay unchanged
+    # coupling only the two components of each node gives kl == ku == 1, the
+    # three-regime mesh kl == ku == 3; LAPACK factors in place when asked to,
+    # and neither cached band may change
     d, n = 2, 4
     matrix = 3.0 * np.eye(d * n)
     matrix[np.arange(n), n + np.arange(n)] = matrix[n + np.arange(n), np.arange(n)] = -1.0
@@ -332,3 +370,57 @@ def test_band_solve_leaves_the_cached_band_intact():
     x = linear_solve(band, np.ones(d * n))
     assert np.array_equal(band.ab, before)
     assert sup_norm(system.slant_at(None) @ x - 1.0) <= 1e-15
+
+    mesh = assemble(PdeParams(d=3, reward=RewardFunction.three_regime()))
+    band = mesh.band_at(None)
+    assert (band.kl, band.ku) == (3, 3)
+    assert not band.ab.flags.writeable
+    before = band.ab.copy()
+    op = mesh.slant_at(None)
+    x = linear_solve(band, np.ones(op.shape[0]))
+    assert np.array_equal(band.ab, before)
+    norm_op = abs(op).sum(axis=1).max()
+    assert sup_norm(op @ x - 1.0) <= 1e-14 * (norm_op * sup_norm(x) + 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_band_solve_is_bitwise_lapack_band_lu(d):
+    # scipy's solve_banded, which calls the same gbsv for kl = ku = d > 1, is
+    # the reference: the direct call must give the same bytes
+    prob, u = _pde_penalized(d)
+    residual, coupling = _penalized(u, prob)
+    band = slant_band(prob.system, u, coupling=coupling)
+    assert band.kl == band.ku == d
+    rng = np.random.default_rng(5)
+    for rhs in (-residual.ravel(), rng.normal(size=d * prob.system.N)):
+        x = linear_solve(band, rhs)
+        node_major = solve_banded((band.kl, band.ku), band.ab, rhs.reshape(d, -1).T.ravel())
+        assert x.tobytes() == node_major.reshape(-1, d).T.ravel().tobytes()
+
+
+def test_hoisted_constants_are_read_only():
+    costs = SwitchingCostMatrix.uniform(3, 0.25)
+    assert costs._cost_tensor is costs._cost_tensor
+    for constant in (costs._cost_tensor, _diagonal_block(3), _coupling_index(3, 100, 3)):
+        assert not constant.flags.writeable
+        with pytest.raises(ValueError):
+            constant[(0,) * constant.ndim] = 1
+
+
+def test_problems_sharing_a_cost_matrix_match_definition(system, monkeypatch):
+    # asymmetric costs, one matrix behind both weights and both band sources;
+    # the second pass runs with every per-problem constant already built
+    d, n = system.d, system.N
+    costs = SwitchingCostMatrix(0.0625 * (np.add.outer(np.arange(d), 2 * np.arange(d)) % 3))
+    u = _quarters(d, n) + 0.01 * np.arange(d)[:, None]
+    for rho in (64.0, 8.0, 64.0, 8.0):
+        residual, slant, active = _penalized_reference(system, u, costs.costs, rho)
+        assert 0 < active < d * (d - 1) * n
+        prob = PenalizedProblem(system, costs, rho)
+        assert np.abs(penalized_residual(u, prob) - residual).max() <= 1e-12 * np.abs(residual).max()
+
+        def build(s):
+            solve = lambda: solve_penalized(PenalizedProblem(s, costs, rho), u)  # noqa: E731
+            return _captured_slant(monkeypatch, solve)(u)
+
+        _assert_slant(system, build, slant)

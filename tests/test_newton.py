@@ -236,6 +236,12 @@ def test_linear_solve_backward_error(two_regime):
 def test_linear_solve_singular():
     with pytest.raises(SingularSlant):
         linear_solve(NodeBand.from_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]), 1), np.ones(2))
+    # the zero pivot at regime-major index i*N + l is named as regime i, node l
+    diagonal = np.ones(6)
+    diagonal[2] = 0.0
+    with pytest.raises(SingularSlant) as info:
+        linear_solve(NodeBand.from_matrix(np.diag(diagonal), 2), np.ones(6))
+    assert (info.value.regime, info.value.node) == (0, 2)
 
 
 def test_iteration_cap_carries_diagnostics(two_regime):
