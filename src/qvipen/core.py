@@ -397,12 +397,15 @@ class SolveReport:
     residual sup-norm before the first and after every iteration.
     """
 
-    iterations: int
-    final_residual: float
     increments: list
     residuals: list
     elapsed_seconds: float
     converged: bool
+
+    @property
+    def iterations(self) -> int:
+        """The number of Newton updates performed."""
+        return len(self.increments)
 
 
 def a_priori_bound(system: MonotoneSystem) -> float:
@@ -494,11 +497,18 @@ def slant_band(system: MonotoneSystem, u, keep=None, coupling=None) -> NodeBand:
     return NodeBand(d, kl, ku, out)
 
 
-def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:
-    """The penalized slant as regime-major CSR; degree-1 penalty only."""
+def _require_degree_one(prob: PenalizedProblem) -> None:
+    """Reject a penalty the Newton path cannot linearize; at rho = 0 the
+    penalty never evaluates, so any degree passes."""
     if prob.rho != 0.0 and prob.penalty.sigma != 1.0:
         raise ValueError(
-            f"Newton slant supports penalty degree 1 only, got sigma={prob.penalty.sigma}"
+            f"Newton path supports penalty degree 1 only, got sigma={prob.penalty.sigma}; "
+            "other degrees go through the marching oracle"
         )
+
+
+def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:
+    """The penalized slant as regime-major CSR; degree-1 penalty only."""
+    _require_degree_one(prob)
     v = field_values(u, prob.system.d, prob.system.N)
     return slant_band(prob.system, v, coupling=_penalized(v, prob)[1]).tocsr()

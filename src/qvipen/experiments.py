@@ -21,13 +21,14 @@ from .core import (
     PenalizedProblem,
     SwitchingCostMatrix,
     _obstacles,
+    a_priori_bound,
     field_values,
     sup_norm,
 )
 from .newton import MaxIterExceeded, NewtonConfig, SingularSlant, solve_penalized, solve_root
 from .oracle import active_set_enumerate, pseudo_time_solve
 from .pde import PdeParams, RewardFunction, assemble, probe_index
-from .regularize import hjb_limit_solve
+from .regularize import _regime_gap, hjb_limit_solve
 from .testing import monotonicity_slack, random_affine_system
 
 __all__ = [
@@ -108,8 +109,14 @@ class ExperimentConfig:
                     f"cost_list[{k}] = {c} is invalid: switching costs must be "
                     "nonnegative"
                 )
-        if self.case == "custom" and (self.d is None or self.reward_pieces is None):
+        given = [name for name in ("d", "reward_pieces") if getattr(self, name) is not None]
+        if self.case == "custom" and len(given) < 2:
             raise ValueError("custom case needs explicit 'd' and 'reward_pieces'")
+        if self.case != "custom" and given:
+            raise ValueError(
+                f"{' and '.join(given)} can only be set for the custom case; "
+                f"{self.case!r} fixes its own"
+            )
         # builds the discretization and places the probe, so an invalid
         # reward, dimension, or off-grid probe point is rejected here
         self.probe_node()
@@ -135,13 +142,9 @@ class ExperimentConfig:
 
     def pde_params(self) -> PdeParams:
         if self.case == "custom":
-            reward = RewardFunction.custom(self.reward_pieces)
-            d = self.d
-        else:
-            spec = CASES[self.case]
-            reward = spec.reward
-            d = self.d if self.d is not None else spec.d
-        return PdeParams(d=d, reward=reward, N=self.N)
+            return PdeParams(d=self.d, reward=RewardFunction.custom(self.reward_pieces), N=self.N)
+        spec = CASES[self.case]
+        return PdeParams(d=spec.d, reward=spec.reward, N=self.N)
 
     def probe_node(self) -> int:
         return probe_index(self.pde_params(), self.probe_point)
@@ -213,7 +216,7 @@ def run_table(config: ExperimentConfig, keep_solutions: bool = False) -> TableRe
                 config.case, cost, rho, config.probe_point,
                 float(u[0, probe]), increment, report.iterations,
                 report.elapsed_seconds, report.converged,
-                regime_gap=float(np.max(u.max(axis=0) - u.min(axis=0))),
+                regime_gap=_regime_gap(u),
             ))
             if keep_solutions:
                 solutions[(ci, ri)] = u
@@ -289,14 +292,13 @@ def _binding_sets(u, costs, tol, signed):
     return [tuple(int(l) for l in np.nonzero(mask)[0]) for mask in masks]
 
 
-def extract_regions(config: ExperimentConfig, rho: float,
-                    C0: float | None = None) -> RegionReport:
+def extract_regions(config: ExperimentConfig, rho: float) -> RegionReport:
     """Compare estimated switching regions at weight rho with exact ones.
 
     The exact regions come from a reference solve at 100*rho with the signed
     rule gap <= 1e-6 (the reference solution approaches from below, so
     binding nodes can carry small negative gaps). The estimated regions use
-    the published recipe |gap| <= C0 * ln(rho)/rho, with C0 defaulting to
+    the published recipe |gap| <= C0 * ln(rho)/rho, with C0 estimated as
     4*rho*||u^{2 rho} - u^{rho}||/ln(rho).
     """
     cost = config.cost_list[0]
@@ -313,9 +315,8 @@ def extract_regions(config: ExperimentConfig, rho: float,
 
     u_rho, _ = solve_penalized(PenalizedProblem(system, costs, rho), root, cfg)
     u_rho = field_values(u_rho)
-    if C0 is None:
-        u_2rho, _ = solve_penalized(PenalizedProblem(system, costs, 2 * rho), root, cfg)
-        C0 = 4.0 * rho * sup_norm(field_values(u_2rho) - u_rho) / math.log(rho)
+    u_2rho, _ = solve_penalized(PenalizedProblem(system, costs, 2 * rho), root, cfg)
+    C0 = 4.0 * rho * sup_norm(field_values(u_2rho) - u_rho) / math.log(rho)
     rho_ref = 100.0 * rho
     u_ref, _ = solve_penalized(PenalizedProblem(system, costs, rho_ref), root, cfg)
     u_ref = field_values(u_ref)
@@ -338,8 +339,8 @@ def extract_regions(config: ExperimentConfig, rho: float,
     return RegionReport(
         rho_used=float(rho),
         rho_reference=rho_ref,
-        C0_estimate=float(C0),
-        threshold=float(threshold),
+        C0_estimate=C0,
+        threshold=threshold,
         regions=regions,
         match=all(r.match for r in regions),
     )
@@ -423,7 +424,7 @@ def verify(config: ExperimentConfig | None = None) -> dict:
             config.rho_list[-1],
         )
         u, report = solve_penalized(prob, field_values(root), cfg)
-        bound = system.norm_F0 / system.gamma
+        bound = a_priori_bound(system)
         checks.append(_check(
             "a-priori-bound",
             report.converged and sup_norm(u) <= bound + 1e-9,

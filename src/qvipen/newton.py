@@ -20,6 +20,7 @@ including the final confirming one.
 """
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ from .core import (
     SolveReport,
     _diagonal_block,
     _penalized,
+    _require_degree_one,
     field_values,
     slant_band,
     sup_norm,
@@ -62,6 +64,8 @@ class NewtonConfig:
     def __post_init__(self) -> None:
         if not (self.tol > 0 and self.residual_tol > 0):
             raise ValueError("tol and residual_tol must be positive")
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -132,7 +136,6 @@ def _newton(system: MonotoneSystem, linearize, initial, cfg: NewtonConfig | None
     g, keep, coupling = linearize(u)
     increments: list = []
     residuals = [sup_norm(g)]
-    iterations = 0
     converged = False
     for _ in range(cfg.max_iter):
         try:
@@ -140,24 +143,21 @@ def _newton(system: MonotoneSystem, linearize, initial, cfg: NewtonConfig | None
             delta = linear_solve(slant, -g.ravel()).reshape(u.shape)
         except SingularSlant as exc:
             exc.iterate = RegimeField(u)
-            exc.report = SolveReport(iterations, residuals[-1], increments,
-                                     residuals, time.perf_counter() - start, False)
+            exc.report = SolveReport(increments, residuals, time.perf_counter() - start, False)
             raise
         u = u + delta
-        iterations += 1
         g, keep, coupling = linearize(u)
         residuals.append(sup_norm(g))
         increments.append(sup_norm(delta) / max(sup_norm(u), 1.0))
         if increments[-1] < cfg.tol and residuals[-1] <= cfg.residual_tol:
             converged = True
             break
-    report = SolveReport(iterations, residuals[-1], increments, residuals,
-                         time.perf_counter() - start, converged)
+    report = SolveReport(increments, residuals, time.perf_counter() - start, converged)
     result = RegimeField(u)
     if not converged:
         raise MaxIterExceeded(
             f"no convergence in {cfg.max_iter} iterations "
-            f"(residual {report.final_residual:.3e})",
+            f"(residual {residuals[-1]:.3e})",
             result,
             report,
         )
@@ -179,11 +179,7 @@ def solve_root(system: MonotoneSystem, initial, cfg: NewtonConfig | None = None)
 
 def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = None):
     """Solve the penalized equation; degree-1 penalty only."""
-    if prob.penalty.sigma != 1.0 and prob.rho != 0.0:
-        raise ValueError(
-            f"Newton path supports penalty degree 1 only, got sigma={prob.penalty.sigma}; "
-            "other degrees go through the marching oracle"
-        )
+    _require_degree_one(prob)
 
     def linearize(u):
         residual, coupling = _penalized(u, prob)

@@ -13,7 +13,8 @@ constant r.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,6 +77,9 @@ class PdeParams:
     domain_right: float = 2.0
 
     def __post_init__(self) -> None:
+        for name in ("d", "N"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.d < 2:
             raise ValueError(f"need at least two regimes, got d={self.d}")
         if self.N < 2:

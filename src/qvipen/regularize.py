@@ -22,10 +22,11 @@ from .core import (
     PenalizedProblem,
     RegimeField,
     ShiftedSystem,
-    SolveReport,
     SwitchingCostMatrix,
     _diagonal_block,
     _obstacles,
+    _require_degree_one,
+    a_priori_bound,
     as_costs,
     field_values,
     qvi_residual,
@@ -74,22 +75,23 @@ class GapBoundViolation(Exception):
         self.node = node
 
 
-def estimate_C(system: MonotoneSystem, samples: int = 1000, rng=None) -> float:
+def estimate_C(system: MonotoneSystem) -> float:
     """Supremum of ||F(u)|| over the a-priori ball ||u|| <= ||F(0)||/gamma.
 
     Exact for affine systems (rowwise corner evaluation); otherwise estimated
-    from random interior points plus random corners, inflated by 1.1.
+    from 1000 draws of ``default_rng(0)``, random corners alternating with
+    random interior points, inflated by 1.1.
     """
-    radius = system.norm_F0 / system.gamma
+    radius = a_priori_bound(system)
     if system.is_affine:
         zero = np.zeros((system.d, system.N))
         matrix = sp.csr_matrix(system.slant_at(zero))
         b = -system.evaluate(zero).ravel()
         row_mass = np.asarray(np.abs(matrix).sum(axis=1)).ravel()
         return float(np.max(row_mass * radius + np.abs(b)))
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     best = system.norm_F0
-    for k in range(samples):
+    for k in range(1000):
         if k % 2:
             u = rng.uniform(-radius, radius, (system.d, system.N))
         else:
@@ -125,7 +127,6 @@ class ErrorConstants:
         kappa: float | None = None,
         mode: str = "iterated-stopping",
         epsilon: float | None = None,
-        rng=None,
     ) -> "ErrorConstants":
         costs = as_costs(costs, system.d)
         if kappa is None:
@@ -146,7 +147,7 @@ class ErrorConstants:
             kappa=float(kappa),
             L_kappa=l_kappa,
             mu=mu,
-            C=estimate_C(system, rng=rng),
+            C=estimate_C(system),
             mode=mode,
             epsilon=epsilon,
             norm_F0=f0,
@@ -155,18 +156,17 @@ class ErrorConstants:
         )
 
 
-def strict_supersolution(
-    system: MonotoneSystem,
-    costs,
-    kappa: float,
-    rho: float = 1e6,
-    cfg: NewtonConfig | None = None,
-) -> RegimeField:
+SUPERSOLUTION_RHO = 1e6
+
+
+def strict_supersolution(system: MonotoneSystem, costs, kappa: float,
+                         cfg: NewtonConfig | None = None) -> RegimeField:
     """A field w with min(F_i(w), w^i - M_i w) = kappa in every component.
 
     Solved as the original problem with F shifted down by kappa and every
-    cost reduced by kappa, through the penalty path at a large weight. The
-    residual is validated and the weight retried tenfold once if needed.
+    cost reduced by kappa, through the penalty path at weight
+    SUPERSOLUTION_RHO. The residual is validated and the weight retried
+    tenfold once if needed.
     """
     costs = as_costs(costs, system.d)
     if not 0.0 < kappa < costs.min_cost:
@@ -175,7 +175,7 @@ def strict_supersolution(
     reduced = SwitchingCostMatrix(costs.costs - kappa)
     root, _ = solve_root(shifted, np.zeros((system.d, system.N)), cfg)
     w = None
-    for weight in (rho, 10.0 * rho):
+    for weight in (SUPERSOLUTION_RHO, 10.0 * SUPERSOLUTION_RHO):
         prob = PenalizedProblem(shifted, reduced, weight)
         w, _ = solve_penalized(prob, root, cfg)
         defect = sup_norm(qvi_residual(w, system, costs) - kappa)
@@ -183,7 +183,7 @@ def strict_supersolution(
             return w
     raise ValueError(
         f"supersolution residual defect {defect:.3e} exceeds tolerance "
-        f"{10.0 * kappa * 1e-3:.3e} even at weight {10.0 * rho:.1e}"
+        f"{10.0 * kappa * 1e-3:.3e} even at weight {10.0 * SUPERSOLUTION_RHO:.1e}"
     )
 
 
@@ -224,10 +224,7 @@ def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray, epsilon: f
     if prob.rho == 0.0:
         out, _ = solve_root(system, frozen, cfg)
         return out
-    if prob.penalty.sigma != 1.0:
-        raise ValueError(
-            f"Newton path supports penalty degree 1 only, got sigma={prob.penalty.sigma}"
-        )
+    _require_degree_one(prob)
     # entry [i, j, l] = frozen[j, l] - c[i, j], -inf at j == i
     switch = frozen[None, :, :] - prob.costs._cost_tensor
     block = _diagonal_block(system.d)
@@ -324,15 +321,15 @@ def phi_upper_bound(nu: float, a: float, b: float) -> float:
     return -a * b / log_a + b * (math.log(ratio) / log_a + 1.0)
 
 
-def penalty_error_bound(constants: ErrorConstants, rho: float,
-                        sigma: float = 1.0, tau: float = 1.0) -> float:
-    """Rigorous upper bound on ||u - u^rho||, zero when costs are so large
-    that the obstacle never binds."""
+def penalty_error_bound(constants: ErrorConstants, rho: float) -> float:
+    """Rigorous upper bound on ||u - u^rho|| for the degree-1 penalty, built
+    from the per-sweep drift C/rho; zero when costs are so large that the
+    obstacle never binds."""
     if rho <= 0.0:
         raise ValueError(f"penalty weight must be positive, got {rho}")
     if constants.min_cost > 2.0 * constants.norm_F0 / constants.gamma:
         return 0.0
-    per_sweep = (constants.C / (tau * rho)) ** sigma
+    per_sweep = constants.C / rho
     if constants.mu >= 1.0:
         return min(constants.L_kappa, per_sweep)
     _, m = phi_minimize(constants.L_kappa / constants.mu, 1.0 - constants.mu, per_sweep)
@@ -347,11 +344,10 @@ class HjbResult:
     approach the common limit from below, so the max is the tightest
     estimate); stages holds (rho, solution, report) triples; regime_gaps the
     corresponding max pairwise regime differences; gap_bound the theoretical
-    cap C/(tau*rho_final) on the final gap.
+    cap C/rho_final on the final gap.
     """
 
     values: np.ndarray
-    report: SolveReport
     stages: list
     regime_gaps: list
     gap_bound: float
@@ -378,24 +374,29 @@ def hjb_limit_solve(system: MonotoneSystem, rho_schedule,
         u, report = solve_penalized(PenalizedProblem(system, costs, rho), root, cfg)
         v = field_values(u)
         stages.append((rho, v, report))
-        gaps.append(float(np.max(v.max(axis=0) - v.min(axis=0))))
+        gaps.append(_regime_gap(v))
     final = stages[-1][1]
     bound = estimate_C(system) / schedule[-1]
-    return HjbResult(final.max(axis=0), stages[-1][2], stages, gaps, bound)
+    return HjbResult(final.max(axis=0), stages, gaps, bound)
 
 
-def zero_cost_gap_bound(u_c_rho, u_rho, c: float, rho: float,
-                        d: int, gamma: float) -> float:
+def _regime_gap(v: np.ndarray) -> float:
+    """Largest spread between regimes at one node: max_l (max_i - min_i) v."""
+    return float(np.max(v.max(axis=0) - v.min(axis=0)))
+
+
+def zero_cost_gap_bound(u_c_rho, u_rho, c: float, rho: float, gamma: float) -> float:
     """Check 0 <= u_rho - u_c_rho <= (d-1)*c*rho/gamma and return the max gap.
 
     u_rho solves the zero-cost penalized problem, u_c_rho the positive-cost
-    one at the same weight; the inequality is componentwise with a 1e-8
-    allowance, and a violation reports its worst location.
+    one at the same weight, both (d, N) fields of one shape; the inequality
+    is componentwise with a 1e-8 allowance, and a violation reports its
+    worst location.
     """
     a = field_values(u_c_rho)
-    b = field_values(u_rho)
+    b = field_values(u_rho, *a.shape)
     gap = b - a
-    bound = (d - 1) * c * rho / gamma
+    bound = (a.shape[0] - 1) * c * rho / gamma
     low = float(gap.min())
     if low < -1e-8:
         i, l = divmod(int(np.argmin(gap)), gap.shape[1])

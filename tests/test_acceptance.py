@@ -284,7 +284,7 @@ def test_criterion_08_invariant_suites(table1):
         for ri, rho in enumerate(TWO_REGIME_RHO):
             gap = zero_cost_gap_bound(
                 result.solutions[(ci, ri)], result.solutions[(zero_ci, ri)],
-                cost, rho, 2, system.gamma,
+                cost, rho, system.gamma,
             )
             gap_ok = gap_ok and 0.0 <= gap <= (2 - 1) * cost * rho / system.gamma + 1e-8
     pieces.append(("zero-cost-gap-bound", gap_ok))

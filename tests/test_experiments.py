@@ -378,6 +378,25 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mapping, message", [
+    ({"newton": {"max_iter": 1e2}}, "max_iter must be an integer"),
+    ({"case": "custom", "d": 2.0, "reward_pieces": [[0.75, 1.0, -2.0, 2.0]]},
+     "d must be an integer"),
+    ({"N": 50.5}, "N must be an integer"),
+    ({"case": "two-regime", "reward_pieces": [[0.75, 1.0, -2.0, 2.0]]},
+     "reward_pieces can only be set for the custom case"),
+    ({"case": "three-regime", "d": 3}, "d can only be set for the custom case"),
+])
+def test_cli_rejects_non_integer_sizes_and_custom_only_fields(tmp_path, capsys, mapping, message):
+    # each used to run: a non-integer failed mid-solve with exit 1 (N = 50.5
+    # built a 51-node mesh), and a named case ignored reward_pieces or ran
+    # d regimes under its own label
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(mapping))
+    assert main(["solve", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["solve", "regions", "verify"])
 def test_cli_format_is_a_usage_error_where_output_is_json_only(command, capsys):
     with pytest.raises(SystemExit) as usage:

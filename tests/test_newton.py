@@ -60,6 +60,8 @@ def test_config_validation():
         NewtonConfig(tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(max_iter=0)
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        NewtonConfig(max_iter=1e2)
 
 
 def test_solve_root_affine_is_one_exact_step(two_regime):
@@ -87,7 +89,7 @@ def test_solve_penalized_two_regime_cell(two_regime):
     # published reference value for this configuration
     assert np.asarray(u)[0, probe_index(params, 0.5)] == pytest.approx(3.37521, abs=1e-5)
     assert report.converged
-    assert report.final_residual <= 1e-8
+    assert report.residuals[-1] <= 1e-8
     assert 3 <= report.iterations <= 10
     assert len(report.increments) == report.iterations
     assert report.elapsed_seconds > 0.0
@@ -252,6 +254,41 @@ def test_iteration_cap_carries_diagnostics(two_regime):
     assert info.value.report.iterations == 1
     assert not info.value.report.converged
     assert np.asarray(info.value.iterate).shape == (2, 100)
+
+
+def _singular_after_one_step():
+    """SingularSlant from the second iterate: F(u) = u - 1 on a (2, 2) field,
+    with every row of the slant dropped once u has moved off zero."""
+    system = identity_system(np.ones((2, 2)))
+
+    def linearize(u):
+        keep = np.zeros(u.shape, bool) if u.any() else None
+        return system.evaluate(u), keep, None
+
+    with pytest.raises(SingularSlant) as info:
+        newton._newton(system, linearize, np.zeros((2, 2)))
+    assert info.value.report.iterations == 1
+    return info.value.report
+
+
+@pytest.mark.parametrize("path", ["converged", "max_iter", "singular"])
+def test_report_counts_agree_on_every_exit_path(two_regime, path):
+    _, system, root = two_regime
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.5), rho=1e3)
+    if path == "converged":
+        _, report = solve_penalized(prob, root)
+        assert report.converged
+    elif path == "max_iter":
+        with pytest.raises(MaxIterExceeded) as info:
+            solve_penalized(prob, root, NewtonConfig(max_iter=2))
+        report = info.value.report
+        assert report.iterations == 2
+        assert f"residual {report.residuals[-1]:.3e}" in str(info.value)
+    else:
+        report = _singular_after_one_step()
+    assert report.converged == (path == "converged")
+    assert report.iterations == len(report.increments)
+    assert len(report.residuals) == report.iterations + 1
 
 
 NEWTON_SOLVES = {

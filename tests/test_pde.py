@@ -65,6 +65,16 @@ def test_params_validation():
         PdeParams(d=2, reward=RewardFunction.two_regime(), sigma_vol=0.0)
 
 
+def test_params_reject_non_integer_sizes():
+    # N = 50.5 would otherwise build a 51-node mesh whose Dirichlet ghost
+    # sits at x = 51 * 2/50.5, not at 2
+    with pytest.raises(ValueError, match="N must be an integer"):
+        PdeParams(d=2, reward=RewardFunction.two_regime(), N=50.5)
+    with pytest.raises(ValueError, match="d must be an integer"):
+        PdeParams(d=2.0, reward=RewardFunction.two_regime())
+    assert PdeParams(d=np.int64(2), reward=RewardFunction.two_regime(), N=np.int64(50)).h == 0.04
+
+
 def test_norm_f0(two_regime, three_regime):
     # reward maxima on the grid: 2(1-0.76) and 0.5 at x=1
     assert assemble(two_regime).norm_F0 == pytest.approx(0.48)

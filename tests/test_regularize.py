@@ -373,7 +373,7 @@ def test_supremum_constant_sampling_path(small_instance):
             return self._base.evaluate(v)
 
     exact = estimate_C(system)
-    sampled = estimate_C(Opaque(system), samples=500)
+    sampled = estimate_C(Opaque(system))
     # corner draws almost surely hit the affine maximum, then inflate by 1.1
     assert exact <= sampled <= 1.100001 * exact
 
@@ -418,7 +418,7 @@ def test_hjb_collapse_reference_value(two_regime):
     # published reference value at x = 0.5 for the zero-cost row
     assert result.values[25] == pytest.approx(6.52834, abs=1e-3)
     assert len(result.stages) == 6
-    assert result.report.converged
+    assert result.stages[-1][2].converged
     ratios = [
         result.regime_gaps[k] / result.regime_gaps[k + 1]
         for k in range(len(result.regime_gaps) - 1)
@@ -436,13 +436,13 @@ def test_hjb_validates_schedule(two_regime):
 
 def test_zero_cost_gap_trivial_and_observed(two_regime):
     system, root = two_regime
-    assert zero_cost_gap_bound(root, root, 0.0, 1e3, 2, 0.02) == 0.0
+    assert zero_cost_gap_bound(root, root, 0.0, 1e3, 0.02) == 0.0
     result = hjb_limit_solve(system, [1e3])
     u_zero = result.stages[0][1]
     cost = 1.0 / 2048
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, cost), 1e3)
     u_cost, _ = solve_penalized(prob, root)
-    gap = zero_cost_gap_bound(u_cost, u_zero, cost, 1e3, 2, system.gamma)
+    gap = zero_cost_gap_bound(u_cost, u_zero, cost, 1e3, system.gamma)
     assert gap <= (2 - 1) * cost * 1e3 / system.gamma
     assert 0.005 <= gap <= 0.05
 
@@ -452,13 +452,35 @@ def test_zero_cost_gap_reports_violation_location():
     high = np.zeros((2, 3))
     high[1, 2] = -1.0  # zero-cost value dips below the costly one
     with pytest.raises(GapBoundViolation) as info:
-        zero_cost_gap_bound(low, high, 0.1, 10.0, 2, 1.0)
+        zero_cost_gap_bound(low, high, 0.1, 10.0, 1.0)
     assert (info.value.regime, info.value.node) == (1, 2)
     big = np.zeros((2, 3))
     big[0, 1] = 100.0  # far beyond (d-1)*c*rho/gamma = 1
     with pytest.raises(GapBoundViolation) as info:
-        zero_cost_gap_bound(low, big, 0.1, 10.0, 2, 1.0)
+        zero_cost_gap_bound(low, big, 0.1, 10.0, 1.0)
     assert (info.value.regime, info.value.node) == (0, 1)
+
+
+def test_zero_cost_gap_bound_reads_three_regimes_from_the_fields():
+    system = assemble(PdeParams(d=3, reward=RewardFunction.three_regime(), N=20))
+    root, _ = solve_root(system, np.zeros((3, 20)))
+    cost, rho = 1.0 / 64, 4e3
+    u_cost, _ = solve_penalized(
+        PenalizedProblem(system, SwitchingCostMatrix.uniform(3, cost), rho), root)
+    u_zero, _ = solve_penalized(
+        PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.0), rho), root)
+    gap = zero_cost_gap_bound(u_cost, u_zero, cost, rho, system.gamma)
+    assert 0.0 < gap <= 2 * cost * rho / system.gamma
+    # a gap between the d = 2 bound c*rho/gamma = 1 and the d = 3 bound
+    # 2*c*rho/gamma = 2 passes only because the fields carry three regimes
+    low = np.zeros((3, 4))
+    high = np.zeros((3, 4))
+    high[1, 3] = 1.5
+    assert zero_cost_gap_bound(low, high, 0.1, 10.0, 1.0) == 1.5
+    with pytest.raises(GapBoundViolation):
+        zero_cost_gap_bound(low[:2], high[:2], 0.1, 10.0, 1.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        zero_cost_gap_bound(low, high[:2], 0.1, 10.0, 1.0)
 
 
 def test_hjb_gap_shrinks_linearly_in_cost(two_regime):
