@@ -4,9 +4,8 @@ A field stacks one value vector per regime, shape (d, N). Regimes couple only
 through the intervention operator M_i u = max_{j != i} (u^j - c[i, j]) and, in
 the penalized form, through the penalty terms rho * pi(u^j - c[i, j] - u^i).
 
-Operations accept either a :class:`RegimeField` or any (d, N) array and return
-plain numpy arrays; the wrapper class exists to validate data crossing an API
-boundary.
+Fields are plain (d, N) float arrays, taken and returned as such by every
+operation and solver; :func:`field_values` is the one shape check on input.
 """
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
-    "RegimeField",
     "SwitchingCostMatrix",
     "PenaltyFunction",
     "NodeBand",
@@ -30,7 +28,6 @@ __all__ = [
     "SolveReport",
     "sup_norm",
     "a_priori_bound",
-    "intervention",
     "qvi_residual",
     "penalized_residual",
     "penalized_slant",
@@ -46,42 +43,9 @@ def sup_norm(x) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-@dataclass(frozen=True)
-class RegimeField:
-    """A d-regime field on an N-node grid, one row of values per regime."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError(f"expected a (d, N) matrix, got shape {v.shape}")
-        d, n = v.shape
-        if d < 2:
-            raise ValueError(f"need at least two regimes, got d={d}")
-        if n < 1:
-            raise ValueError("need at least one grid node")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite entries")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.values.shape[1]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None and not copy:
-            return self.values
-        return np.array(self.values, dtype=dtype)
-
-
 def field_values(u, d: int | None = None, n: int | None = None) -> np.ndarray:
     """Return ``u`` as a (d, N) float array, checking dimensions when given."""
-    v = u.values if isinstance(u, RegimeField) else np.asarray(u, dtype=float)
+    v = np.asarray(u, dtype=float)
     if v.ndim != 2:
         raise ValueError(f"expected a (d, N) matrix, got shape {v.shape}")
     if d is not None and v.shape != (d, n):
@@ -293,6 +257,8 @@ class AffineSystem(MonotoneSystem):
     def __init__(self, matrix, rhs, gamma: float):
         b = field_values(rhs)
         self._d, self._n = b.shape
+        if self._d < 2 or self._n < 1:
+            raise ValueError(f"need at least two regimes and one grid node, got shape {b.shape}")
         a = sp.csr_matrix(matrix, dtype=float)
         size = self._d * self._n
         if a.shape != (size, size):
@@ -411,21 +377,6 @@ class SolveReport:
 def a_priori_bound(system: MonotoneSystem) -> float:
     """The uniform solution bound ||F(0)|| / gamma."""
     return system.norm_F0 / system.gamma
-
-
-def intervention(u, costs, i: int):
-    """Best switch out of regime i: values and arg-max regimes, elementwise.
-
-    Returns ``(M_i u, regimes)`` where (M_i u)_l = max_{j != i}(u^j_l - c[i, j])
-    and ``regimes[l]`` is the maximizing j, ties broken to the lowest index.
-    """
-    v = field_values(u)
-    d = v.shape[0]
-    costs = as_costs(costs, d)
-    if not 0 <= i < d:
-        raise ValueError(f"regime index {i} out of range for d={d}")
-    values, regimes = _obstacles(v, costs)
-    return values[i], regimes[i]
 
 
 def _obstacles(v: np.ndarray, costs: SwitchingCostMatrix):

@@ -22,7 +22,6 @@ from .core import (
     SwitchingCostMatrix,
     _obstacles,
     a_priori_bound,
-    field_values,
     sup_norm,
 )
 from .newton import MaxIterExceeded, NewtonConfig, SingularSlant, solve_penalized, solve_root
@@ -180,12 +179,6 @@ class TableResult:
     solutions: dict
 
 
-def _solve_cell(system, cost, rho, root, cfg):
-    costs = SwitchingCostMatrix.uniform(system.d, cost)
-    u, report = solve_penalized(PenalizedProblem(system, costs, rho), root, cfg)
-    return field_values(u), report
-
-
 def run_table(config: ExperimentConfig, keep_solutions: bool = False) -> TableResult:
     """Solve the full (cost, weight) grid, every cell cold from the root of F.
 
@@ -197,15 +190,15 @@ def run_table(config: ExperimentConfig, keep_solutions: bool = False) -> TableRe
     probe = config.probe_node()
     cfg = config.newton
     root, _ = solve_root(system, np.zeros((system.d, system.N)), cfg)
-    root = field_values(root)
 
     cells = []
     solutions = {}
     for ci, cost in enumerate(config.cost_list):
+        costs = SwitchingCostMatrix.uniform(system.d, cost)
         previous = None
         for ri, rho in enumerate(config.rho_list):
             try:
-                u, report = _solve_cell(system, cost, rho, root, cfg)
+                u, report = solve_penalized(PenalizedProblem(system, costs, rho), root, cfg)
             except (SingularSlant, MaxIterExceeded) as exc:
                 cells.append(CellRecord(config.case, cost, rho, config.probe_point,
                                         None, None, None, None, False, str(exc)))
@@ -311,15 +304,12 @@ def extract_regions(config: ExperimentConfig, rho: float) -> RegionReport:
     cfg = config.newton
     costs = SwitchingCostMatrix.uniform(system.d, cost)
     root, _ = solve_root(system, np.zeros((system.d, system.N)), cfg)
-    root = field_values(root)
 
     u_rho, _ = solve_penalized(PenalizedProblem(system, costs, rho), root, cfg)
-    u_rho = field_values(u_rho)
     u_2rho, _ = solve_penalized(PenalizedProblem(system, costs, 2 * rho), root, cfg)
-    C0 = 4.0 * rho * sup_norm(field_values(u_2rho) - u_rho) / math.log(rho)
+    C0 = 4.0 * rho * sup_norm(u_2rho - u_rho) / math.log(rho)
     rho_ref = 100.0 * rho
     u_ref, _ = solve_penalized(PenalizedProblem(system, costs, rho_ref), root, cfg)
-    u_ref = field_values(u_ref)
 
     threshold = C0 * math.log(rho) / rho
     exact = _binding_sets(u_ref, costs, REGION_TOL, signed=True)
@@ -371,11 +361,7 @@ def verify(config: ExperimentConfig | None = None) -> dict:
         march_u = pseudo_time_solve(prob, tol=1e-10)
         enum_u = active_set_enumerate(prob)
         expected = np.array([[1.0], [2.0]])
-        worst = max(
-            sup_norm(field_values(newton_u) - expected),
-            sup_norm(field_values(march_u) - expected),
-            sup_norm(field_values(enum_u) - expected),
-        )
+        worst = max(sup_norm(u - expected) for u in (newton_u, march_u, enum_u))
         checks.append(_check("tiny-instance-closed-form", worst <= 1e-6,
                              f"max deviation {worst:.2e}"))
     except Exception as exc:
@@ -395,10 +381,10 @@ def verify(config: ExperimentConfig | None = None) -> dict:
             prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(d, cost), rho)
             u_newton, _ = solve_penalized(prob, np.zeros((d, n)), cfg)
             u_march = pseudo_time_solve(prob, tol=1e-9)
-            worst = max(worst, sup_norm(field_values(u_newton) - field_values(u_march)))
+            worst = max(worst, sup_norm(u_newton - u_march))
             if (d - 1) * d * n <= 16:
                 u_enum = active_set_enumerate(prob)
-                worst = max(worst, sup_norm(field_values(u_newton) - field_values(u_enum)))
+                worst = max(worst, sup_norm(u_newton - u_enum))
         detail = f"max pairwise gap {worst:.2e} over 15 instances"
         checks.append(_check("solver-agreement", worst <= 1e-6, detail))
     except Exception as exc:
@@ -423,7 +409,7 @@ def verify(config: ExperimentConfig | None = None) -> dict:
             system, SwitchingCostMatrix.uniform(system.d, config.cost_list[0]),
             config.rho_list[-1],
         )
-        u, report = solve_penalized(prob, field_values(root), cfg)
+        u, report = solve_penalized(prob, root, cfg)
         bound = a_priori_bound(system)
         checks.append(_check(
             "a-priori-bound",

@@ -31,7 +31,6 @@ from .core import (
     MonotoneSystem,
     NodeBand,
     PenalizedProblem,
-    RegimeField,
     SolveReport,
     _diagonal_block,
     _penalized,
@@ -131,7 +130,9 @@ def linear_solve(op: NodeBand, rhs: np.ndarray) -> np.ndarray:
 
 def _newton(system: MonotoneSystem, linearize, initial, cfg: NewtonConfig | None = None):
     cfg = cfg or NewtonConfig()
-    u = field_values(initial).copy()
+    u = field_values(initial, system.d, system.N).copy()
+    if not np.all(np.isfinite(u)):
+        raise ValueError("initial iterate contains non-finite entries")
     start = time.perf_counter()
     g, keep, coupling = linearize(u)
     increments: list = []
@@ -142,7 +143,7 @@ def _newton(system: MonotoneSystem, linearize, initial, cfg: NewtonConfig | None
             slant = slant_band(system, u, keep, coupling)
             delta = linear_solve(slant, -g.ravel()).reshape(u.shape)
         except SingularSlant as exc:
-            exc.iterate = RegimeField(u)
+            exc.iterate = u
             exc.report = SolveReport(increments, residuals, time.perf_counter() - start, False)
             raise
         u = u + delta
@@ -153,15 +154,14 @@ def _newton(system: MonotoneSystem, linearize, initial, cfg: NewtonConfig | None
             converged = True
             break
     report = SolveReport(increments, residuals, time.perf_counter() - start, converged)
-    result = RegimeField(u)
     if not converged:
         raise MaxIterExceeded(
             f"no convergence in {cfg.max_iter} iterations "
             f"(residual {residuals[-1]:.3e})",
-            result,
+            u,
             report,
         )
-    return result, report
+    return u, report
 
 
 def _min_rows(f: np.ndarray, constraint: np.ndarray, coupling: np.ndarray):

@@ -5,8 +5,7 @@ exhaustive active-set enumeration (exact, affine degree-1 instances at desk
 scale only). Both build their penalty terms rho * pi(u^j - c[i, j] - u^i)
 straight from that definition, as small dense operators over the d(d-1)
 ordered regime pairs, and share no code with the residual or slant in `core`
-that they are checking; from `core` they take only the problem and field
-types.
+that they are checking; from `core` they take only the problem type.
 
 The march needs about (max diag + rho(d-1)) / gamma * ln(res0 / tol) steps:
 the step is capped by the largest slant row, and each step shrinks the error
@@ -23,7 +22,7 @@ import math
 
 import numpy as np
 
-from .core import PenalizedProblem, RegimeField
+from .core import PenalizedProblem
 
 __all__ = [
     "OracleError",
@@ -100,7 +99,7 @@ def pseudo_time_solve(
     step: float | None = None,
     tol: float = 1e-8,
     max_steps: int = 10_000_000,
-) -> RegimeField:
+) -> np.ndarray:
     """March u <- u - step * G(u) from zero until the residual sup-norm <= tol.
 
     The default step 0.9 / (max slant diagonal + rho*(d-1)) makes the update a
@@ -108,6 +107,10 @@ def pseudo_time_solve(
     grows for 100 steps in a row, halves the step and restarts the march from
     zero; ten halvings without recovery is a failure.
     """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+    if step is not None and not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
     d, n = prob.system.d, prob.system.N
     ops = _penalty_operators(prob)
     u = np.zeros((d, n))
@@ -124,7 +127,7 @@ def pseudo_time_solve(
             g = _residual(prob, u, ops)
             res = float(np.abs(g).max())
             if res <= tol:
-                return RegimeField(u)
+                return u
             if not math.isfinite(res):
                 growth = 100
             elif res > prev:
@@ -147,7 +150,7 @@ def pseudo_time_solve(
     raise MaxStepsExceeded(f"residual {res:.3e} > {tol:.3e} after {max_steps} steps")
 
 
-def active_set_enumerate(prob: PenalizedProblem) -> RegimeField:
+def active_set_enumerate(prob: PenalizedProblem) -> np.ndarray:
     """Exact solve by trying every on/off pattern of the penalty terms.
 
     A pattern is accepted when the solution of its linear system reproduces the
@@ -201,4 +204,4 @@ def active_set_enumerate(prob: PenalizedProblem) -> RegimeField:
         raise NoConsistentPattern("no penalty pattern reproduces its own signs")
     if len(hits) > 1:
         raise MultiplePatterns([p for p, _ in hits])
-    return RegimeField(hits[0][1].reshape(d, n))
+    return hits[0][1].reshape(d, n)

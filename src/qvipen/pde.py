@@ -28,12 +28,27 @@ __all__ = ["RewardFunction", "PdeParams", "grid", "probe_index", "reward_values"
 class RewardFunction:
     """Piecewise-linear running reward, zero outside the listed pieces.
 
-    Each piece is (lo, hi, slope, intercept) and claims the half-open interval
-    (lo, hi]; pieces must not overlap.
+    Each piece is (lo, hi, slope, intercept), four finite numbers with
+    lo < hi, and claims the half-open interval (lo, hi]; pieces must not
+    overlap, though one may end where the next begins.
     """
 
     name: str
     pieces: tuple = ()
+
+    def __post_init__(self) -> None:
+        pieces = tuple(tuple(map(float, p)) for p in self.pieces)
+        for k, p in enumerate(pieces):
+            if len(p) != 4 or not np.all(np.isfinite(p)) or not p[0] < p[1]:
+                raise ValueError(
+                    f"reward piece {k} is {p}: need four finite numbers "
+                    "(lo, hi, slope, intercept) with lo < hi"
+                )
+        ordered = sorted(pieces)
+        for a, b in zip(ordered, ordered[1:]):
+            if b[0] < a[1]:
+                raise ValueError(f"reward pieces {a} and {b} overlap")
+        object.__setattr__(self, "pieces", pieces)
 
     @classmethod
     def two_regime(cls) -> "RewardFunction":
@@ -53,7 +68,7 @@ class RewardFunction:
 
     @classmethod
     def custom(cls, pieces) -> "RewardFunction":
-        return cls("custom", tuple(tuple(map(float, p)) for p in pieces))
+        return cls("custom", pieces)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

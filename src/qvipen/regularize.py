@@ -20,7 +20,6 @@ import scipy.sparse as sp
 from .core import (
     MonotoneSystem,
     PenalizedProblem,
-    RegimeField,
     ShiftedSystem,
     SwitchingCostMatrix,
     _diagonal_block,
@@ -160,7 +159,7 @@ SUPERSOLUTION_RHO = 1e6
 
 
 def strict_supersolution(system: MonotoneSystem, costs, kappa: float,
-                         cfg: NewtonConfig | None = None) -> RegimeField:
+                         cfg: NewtonConfig | None = None) -> np.ndarray:
     """A field w with min(F_i(w), w^i - M_i w) = kappa in every component.
 
     Solved as the original problem with F shifted down by kappa and every
@@ -187,7 +186,7 @@ def strict_supersolution(system: MonotoneSystem, costs, kappa: float,
     )
 
 
-def apply_Q(u, system: MonotoneSystem, costs, cfg: NewtonConfig | None = None) -> RegimeField:
+def apply_Q(u, system: MonotoneSystem, costs, cfg: NewtonConfig | None = None) -> np.ndarray:
     """One iterated-stopping sweep: solve with the obstacle frozen at M_i u."""
     v = field_values(u, system.d, system.N)
     costs = as_costs(costs, system.d)
@@ -197,7 +196,7 @@ def apply_Q(u, system: MonotoneSystem, costs, cfg: NewtonConfig | None = None) -
 
 
 def apply_T(u, system: MonotoneSystem, costs, epsilon: float,
-            cfg: NewtonConfig | None = None) -> RegimeField:
+            cfg: NewtonConfig | None = None) -> np.ndarray:
     """One time-marching sweep: the obstacle stays live, the epsilon term
     anchors the solve to the previous iterate."""
     if epsilon <= 0:
@@ -219,7 +218,7 @@ def apply_T(u, system: MonotoneSystem, costs, epsilon: float,
 
 
 def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray, epsilon: float,
-                          cfg: NewtonConfig | None) -> RegimeField:
+                          cfg: NewtonConfig | None) -> np.ndarray:
     system = prob.system
     if prob.rho == 0.0:
         out, _ = solve_root(system, frozen, cfg)
@@ -243,14 +242,14 @@ def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray, epsilon: f
     return out
 
 
-def apply_Q_rho(u, prob: PenalizedProblem, cfg: NewtonConfig | None = None) -> RegimeField:
+def apply_Q_rho(u, prob: PenalizedProblem, cfg: NewtonConfig | None = None) -> np.ndarray:
     """One penalized sweep: penalty arguments read their first slot from u."""
     frozen = field_values(u, prob.system.d, prob.system.N)
     return _frozen_penalty_solve(prob, frozen, 0.0, cfg)
 
 
 def apply_T_rho(u, prob: PenalizedProblem, epsilon: float,
-                cfg: NewtonConfig | None = None) -> RegimeField:
+                cfg: NewtonConfig | None = None) -> np.ndarray:
     """The time-marching variant of the penalized sweep: the penalty argument
     picks up an extra -epsilon*(v - u) pull toward the previous iterate."""
     if epsilon <= 0:
@@ -270,6 +269,8 @@ def iterate_to_fixed_point(step, start, max_sweeps: int = 200, tol: float = 1e-1
     increments: list = []
     for sweep in range(1, max_sweeps + 1):
         nxt = field_values(step(u))
+        if not np.all(np.isfinite(nxt)):
+            raise ValueError(f"sweep {sweep} returned non-finite entries")
         diff = nxt - u
         drop = float(diff.min())
         if drop < -1e-8:
@@ -282,7 +283,7 @@ def iterate_to_fixed_point(step, start, max_sweeps: int = 200, tol: float = 1e-1
         u = nxt
         if increments[-1] < tol:
             break
-    return RegimeField(u), len(increments), increments
+    return u, len(increments), increments
 
 
 def phi_minimize(nu: float, a: float, b: float):
@@ -367,14 +368,12 @@ def hjb_limit_solve(system: MonotoneSystem, rho_schedule,
         raise ValueError("rho schedule entries must be positive")
     costs = SwitchingCostMatrix.uniform(system.d, 0.0)
     root, _ = solve_root(system, np.zeros((system.d, system.N)), cfg)
-    root = field_values(root)
     stages = []
     gaps = []
     for rho in schedule:
         u, report = solve_penalized(PenalizedProblem(system, costs, rho), root, cfg)
-        v = field_values(u)
-        stages.append((rho, v, report))
-        gaps.append(_regime_gap(v))
+        stages.append((rho, u, report))
+        gaps.append(_regime_gap(u))
     final = stages[-1][1]
     bound = estimate_C(system) / schedule[-1]
     return HjbResult(final.max(axis=0), stages, gaps, bound)

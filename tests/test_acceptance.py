@@ -27,7 +27,6 @@ from qvipen import (
     qvi_residual,
     zero_cost_gap_bound,
 )
-from qvipen.core import field_values
 from qvipen.newton import NewtonConfig
 from qvipen.oracle import active_set_enumerate, pseudo_time_solve
 from qvipen.pde import PdeParams, RewardFunction, assemble
@@ -184,11 +183,10 @@ def test_criterion_07_three_solver_agreement():
         system = random_affine_system(rng, d=d, n=n, gamma=1.0)
         prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(d, cost), rho)
         u_newton, _ = solve_penalized(prob, np.zeros((d, n)))
-        u_newton = field_values(u_newton)
-        u_march = field_values(pseudo_time_solve(prob, tol=1e-9))
+        u_march = pseudo_time_solve(prob, tol=1e-9)
         worst = max(worst, sup_norm(u_newton - u_march))
         if (d - 1) * d * n <= 16:
-            u_enum = field_values(active_set_enumerate(prob))
+            u_enum = active_set_enumerate(prob)
             worst = max(worst, sup_norm(u_newton - u_enum),
                         sup_norm(u_march - u_enum))
             enumerated += 1
@@ -202,7 +200,6 @@ def test_criterion_08_invariant_suites(table1):
     result, _ = table1
     system = assemble(PdeParams(d=2, reward=RewardFunction.two_regime()))
     root, _ = solve_root(system, np.zeros((2, 100)))
-    root = field_values(root)
     pieces = []
 
     # growth condition probes on random systems
@@ -228,19 +225,18 @@ def test_criterion_08_invariant_suites(table1):
         a = rng.uniform(-2, 2, (2, 2))
         b = a + rng.uniform(-1, 1, (2, 2))
         expansion = max(expansion, sup_norm(
-            field_values(apply_Q_rho(a, prob)) - field_values(apply_Q_rho(b, prob))
+            apply_Q_rho(a, prob) - apply_Q_rho(b, prob)
         ) / sup_norm(a - b))
     pieces.append(("penalized-sweep-nonexpansive", expansion <= 1.0 + 1e-10))
 
     # obstacle sweep preserves ordering
     ordered = True
     small_root, _ = solve_root(small, np.zeros((2, 2)))
-    small_root = field_values(small_root)
     for _ in range(10):
         v = small_root + rng.uniform(-1, 1, (2, 2))
         u = v + rng.uniform(0, 1, (2, 2))
-        qu = field_values(apply_Q(u, small, 0.5))
-        qv = field_values(apply_Q(v, small, 0.5))
+        qu = apply_Q(u, small, 0.5)
+        qv = apply_Q(v, small, 0.5)
         ordered = ordered and (qu - qv).min() >= -1e-8
     pieces.append(("obstacle-sweep-monotone", ordered))
 
@@ -248,20 +244,20 @@ def test_criterion_08_invariant_suites(table1):
     costs = SwitchingCostMatrix.uniform(2, 0.5)
     u1, _ = solve_penalized(PenalizedProblem(system, costs, 1e6), root)
     u2, _ = solve_penalized(PenalizedProblem(system, costs, 2e6), root)
-    margin = 2.0 * sup_norm(field_values(u2) - field_values(u1))
-    u_exact = field_values(u1) + margin
+    margin = 2.0 * sup_norm(u2 - u1)
+    u_exact = u1 + margin
     constants = ErrorConstants.for_system(system, 0.5)
     u = root.copy()
     formula_ok = True
     for n in range(31):
         cap = constants.L_kappa * (1 - constants.mu) ** n / constants.mu
         formula_ok = formula_ok and (u_exact - u).max() <= cap + 1e-6
-        u = field_values(apply_Q(u, system, 0.5))
+        u = apply_Q(u, system, 0.5)
     pieces.append(("sweep-error-formula", formula_ok))
 
     # strict supersolution residual pinned at kappa
     kappa = 0.25
-    w = field_values(strict_supersolution(system, 0.5, kappa))
+    w = strict_supersolution(system, 0.5, kappa)
     defect = sup_norm(qvi_residual(w, system, 0.5) - kappa)
     pieces.append(("supersolution-residual", defect <= 10 * kappa * 1e-3))
 

@@ -13,7 +13,6 @@ from qvipen.core import (
     MonotoneSystem,
     NodeBand,
     PenalizedProblem,
-    RegimeField,
     ShiftedSystem,
     SwitchingCostMatrix,
     _coupling_index,
@@ -127,7 +126,7 @@ def _pde_penalized(d):
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(d, 1 / 64), 32e3)
     u, report = solve_penalized(prob, root)
     assert report.converged
-    return prob, np.asarray(u)
+    return prob, u
 
 
 def _captured_slant(monkeypatch, solve):
@@ -137,7 +136,7 @@ def _captured_slant(monkeypatch, solve):
 
     def fake_newton(system, linearize, initial, cfg=None):
         seen["problem"] = system, linearize
-        return RegimeField(initial), None
+        return np.asarray(initial), None
 
     for module in (newton, regularize):
         monkeypatch.setattr(module, "_newton", fake_newton)
@@ -302,7 +301,6 @@ def test_band_solve_backward_error_at_converged_iterate():
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 1 / 64), 32e3)
     u, report = solve_penalized(prob, root)
     assert report.converged
-    u = np.asarray(u)
     band = slant_band(system, u, coupling=_penalized(u, prob)[1])
     op = band.tocsr()
     norm_op = abs(op).sum(axis=1).max()
@@ -333,7 +331,7 @@ def test_singular_band_raises_with_iterate_and_report(d):
     with pytest.raises(SingularSlant) as info:
         solve_root(system, np.zeros((d, n)))
     assert (info.value.regime, info.value.node) == (1, 1)
-    assert np.asarray(info.value.iterate).shape == (d, n)
+    assert info.value.iterate.shape == (d, n)
     assert info.value.report.iterations == 0
     assert not info.value.report.converged
 
@@ -345,7 +343,7 @@ def test_system_without_a_cached_band_solves_through_a_derived_one():
     cached, cached_report = solve_penalized(PenalizedProblem(system, costs, 32e3), root)
     derived, derived_report = solve_penalized(PenalizedProblem(NoBand(system), costs, 32e3), root)
     assert derived_report.iterations == cached_report.iterations
-    assert np.array_equal(np.asarray(derived), np.asarray(cached))
+    assert np.array_equal(derived, cached)
 
 
 def test_band_from_matrix_rejects_a_shape_d_cannot_split():

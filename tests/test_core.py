@@ -7,12 +7,11 @@ from qvipen.core import (
     AffineSystem,
     PenalizedProblem,
     PenaltyFunction,
-    RegimeField,
     ShiftedSystem,
     SwitchingCostMatrix,
     a_priori_bound,
+    _obstacles,
     as_costs,
-    intervention,
     penalized_residual,
     penalized_slant,
     qvi_residual,
@@ -33,20 +32,6 @@ def test_sup_norm():
     assert sup_norm([[-3.0, 2.0], [1.0, -4.0]]) == 4.0
     assert sup_norm(np.zeros((2, 3))) == 0.0
     assert sup_norm(np.array([])) == 0.0
-
-
-def test_regime_field_validation():
-    f = RegimeField(np.zeros((2, 5)))
-    assert (f.d, f.N) == (2, 5)
-    assert np.asarray(f).shape == (2, 5)
-    with pytest.raises(ValueError):
-        RegimeField(np.zeros(5))
-    with pytest.raises(ValueError):
-        RegimeField(np.zeros((1, 5)))
-    with pytest.raises(ValueError):
-        RegimeField(np.zeros((2, 0)))
-    with pytest.raises(ValueError):
-        RegimeField(np.array([[1.0, np.nan], [0.0, 0.0]]))
 
 
 def test_cost_matrix():
@@ -115,6 +100,13 @@ def test_affine_system():
         AffineSystem(sp.eye(4), b, gamma=0.0)
 
 
+@pytest.mark.parametrize("shape", [(5,), (1, 5), (2, 0)])
+def test_affine_system_rejects_a_degenerate_field(shape):
+    rhs = np.zeros(shape)
+    with pytest.raises(ValueError):
+        AffineSystem(sp.eye(rhs.size, format="csr"), rhs, gamma=1.0)
+
+
 def test_a_priori_bound_trivial_case():
     assert a_priori_bound(identity_system(np.zeros((2, 1)))) == 0.0
 
@@ -138,24 +130,22 @@ def test_penalized_problem_validation():
 
 
 def test_intervention_single_competitor():
-    values, regimes = intervention([[5.0], [3.0]], 1.0, 0)
-    assert values[0] == 2.0 and regimes[0] == 1
+    values, regimes = _obstacles(np.array([[5.0], [3.0]]), as_costs(1.0, 2))
+    assert values[0, 0] == 2.0 and regimes[0, 0] == 1
 
 
 def test_intervention_argmax():
-    u = [[0.0], [4.0], [4.0]]
+    u = np.array([[0.0], [4.0], [4.0]])
     c = SwitchingCostMatrix([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    values, regimes = intervention(u, c, 0)
-    assert values[0] == 3.0 and regimes[0] == 1
+    values, regimes = _obstacles(u, c)
+    assert values[0, 0] == 3.0 and regimes[0, 0] == 1
 
 
 def test_intervention_tie_breaks_low():
-    u = [[1.0, 0.0], [3.0, 0.0], [3.0, 0.0]]
-    values, regimes = intervention(u, 1.0, 0)
-    assert np.array_equal(values, [2.0, -1.0])
-    assert np.array_equal(regimes, [1, 1])
-    with pytest.raises(ValueError):
-        intervention(u, 1.0, 3)
+    u = np.array([[1.0, 0.0], [3.0, 0.0], [3.0, 0.0]])
+    values, regimes = _obstacles(u, as_costs(1.0, 3))
+    assert np.array_equal(values[0], [2.0, -1.0])
+    assert np.array_equal(regimes[0], [1, 1])
 
 
 def test_qvi_residual_zero_solution():
@@ -192,7 +182,7 @@ def test_penalized_residual_hand_solved_root():
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.0), rho=1.0)
     root = np.array([[1.0], [2.0]])
     assert sup_norm(penalized_residual(root, prob)) == 0.0
-    assert np.allclose(np.asarray(active_set_enumerate(prob)), root)
+    assert np.allclose(active_set_enumerate(prob), root)
     wrong = np.array([[2.0 / 3.0], [4.0 / 3.0]])
     assert sup_norm(penalized_residual(wrong, prob)) == pytest.approx(2.0 / 3.0)
 
@@ -272,7 +262,7 @@ def test_sub_and_supersolutions_compare():
     system = random_affine_system(rng, d=2, n=2)
     costs = SwitchingCostMatrix.uniform(2, 0.1)
     prob = PenalizedProblem(system, costs, rho=1.0)
-    root = np.asarray(active_set_enumerate(prob))
+    root = active_set_enumerate(prob)
     for shift in (0.1, 1.0, 10.0):
         sub = root - shift
         super_ = root + shift

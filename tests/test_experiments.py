@@ -397,6 +397,20 @@ def test_cli_rejects_non_integer_sizes_and_custom_only_fields(tmp_path, capsys, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pieces, message", [
+    ([[1, 2]], "reward piece 0 is (1.0, 2.0)"),
+    ([[0, 1, 1, 0], [0.5, 1.5, 1, 0]], "overlap"),
+    ([[1.0, 0.5, 1, 0]], "reward piece 0 is (1.0, 0.5, 1.0, 0.0)"),
+    ([[0.0, float("nan"), 1, 0]], "reward piece 0 is (0.0, nan, 1.0, 0.0)"),
+], ids=["short", "overlapping", "inverted", "nan"])
+def test_cli_rejects_invalid_reward_pieces(tmp_path, capsys, pieces, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"case": "custom", "d": 2, "reward_pieces": pieces}))
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "reward piece" in err and message in err
+
+
 @pytest.mark.parametrize("command", ["solve", "regions", "verify"])
 def test_cli_format_is_a_usage_error_where_output_is_json_only(command, capsys):
     with pytest.raises(SystemExit) as usage:

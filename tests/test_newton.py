@@ -10,8 +10,8 @@ from qvipen.core import (
     PenalizedProblem,
     PenaltyFunction,
     SwitchingCostMatrix,
+    _obstacles,
     _penalized,
-    intervention,
     penalized_residual,
     slant_band,
     sup_norm,
@@ -37,7 +37,7 @@ def two_regime():
     params = PdeParams(d=2, reward=RewardFunction.two_regime())
     system = assemble(params)
     root, _ = solve_root(system, np.zeros((2, 100)))
-    return params, system, np.asarray(root)
+    return params, system, root
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def three_regime():
     params = PdeParams(d=3, reward=RewardFunction.three_regime())
     system = assemble(params)
     root, _ = solve_root(system, np.zeros((3, 100)))
-    return params, system, np.asarray(root)
+    return params, system, root
 
 
 def identity_system(b):
@@ -78,7 +78,7 @@ def test_solve_root_affine_is_one_exact_step(two_regime):
 def test_solve_root_identity_lands_exactly():
     system = identity_system(np.zeros((2, 3)))
     u, report = solve_root(system, np.full((2, 3), 7.0))
-    assert np.all(np.asarray(u) == 0.0)
+    assert np.all(u == 0.0)
     assert report.residuals[1] == 0.0
 
 
@@ -87,7 +87,7 @@ def test_solve_penalized_two_regime_cell(two_regime):
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.5), rho=1e3)
     u, report = solve_penalized(prob, root)
     # published reference value for this configuration
-    assert np.asarray(u)[0, probe_index(params, 0.5)] == pytest.approx(3.37521, abs=1e-5)
+    assert u[0, probe_index(params, 0.5)] == pytest.approx(3.37521, abs=1e-5)
     assert report.converged
     assert report.residuals[-1] <= 1e-8
     assert 3 <= report.iterations <= 10
@@ -100,7 +100,7 @@ def test_solve_penalized_three_regime_cell(three_regime):
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.25), rho=4e3)
     u, report = solve_penalized(prob, root)
     # published reference value for this configuration
-    assert np.asarray(u)[0, probe_index(params, 1.0)] == pytest.approx(6.849917, abs=1e-5)
+    assert u[0, probe_index(params, 1.0)] == pytest.approx(6.849917, abs=1e-5)
     assert 6 <= report.iterations <= 24
 
 
@@ -112,7 +112,7 @@ def test_huge_cost_removes_penalty_dependence():
     solutions = []
     for rho in (0.0, 1e3, 1e6):
         u, _ = solve_penalized(PenalizedProblem(system, costs, rho), np.zeros((2, 1)))
-        solutions.append(np.asarray(u))
+        solutions.append(u)
     assert sup_norm(solutions[0] - solutions[1]) <= 1e-9
     assert sup_norm(solutions[1] - solutions[2]) <= 1e-9
 
@@ -125,7 +125,7 @@ def test_solve_penalized_rejects_unsupported_degree():
         solve_penalized(PenalizedProblem(system, costs, 1.0, quad), np.zeros((2, 1)))
     # at rho=0 the penalty never evaluates, any degree reduces to the root solve
     u, _ = solve_penalized(PenalizedProblem(system, costs, 0.0, quad), np.ones((2, 1)))
-    assert sup_norm(np.asarray(u)) <= 1e-12
+    assert sup_norm(u) <= 1e-12
 
 
 def test_newton_globalizes_from_below(three_regime):
@@ -157,7 +157,6 @@ def test_solutions_increase_with_rho(two_regime):
     previous = None
     for rho in (1e3, 2e3, 4e3):
         u, _ = solve_penalized(PenalizedProblem(system, costs, rho), root)
-        u = np.asarray(u)
         if previous is not None:
             assert np.all(previous <= u + 1e-8)
         previous = u
@@ -169,7 +168,6 @@ def test_solutions_decrease_with_cost(two_regime):
     for cost in (0.5, 0.25, 0.125):
         prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, cost), rho=16e3)
         u, _ = solve_penalized(prob, root)
-        u = np.asarray(u)
         if previous is not None:
             assert np.all(previous <= u + 1e-8)
         previous = u
@@ -179,7 +177,7 @@ def test_obstacle_never_binding_gives_root():
     system = identity_system(np.array([[1.0, -1.0], [0.5, 2.0]]))
     prob = ObstacleProblem(system, np.full((2, 2), -1e6))
     u, report = solve_obstacle(prob, np.zeros((2, 2)))
-    assert sup_norm(np.asarray(u) - [[1.0, -1.0], [0.5, 2.0]]) <= 1e-9
+    assert sup_norm(u - [[1.0, -1.0], [0.5, 2.0]]) <= 1e-9
     assert report.converged
 
 
@@ -189,7 +187,7 @@ def test_obstacle_hand_case():
     system = identity_system(np.array([[0.0], [2.0]]))
     psi = np.full((2, 1), -1.0)
     u, _ = solve_obstacle(ObstacleProblem(system, psi), np.zeros((2, 1)))
-    assert np.allclose(np.asarray(u), [[0.0], [2.0]], atol=1e-12)
+    assert np.allclose(u, [[0.0], [2.0]], atol=1e-12)
 
 
 def test_obstacle_binding_clips_to_psi():
@@ -197,7 +195,7 @@ def test_obstacle_binding_clips_to_psi():
     system = identity_system(np.array([[0.0], [2.0]]))
     psi = np.array([[1.0], [-5.0]])
     u, _ = solve_obstacle(ObstacleProblem(system, psi), np.zeros((2, 1)))
-    assert np.allclose(np.asarray(u), [[1.0], [2.0]], atol=1e-12)
+    assert np.allclose(u, [[1.0], [2.0]], atol=1e-12)
 
 
 def test_obstacle_tie_selects_f_row():
@@ -225,7 +223,6 @@ def test_linear_solve_backward_error(two_regime):
     _, system, root = two_regime
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.125), rho=32e3)
     u, _ = solve_penalized(prob, root)
-    u = np.asarray(u)
     band = slant_band(system, u, coupling=_penalized(u, prob)[1])
     op = band.tocsr()
     rng = np.random.default_rng(61)
@@ -253,7 +250,18 @@ def test_iteration_cap_carries_diagnostics(two_regime):
         solve_penalized(prob, root, NewtonConfig(max_iter=1))
     assert info.value.report.iterations == 1
     assert not info.value.report.converged
-    assert np.asarray(info.value.iterate).shape == (2, 100)
+    assert info.value.iterate.shape == (2, 100)
+
+
+def test_start_is_checked_before_the_first_step(two_regime):
+    _, system, root = two_regime
+    start = root.copy()
+    start[1, 7] = np.nan
+    with pytest.raises(ValueError, match="non-finite") as info:
+        solve_root(system, start)
+    assert info.value.__context__ is None
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        newton._newton(system, lambda u: (system.evaluate(u), None, None), root[:, :50])
 
 
 def _singular_after_one_step():
@@ -268,7 +276,7 @@ def _singular_after_one_step():
     with pytest.raises(SingularSlant) as info:
         newton._newton(system, linearize, np.zeros((2, 2)))
     assert info.value.report.iterations == 1
-    return info.value.report
+    return info.value
 
 
 @pytest.mark.parametrize("path", ["converged", "max_iter", "singular"])
@@ -285,7 +293,7 @@ def test_report_counts_agree_on_every_exit_path(two_regime, path):
         assert report.iterations == 2
         assert f"residual {report.residuals[-1]:.3e}" in str(info.value)
     else:
-        report = _singular_after_one_step()
+        report = _singular_after_one_step().report
     assert report.converged == (path == "converged")
     assert report.iterations == len(report.increments)
     assert len(report.residuals) == report.iterations + 1
@@ -295,7 +303,7 @@ NEWTON_SOLVES = {
     "solve_root": lambda system, costs, prob, root: solve_root(system, 0.0 * root),
     "solve_penalized": lambda system, costs, prob, root: solve_penalized(prob, root),
     "solve_obstacle": lambda system, costs, prob, root: solve_obstacle(
-        ObstacleProblem(system, [intervention(root, costs, i)[0] for i in range(3)]), root),
+        ObstacleProblem(system, _obstacles(root, costs)[0]), root),
     "apply_Q": lambda system, costs, prob, root: regularize.apply_Q(root, system, costs),
     "apply_T": lambda system, costs, prob, root: regularize.apply_T(root, system, costs, 1.0),
     "apply_Q_rho": lambda system, costs, prob, root: regularize.apply_Q_rho(root, prob),
@@ -328,15 +336,50 @@ def test_each_newton_solve_evaluates_F_once_per_iterate(three_regime, name, monk
     assert counts["evaluate"] == counts["steps"] + 1
 
 
+def _tiny_problem():
+    """d = 2, N = 1: F(u) = u - (0, 2) at zero cost and rho = 1."""
+    return PenalizedProblem(identity_system([[0.0], [2.0]]),
+                            SwitchingCostMatrix.uniform(2, 0.0), 1.0)
+
+
+def _capped_iterate(system, costs, prob, root):
+    with pytest.raises(MaxIterExceeded) as info:
+        solve_penalized(prob, root, NewtonConfig(max_iter=1))
+    return info.value.iterate
+
+
+SOLVER_OUTPUTS = {
+    **{name: lambda *args, solve=solve: solve(*args)[0]
+       for name, solve in NEWTON_SOLVES.items() if name.startswith("solve_")},
+    **{name: solve for name, solve in NEWTON_SOLVES.items() if name.startswith("apply_")},
+    "iterate_to_fixed_point": lambda system, costs, prob, root: regularize.iterate_to_fixed_point(
+        lambda v: regularize.apply_Q(v, system, costs), root, max_sweeps=2)[0],
+    "strict_supersolution": lambda system, costs, prob, root: regularize.strict_supersolution(
+        system, costs, costs.min_cost / 2),
+    "pseudo_time_solve": lambda *_: pseudo_time_solve(_tiny_problem(), tol=1e-10),
+    "active_set_enumerate": lambda *_: active_set_enumerate(_tiny_problem()),
+    "MaxIterExceeded.iterate": _capped_iterate,
+    "SingularSlant.iterate": lambda *_: _singular_after_one_step().iterate,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_OUTPUTS))
+def test_solvers_return_plain_arrays(three_regime, name):
+    _, system, root = three_regime
+    costs = SwitchingCostMatrix.uniform(3, 1 / 16)
+    out = SOLVER_OUTPUTS[name](system, costs, PenalizedProblem(system, costs, 16e3), root)
+    assert type(out) is np.ndarray and out.ndim == 2
+
+
 def test_newton_agrees_with_enumeration():
     rng = np.random.default_rng(67)
     for _ in range(5):
         system = random_affine_system(rng, d=2, n=2)
         prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.1),
                                 rho=float(rng.uniform(0.5, 50.0)))
-        exact = np.asarray(active_set_enumerate(prob))
+        exact = active_set_enumerate(prob)
         u, _ = solve_penalized(prob, np.zeros((2, 2)))
-        assert sup_norm(np.asarray(u) - exact) <= 1e-9
+        assert sup_norm(u - exact) <= 1e-9
 
 
 def test_newton_agrees_with_marching_on_reduced_grid():
@@ -349,5 +392,5 @@ def test_newton_agrees_with_marching_on_reduced_grid():
     root, _ = solve_root(system, np.zeros((2, 20)))
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.125), rho=1e3)
     u, _ = solve_penalized(prob, root)
-    marched = np.asarray(pseudo_time_solve(prob, tol=2e-9))
-    assert sup_norm(np.asarray(u) - marched) <= 1e-7
+    marched = pseudo_time_solve(prob, tol=2e-9)
+    assert sup_norm(u - marched) <= 1e-7

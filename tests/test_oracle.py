@@ -42,7 +42,7 @@ def tiny_problem(rho=1.0):
 
 def test_pseudo_time_tiny_instance():
     # hand-solve: regime-0 penalty active, regime-1 inactive, root (1, 2)
-    u = np.asarray(pseudo_time_solve(tiny_problem(), tol=1e-10))
+    u = pseudo_time_solve(tiny_problem(), tol=1e-10)
     assert np.allclose(u, [[1.0], [2.0]], atol=1e-9)
 
 
@@ -50,7 +50,7 @@ def test_pseudo_time_rho_zero_finds_root():
     rng = np.random.default_rng(41)
     b = rng.uniform(-1.0, 1.0, (2, 3))
     prob = PenalizedProblem(identity_system(b), SwitchingCostMatrix.uniform(2, 1.0), rho=0.0)
-    u = np.asarray(pseudo_time_solve(prob, tol=1e-10))
+    u = pseudo_time_solve(prob, tol=1e-10)
     assert sup_norm(u - b) <= 1e-9
 
 
@@ -59,12 +59,20 @@ def test_pseudo_time_honors_step_budget():
         pseudo_time_solve(tiny_problem(), tol=1e-12, max_steps=3)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_steps": 0}, {"step": 0.0}, {"step": -1.0}, {"step": np.inf}, {"step": np.nan},
+])
+def test_pseudo_time_rejects_an_empty_budget_or_a_bad_step(kwargs):
+    with pytest.raises(ValueError):
+        pseudo_time_solve(tiny_problem(), **kwargs)
+
+
 def test_pseudo_time_halves_oversized_step():
     # step 3 on F(u) = u - b scales the error by -2 every step, so the
     # residual grows strictly until the step is halved into the stable range
     b = np.array([[0.0], [2.0]])
     prob = PenalizedProblem(identity_system(b), SwitchingCostMatrix.uniform(2, 5.0), rho=0.0)
-    u = np.asarray(pseudo_time_solve(prob, step=3.0, tol=1e-9))
+    u = pseudo_time_solve(prob, step=3.0, tol=1e-9)
     assert sup_norm(u - b) <= 1e-8
 
 
@@ -85,12 +93,12 @@ def test_pseudo_time_quadratic_penalty():
         rho=1.0,
         penalty=PenaltyFunction(sigma=0.5),
     )
-    u = np.asarray(pseudo_time_solve(prob, tol=1e-10))
+    u = pseudo_time_solve(prob, tol=1e-10)
     assert np.allclose(u, [[1.0], [2.0]], atol=1e-8)
 
 
 def test_enumerate_tiny_instance():
-    u = np.asarray(active_set_enumerate(tiny_problem()))
+    u = active_set_enumerate(tiny_problem())
     assert np.allclose(u, [[1.0], [2.0]], atol=1e-12)
 
 
@@ -98,7 +106,7 @@ def test_enumerate_huge_cost_gives_root():
     rng = np.random.default_rng(43)
     b = rng.uniform(-1.0, 1.0, (2, 2))
     prob = PenalizedProblem(identity_system(b), SwitchingCostMatrix.uniform(2, 10.0), rho=5.0)
-    u = np.asarray(active_set_enumerate(prob))
+    u = active_set_enumerate(prob)
     assert sup_norm(u - b) <= 1e-12
 
 
@@ -108,8 +116,8 @@ def test_enumerate_agrees_with_marching():
         system = random_affine_system(rng, d=2, n=2)
         prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.1),
                                 rho=float(rng.uniform(0.5, 20.0)))
-        exact = np.asarray(active_set_enumerate(prob))
-        marched = np.asarray(pseudo_time_solve(prob, tol=1e-9))
+        exact = active_set_enumerate(prob)
+        marched = pseudo_time_solve(prob, tol=1e-9)
         assert sup_norm(exact - marched) <= 1e-8
 
 
@@ -134,7 +142,7 @@ def test_enumerate_exact_tie_at_zero():
     matrix = sp.csr_matrix(np.array([[1.0, -0.5], [-0.5, 1.0]]))
     system = AffineSystem(matrix, np.array([[1.0], [1.0]]), gamma=0.5)
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.0), rho=3.0)
-    u = np.asarray(active_set_enumerate(prob))
+    u = active_set_enumerate(prob)
     assert np.allclose(u, 2.0)
 
 
@@ -163,7 +171,7 @@ def test_enumerate_skips_singular_pattern():
     # pattern at the root (0, 0)
     system = AffineSystem(sp.csr_matrix(np.diag([-2.0, 1.0])), np.zeros((2, 1)), gamma=1.0)
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 1.0), rho=2.0)
-    u = np.asarray(active_set_enumerate(prob))
+    u = active_set_enumerate(prob)
     assert np.array_equal(u, np.zeros((2, 1)))
 
 
@@ -173,10 +181,10 @@ def test_enumerate_across_batches_matches_newton():
     rng = np.random.default_rng(59)
     system = random_affine_system(rng, d=2, n=7)
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.1), rho=5.0)
-    exact = np.asarray(active_set_enumerate(prob))
+    exact = active_set_enumerate(prob)
     newton, report = solve_penalized(prob, np.zeros((2, 7)))
     assert report.converged
-    assert sup_norm(exact - np.asarray(newton)) <= 1e-9
+    assert sup_norm(exact - newton) <= 1e-9
 
 
 instances = st.fixed_dictionaries({
@@ -208,10 +216,10 @@ def test_march_residual_matches_core(case, sigma):
 @given(instances)
 def test_enumerate_matches_newton(case):
     prob, _ = random_problem(case)
-    exact = np.asarray(active_set_enumerate(prob))
+    exact = active_set_enumerate(prob)
     newton, report = solve_penalized(prob, np.zeros((case["d"], case["n"])))
     assert report.converged
-    assert sup_norm(exact - np.asarray(newton)) <= 1e-9
+    assert sup_norm(exact - newton) <= 1e-9
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -222,7 +230,6 @@ def test_solutions_increase_with_rho(case):
     previous = None
     for rho in (0.0, 1.0, 10.0, 1e3):
         u, _ = solve_penalized(PenalizedProblem(prob.system, prob.costs, rho), zero)
-        u = np.asarray(u)
         if previous is not None:
             assert np.all(u >= previous - 1e-12)
         previous = u
@@ -239,4 +246,4 @@ def test_comparison_principle(case):
     raised = AffineSystem(system.slant_at(None), b + rng.uniform(0.0, 1.0, b.shape), system.gamma)
     low, _ = solve_penalized(prob, zero)
     high, _ = solve_penalized(PenalizedProblem(raised, prob.costs, prob.rho), zero)
-    assert np.all(np.asarray(high) >= np.asarray(low) - 1e-12)
+    assert np.all(high >= low - 1e-12)

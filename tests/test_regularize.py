@@ -29,7 +29,7 @@ from qvipen import (
     sup_norm,
     zero_cost_gap_bound,
 )
-from qvipen.core import _obstacles, field_values
+from qvipen.core import _obstacles
 from qvipen.pde import PdeParams, RewardFunction, assemble
 from qvipen.testing import random_affine_system
 
@@ -40,7 +40,7 @@ COST = 0.5
 def two_regime():
     system = assemble(PdeParams(d=2, reward=RewardFunction.two_regime()))
     root, _ = solve_root(system, np.zeros((2, 100)))
-    return system, field_values(root)
+    return system, root
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ def q_fixed(two_regime):
     u, sweeps, increments = iterate_to_fixed_point(
         lambda v: apply_Q(v, system, COST), root, tol=1e-10
     )
-    return field_values(u), sweeps, increments
+    return u, sweeps, increments
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +58,8 @@ def penalty_reference(two_regime):
     costs = SwitchingCostMatrix.uniform(2, COST)
     u1, _ = solve_penalized(PenalizedProblem(system, costs, 1e6), root)
     u2, _ = solve_penalized(PenalizedProblem(system, costs, 2e6), root)
-    margin = 2.0 * sup_norm(field_values(u2) - field_values(u1))
-    return field_values(u1), margin
+    margin = 2.0 * sup_norm(u2 - u1)
+    return u1, margin
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +68,9 @@ def small_instance():
     system = random_affine_system(rng, d=2, n=2, gamma=1.0)
     root, _ = solve_root(system, np.zeros((2, 2)))
     u_ref, _, _ = iterate_to_fixed_point(
-        lambda v: apply_Q(v, system, COST), field_values(root), tol=1e-13
+        lambda v: apply_Q(v, system, COST), root, tol=1e-13
     )
-    return system, field_values(root), field_values(u_ref)
+    return system, root, u_ref
 
 
 # ---------------------------------------------------------------- supersolutions
@@ -80,14 +80,14 @@ def test_identity_supersolution_is_kappa_over_gamma():
     # F(u) = u, cost 1, kappa 0.5: the shifted problem's solution is the
     # constant kappa/gamma, reproduced exactly by the penalty path
     system = AffineSystem(sp.identity(6, format="csr"), np.zeros((2, 3)), gamma=1.0)
-    w = field_values(strict_supersolution(system, 1.0, 0.5))
+    w = strict_supersolution(system, 1.0, 0.5)
     assert np.abs(w - 0.5).max() <= 1e-9
 
 
 def test_supersolution_residual_pinned_at_kappa(two_regime, q_fixed):
     system, _ = two_regime
     kappa = 0.25
-    w = field_values(strict_supersolution(system, COST, kappa))
+    w = strict_supersolution(system, COST, kappa)
     defect = sup_norm(qvi_residual(w, system, COST) - kappa)
     assert defect <= 10.0 * kappa * 1e-3
     assert sup_norm(w) <= (system.norm_F0 + kappa) / system.gamma
@@ -106,7 +106,7 @@ def test_supersolution_rejects_kappa_outside_cost_range(two_regime):
 def test_supersolution_approaches_solution_linearly_in_kappa(small_instance):
     system, _, u_ref = small_instance
     for kappa in (1e-2, 1e-3):
-        w = field_values(strict_supersolution(system, COST, kappa))
+        w = strict_supersolution(system, COST, kappa)
         assert (w - u_ref).min() >= -1e-8
         # observed distance ~0.99*kappa/gamma; the 2*kappa/gamma cap is safe
         assert sup_norm(w - u_ref) <= 2.0 * kappa / system.gamma
@@ -135,7 +135,7 @@ def test_q_fixed_point_is_feasible(two_regime, q_fixed):
 
 def test_q_sweeps_increase_and_contract(two_regime, q_fixed):
     system, root = two_regime
-    u1 = field_values(apply_Q(root, system, COST))
+    u1 = apply_Q(root, system, COST)
     assert (u1 - root).min() >= -1e-12
     assert sup_norm(q_fixed[0]) <= system.norm_F0 / system.gamma + 1e-12
     constants = ErrorConstants.for_system(system, COST)  # kappa defaults to c/2
@@ -154,8 +154,8 @@ def test_q_sweep_is_monotone_in_data(small_instance):
     for _ in range(10):
         v = root + rng.uniform(-1.0, 1.0, root.shape)
         u = v + rng.uniform(0.0, 1.0, root.shape)
-        qu = field_values(apply_Q(u, system, COST))
-        qv = field_values(apply_Q(v, system, COST))
+        qu = apply_Q(u, system, COST)
+        qv = apply_Q(v, system, COST)
         assert (qu - qv).min() >= -1e-8
 
 
@@ -168,10 +168,16 @@ def test_q_error_formula_dominates_observed_gap(two_regime, penalty_reference):
     for n in range(31):
         bound = constants.L_kappa * (1.0 - constants.mu) ** n / constants.mu
         assert (u_exact - u).max() <= bound + 1e-6
-        u = field_values(apply_Q(u, system, COST))
+        u = apply_Q(u, system, COST)
 
 
 # ------------------------------------------------------------ obstacle sweeps T
+
+
+def test_fixed_point_stops_at_a_non_finite_sweep():
+    with pytest.raises(ValueError, match="sweep 2 returned non-finite"):
+        iterate_to_fixed_point(lambda u: u + 1.0 if u.max() < 1.0 else u * np.nan,
+                               np.zeros((2, 3)))
 
 
 def test_t_fixed_point_matches_q(two_regime, q_fixed):
@@ -182,14 +188,14 @@ def test_t_fixed_point_matches_q(two_regime, q_fixed):
         u_t, _, _ = iterate_to_fixed_point(
             lambda v: apply_T(v, system, COST, 1.0), root, tol=1e-10
         )
-    assert sup_norm(field_values(u_t) - q_fixed[0]) <= 1e-8
+    assert sup_norm(u_t - q_fixed[0]) <= 1e-8
 
 
 def test_t_large_epsilon_pins_feasible_start():
     # F(v) = v + 1 > 0 near zero and the zero field is strictly feasible at
     # cost 1, so a huge anchor weight keeps the sweep at the start
     system = AffineSystem(sp.identity(4, format="csr"), -np.ones((2, 2)), gamma=1.0)
-    t_u = field_values(apply_T(np.zeros((2, 2)), system, 1.0, 1e6))
+    t_u = apply_T(np.zeros((2, 2)), system, 1.0, 1e6)
     assert np.abs(t_u).max() <= 1e-4
 
 
@@ -219,7 +225,7 @@ def test_t_rejects_nonpositive_epsilon(two_regime):
 def test_q_rho_zero_weight_returns_root(two_regime):
     system, root = two_regime
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, COST), 0.0)
-    out = field_values(apply_Q_rho(np.ones((2, 100)), prob))
+    out = apply_Q_rho(np.ones((2, 100)), prob)
     assert sup_norm(out - root) <= 1e-9
 
 
@@ -230,8 +236,8 @@ def test_q_rho_is_nonexpansive(small_instance):
     for _ in range(100):
         a = rng.uniform(-2.0, 2.0, (2, 2))
         b = a + rng.uniform(-1.0, 1.0, (2, 2))
-        qa = field_values(apply_Q_rho(a, prob))
-        qb = field_values(apply_Q_rho(b, prob))
+        qa = apply_Q_rho(a, prob)
+        qb = apply_Q_rho(b, prob)
         assert sup_norm(qa - qb) <= sup_norm(a - b) * (1.0 + 1e-10)
 
 
@@ -239,10 +245,9 @@ def test_q_rho_sweeps_converge_from_below(two_regime):
     system, root = two_regime
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, COST), 1e3)
     u_rho, _ = solve_penalized(prob, root)
-    u_rho = field_values(u_rho)
     u = root.copy()
     for _ in range(60):
-        u = field_values(apply_Q_rho(u, prob))
+        u = apply_Q_rho(u, prob)
         assert (u - u_rho).max() <= 1e-8
         if sup_norm(u - u_rho) <= 1e-6:
             break
@@ -256,7 +261,7 @@ def test_t_rho_fixed_point_matches_penalty_solution(two_regime):
     u_t, _, _ = iterate_to_fixed_point(
         lambda v: apply_T_rho(v, prob, 1.0), root, tol=1e-6
     )
-    assert sup_norm(field_values(u_t) - field_values(u_rho)) <= 1e-5
+    assert sup_norm(u_t - u_rho) <= 1e-5
 
 
 def test_penalized_sweeps_reject_quadratic_penalty(two_regime):
@@ -390,7 +395,7 @@ def test_penalty_error_bound_dominates_observed(two_regime, penalty_reference, q
     cons = ErrorConstants.for_system(system, COST)
     costs = SwitchingCostMatrix.uniform(2, COST)
     u_rho, _ = solve_penalized(PenalizedProblem(system, costs, 1e3), root)
-    observed = sup_norm(q_fixed[0] - field_values(u_rho))
+    observed = sup_norm(q_fixed[0] - u_rho)
     bounds = [penalty_error_bound(cons, rho) for rho in (1e3, 2e3, 4e3, 8e3)]
     assert bounds[0] >= observed
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
@@ -404,8 +409,8 @@ def test_q_and_penalized_q_drift_apart_linearly(small_instance):
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, COST), 100.0)
     u_q, u_qr = root.copy(), root.copy()
     for n in range(1, 11):
-        u_q = field_values(apply_Q(u_q, system, COST))
-        u_qr = field_values(apply_Q_rho(u_qr, prob))
+        u_q = apply_Q(u_q, system, COST)
+        u_qr = apply_Q_rho(u_qr, prob)
         assert sup_norm(u_q - u_qr) <= cons.C / 100.0 * n + 1e-6
 
 
@@ -491,7 +496,7 @@ def test_hjb_gap_shrinks_linearly_in_cost(two_regime):
     for c in costs:
         prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, c), 32e3)
         u_c, _ = solve_penalized(prob, root)
-        gaps.append(sup_norm(u_hjb - field_values(u_c)))
+        gaps.append(sup_norm(u_hjb - u_c))
     slope = sum(g * c for g, c in zip(gaps, costs)) / sum(c * c for c in costs)
     assert slope > 0.0
     for g, c in zip(gaps, costs):
