@@ -135,7 +135,8 @@ class PenaltyFunction:
             raise ValueError(f"penalty degree must be positive, got {self.sigma}")
 
     def __call__(self, y):
-        return np.maximum(np.asarray(y, dtype=float), 0.0) ** (1.0 / self.sigma)
+        clamped = np.maximum(np.asarray(y, dtype=float), 0.0)
+        return clamped if self.sigma == 1.0 else clamped ** (1.0 / self.sigma)
 
 
 @dataclass(frozen=True)

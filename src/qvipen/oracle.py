@@ -1,8 +1,9 @@
 """Slow, simple ground-truth solvers used to cross-check the Newton path.
 
-Two routes: explicit pseudo-time marching (works for any penalty degree), and
-exhaustive active-set enumeration (exact, affine degree-1 instances at desk
-scale only). Both build their penalty terms rho * pi(u^j - c[i, j] - u^i)
+Two routes: explicit pseudo-time marching (any penalty degree), and
+exhaustive active-set enumeration (degree 1, desk scale only). Both need an
+affine system F(u) = A vec(u) - b and read the dense A and b = -F(0) from one
+helper. Both build their penalty terms rho * pi(u^j - c[i, j] - u^i)
 straight from that definition, as small dense operators over the d(d-1)
 ordered regime pairs, and share no code with the residual or slant in `core`
 that they are checking; from `core` they take only the problem type.
@@ -10,15 +11,19 @@ that they are checking; from `core` they take only the problem type.
 The march needs about (max diag + rho(d-1)) / gamma * ln(res0 / tol) steps:
 the step is capped by the largest slant row, and each step shrinks the error
 by about gamma times the step. That count is a property of the instance, so
-only the cost of one step can be cut, and one step is one evaluation of F
-plus two small matrix products. A per-row (Jacobi) step does not lower the
-count either: at rho = 1e3 the term rho(d-1) dominates every row's diagonal,
-so such a step saves at most 0.2% of the steps on verify-style random
-instances and 1.5% on the N = 20 two-regime grid.
+only the cost of one step can be cut. One step is two small dense products
+and a clamp: K = [A | -b; D x I_N | -c], built once per solve, maps
+y = [vec(u), 1] to F(u) above the penalty arguments; the penalty rows are
+clamped at 0 (and raised to 1/sigma), and [I | -S x I_N] folds them into
+G(u). A per-row (Jacobi) step does not lower the count: at rho = 1e3 the
+term rho(d-1) dominates every row's diagonal, so such a step saves at most
+0.2% of the steps on verify-style random instances and 1.5% on the N = 20
+two-regime grid.
 """
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -65,6 +70,17 @@ def _pairs(d: int):
     return np.nonzero(~np.eye(d, dtype=bool))
 
 
+def _affine_operators(system):
+    """(A, b): the dense slant and the right-hand side of F(u) = A vec(u) - b.
+
+    b is -F(0), so a shifted system's shift is carried in b.
+    """
+    if not system.is_affine:
+        raise ValueError("the oracles require an affine system")
+    zero = np.zeros((system.d, system.N))
+    return np.asarray(system.slant_at(zero).todense()), -system.evaluate(zero).ravel()
+
+
 def _penalty_operators(prob: PenalizedProblem):
     """(D, c, S): the penalty is S @ pi(D @ u - c), one row of D and c per pair.
 
@@ -79,19 +95,46 @@ def _penalty_operators(prob: PenalizedProblem):
     diff[k, i] = -1.0
     scatter = np.zeros((prob.system.d, k.size))
     scatter[i, k] = prob.rho
-    return diff, prob.costs.costs[i, j][:, None], scatter
+    return diff, prob.costs.costs[i, j], scatter
 
 
-def _residual(prob: PenalizedProblem, u: np.ndarray, ops=None) -> np.ndarray:
-    """F(u) minus the penalty; ``ops`` are the operators of _penalty_operators."""
-    f = prob.system.evaluate(u)
-    if prob.rho == 0.0:
-        return f
-    diff, cost, scatter = _penalty_operators(prob) if ops is None else ops
-    terms = np.maximum(diff @ u - cost, 0.0)
-    if prob.penalty.sigma != 1.0:
-        terms **= 1.0 / prob.penalty.sigma
-    return f - scatter @ terms
+def _march_operators(prob: PenalizedProblem):
+    """(K, floor, R): G(u) = R @ pi_floor(K @ [vec(u), 1]).
+
+    K stacks [A | -b] above [D x I_N | -c], so K @ y holds F(u) and then the
+    penalty argument of each (pair, node). Clamping at ``floor`` (-inf on the
+    F rows, 0 on the penalty rows) and raising the penalty rows to 1/sigma
+    gives pi, and R = [I | -S x I_N] subtracts rho times each term from its
+    regime's F row.
+    """
+    a, b = _affine_operators(prob.system)
+    diff, cost, scatter = _penalty_operators(prob)
+    eye = np.eye(prob.system.N)
+    lift = np.block([
+        [a, -b[:, None]],
+        [np.kron(diff, eye), -np.repeat(cost, eye.shape[0])[:, None]],
+    ])
+    floor = np.zeros(lift.shape[0])
+    floor[: a.shape[0]] = -np.inf
+    reduce = np.hstack([np.eye(a.shape[0]), -np.kron(scatter, eye)])
+    return lift, floor, reduce
+
+
+def _march_residual(ops, y: np.ndarray, power: float) -> np.ndarray:
+    """G(u) at y = [vec(u), 1], with pi(t) = max(t, 0) ** power."""
+    lift, floor, reduce = ops
+    z = lift @ y
+    np.maximum(z, floor, out=z)
+    if power != 1.0:
+        z[reduce.shape[0]:] **= power
+    return reduce @ z
+
+
+def _residual(prob: PenalizedProblem, u: np.ndarray) -> np.ndarray:
+    """F(u) minus the penalty, computed as one step of the march computes it."""
+    y = np.append(np.asarray(u, dtype=float).ravel(), 1.0)
+    g = _march_residual(_march_operators(prob), y, 1.0 / prob.penalty.sigma)
+    return g.reshape(prob.system.d, prob.system.N)
 
 
 def pseudo_time_solve(
@@ -105,17 +148,25 @@ def pseudo_time_solve(
     The default step 0.9 / (max slant diagonal + rho*(d-1)) makes the update a
     contraction on the assembled systems. A non-finite residual, or one that
     grows for 100 steps in a row, halves the step and restarts the march from
-    zero; ten halvings without recovery is a failure.
+    zero; ten halvings without recovery is a failure. The system must be
+    affine.
     """
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+    if not isinstance(max_steps, numbers.Integral) or max_steps < 1:
+        raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
     if step is not None and not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     d, n = prob.system.d, prob.system.N
-    ops = _penalty_operators(prob)
-    u = np.zeros((d, n))
+    ops = _march_operators(prob)
+    power = 1.0 / prob.penalty.sigma
+    # y = [vec(u), 1]; u is a view, updated in place
+    y = np.zeros(d * n + 1)
+    y[-1] = 1.0
+    u = y[:-1]
     if step is None:
-        diag = float(np.max(np.abs(prob.system.slant_at(u).diagonal())))
+        # the first d*n entries of K's diagonal are A's
+        diag = float(np.abs(ops[0].diagonal()[: d * n]).max())
         step = 0.9 / (diag + prob.rho * (d - 1))
     delta = float(step)
     halvings = 0
@@ -124,10 +175,10 @@ def pseudo_time_solve(
     # overflow on a divergent trajectory is an anticipated signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_steps):
-            g = _residual(prob, u, ops)
+            g = _march_residual(ops, y, power)
             res = float(np.abs(g).max())
             if res <= tol:
-                return u
+                return u.reshape(d, n)
             if not math.isfinite(res):
                 growth = 100
             elif res > prev:
@@ -143,10 +194,11 @@ def pseudo_time_solve(
                 delta *= 0.5
                 growth = 0
                 prev = math.inf
-                u = np.zeros((d, n))
+                u[:] = 0.0
                 continue
             prev = res
-            u -= delta * g
+            g *= delta
+            u -= g
     raise MaxStepsExceeded(f"residual {res:.3e} > {tol:.3e} after {max_steps} steps")
 
 
@@ -160,8 +212,6 @@ def active_set_enumerate(prob: PenalizedProblem) -> np.ndarray:
     exactly singular pattern matrix is skipped.
     """
     system = prob.system
-    if not system.is_affine:
-        raise ValueError("enumeration requires an affine system")
     if prob.penalty.sigma != 1.0:
         raise ValueError(
             f"enumeration supports penalty degree 1 only, got sigma={prob.penalty.sigma}"
@@ -185,9 +235,7 @@ def active_set_enumerate(prob: PenalizedProblem) -> np.ndarray:
     lift = lift.reshape(bits, size * size)
     shift = np.zeros((bits, size))
     shift[t, row] = -prob.rho * cost
-    zero = np.zeros((d, n))
-    a = np.asarray(system.slant_at(zero).todense())
-    b = -system.evaluate(zero).ravel()
+    a, b = _affine_operators(system)
     hits = []
     for start in range(0, 1 << bits, _CHUNK):
         patterns = np.arange(start, min(start + _CHUNK, 1 << bits))

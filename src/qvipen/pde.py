@@ -37,13 +37,20 @@ class RewardFunction:
     pieces: tuple = ()
 
     def __post_init__(self) -> None:
-        pieces = tuple(tuple(map(float, p)) for p in self.pieces)
-        for k, p in enumerate(pieces):
-            if len(p) != 4 or not np.all(np.isfinite(p)) or not p[0] < p[1]:
+        pieces = []
+        for k, raw in enumerate(self.pieces):
+            try:
+                p = tuple(map(float, raw))
+                ok = len(p) == 4 and np.all(np.isfinite(p)) and p[0] < p[1]
+            except (TypeError, ValueError):
+                p, ok = raw, False
+            if not ok:
                 raise ValueError(
-                    f"reward piece {k} is {p}: need four finite numbers "
+                    f"reward piece {k} is {p!r}: need four finite numbers "
                     "(lo, hi, slope, intercept) with lo < hi"
                 )
+            pieces.append(p)
+        pieces = tuple(pieces)
         ordered = sorted(pieces)
         for a, b in zip(ordered, ordered[1:]):
             if b[0] < a[1]:

@@ -9,6 +9,7 @@ from qvipen.core import (
     AffineSystem,
     PenalizedProblem,
     PenaltyFunction,
+    ShiftedSystem,
     SwitchingCostMatrix,
     penalized_residual,
     sup_norm,
@@ -24,6 +25,7 @@ from qvipen.oracle import (
 )
 from qvipen.oracle import _residual as oracle_residual
 from qvipen.testing import random_affine_system
+from test_band import NoBand
 
 
 def identity_system(b):
@@ -61,10 +63,39 @@ def test_pseudo_time_honors_step_budget():
 
 @pytest.mark.parametrize("kwargs", [
     {"max_steps": 0}, {"step": 0.0}, {"step": -1.0}, {"step": np.inf}, {"step": np.nan},
+    {"max_steps": 1e3}, {"tol": 0.0}, {"tol": -1.0}, {"tol": np.inf}, {"tol": np.nan},
 ])
 def test_pseudo_time_rejects_an_empty_budget_or_a_bad_step(kwargs):
-    with pytest.raises(ValueError):
+    # a NaN or negative tol used to spend the whole step budget, and a float
+    # max_steps failed with a TypeError from range
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
         pseudo_time_solve(tiny_problem(), **kwargs)
+
+
+@pytest.mark.parametrize("oracle", [pseudo_time_solve, active_set_enumerate])
+def test_oracles_require_an_affine_system(oracle):
+    prob = tiny_problem()
+    # NoBand keeps the map and slant but drops the affine flag
+    opaque = PenalizedProblem(NoBand(prob.system), prob.costs, prob.rho)
+    with pytest.raises(ValueError, match="affine"):
+        oracle(opaque)
+
+
+def test_march_carries_a_shift():
+    # b = -F(0) holds the shift, so the march and its residual see F - shift
+    rng = np.random.default_rng(61)
+    base = random_affine_system(rng, d=3, n=2)
+    costs = SwitchingCostMatrix.uniform(3, 0.1)
+    prob = PenalizedProblem(ShiftedSystem(base, 0.3), costs, rho=10.0)
+    u = rng.uniform(-2.0, 2.0, (3, 2))
+    assert sup_norm(oracle_residual(prob, u) - penalized_residual(u, prob)) <= 1e-12
+    marched = pseudo_time_solve(prob, tol=1e-10)
+    newton, report = solve_penalized(prob, np.zeros((3, 2)))
+    assert report.converged
+    assert sup_norm(marched - newton) <= 1e-9
+    unshifted, _ = solve_penalized(PenalizedProblem(base, costs, rho=10.0), np.zeros((3, 2)))
+    assert sup_norm(marched - unshifted) > 1e-3
 
 
 def test_pseudo_time_halves_oversized_step():
@@ -74,6 +105,14 @@ def test_pseudo_time_halves_oversized_step():
     prob = PenalizedProblem(identity_system(b), SwitchingCostMatrix.uniform(2, 5.0), rho=0.0)
     u = pseudo_time_solve(prob, step=3.0, tol=1e-9)
     assert sup_norm(u - b) <= 1e-8
+
+
+def test_pseudo_time_restart_resets_the_iterate_in_place():
+    # step 3 is halved twice before the penalized march contracts; each
+    # restart zeroes the iterate the march updates in place
+    u = pseudo_time_solve(tiny_problem(), step=3.0, tol=1e-10)
+    assert np.allclose(u, [[1.0], [2.0]], atol=1e-9)
+    assert np.array_equal(u, pseudo_time_solve(tiny_problem(), step=0.75, tol=1e-10))
 
 
 def test_pseudo_time_divergence_reported():
