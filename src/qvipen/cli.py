@@ -12,7 +12,14 @@ import dataclasses
 import json
 import sys
 
-from .experiments import ExperimentConfig, extract_regions, run_table, verify, write_table
+from .experiments import (
+    ExperimentConfig,
+    _check_region_inputs,
+    extract_regions,
+    run_table,
+    verify,
+    write_table,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -44,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("table", "hjb"):
             cmd.add_argument("--format", choices=("csv", "json"), help="output format")
         cmd.add_argument("--rho", type=_float_list, help="comma-separated weights")
-        cmd.add_argument("--cost", type=_float_list, help="comma-separated costs")
+        if name != "hjb":  # hjb always runs the cost-0 row
+            cmd.add_argument("--cost", type=_float_list, help="comma-separated costs")
         cmd.add_argument("--tol", type=float, help="Newton increment tolerance")
     return parser
 
@@ -61,7 +69,7 @@ def _load_config(args) -> ExperimentConfig:
         mapping["case"] = args.case
     if args.rho is not None:
         mapping["rho_list"] = args.rho
-    if args.cost is not None:
+    if getattr(args, "cost", None) is not None:
         mapping["cost_list"] = args.cost
     if getattr(args, "format", None):
         mapping["format"] = args.format
@@ -131,6 +139,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
+        if args.command == "regions":
+            _check_region_inputs(config.cost_list[0], config.rho_list[0])
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"qvipen: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,6 @@ operation and solver; :func:`field_values` is the one shape check on input.
 """
 from __future__ import annotations
 
-import abc
 import functools
 from dataclasses import dataclass, field
 
@@ -21,9 +20,7 @@ __all__ = [
     "SwitchingCostMatrix",
     "PenaltyFunction",
     "NodeBand",
-    "MonotoneSystem",
     "AffineSystem",
-    "ShiftedSystem",
     "PenalizedProblem",
     "SolveReport",
     "sup_norm",
@@ -200,147 +197,63 @@ def _node_major(d: int, n: int) -> np.ndarray:
     return np.arange(d * n).reshape(n, d).T.ravel()
 
 
-class MonotoneSystem(abc.ABC):
-    """A monotone map F on d-regime fields.
+class AffineSystem:
+    """The model F(u) = A vec(u) - b, with vec regime-major (index i*N + l).
 
-    Implementors supply the dimensions, the monotonicity constant gamma (the
-    linear growth rate of F at argmax components, property-tested rather than
-    inferred), the map itself, and a slanting operator in regime-major flat
-    ordering (index i*N + l) used by the Newton solver.
-
-    The Newton drivers assemble and solve every slant as the node-major
-    :class:`NodeBand` that ``band_at`` returns. By default it converts
-    ``slant_at(u)`` on every call; a system whose slant is constant can
-    override it to return a cached band.
+    ``matrix`` is A as CSR and ``rhs`` is b as a flat vector, both copied,
+    read-only and finite; ``gamma`` is the monotonicity constant, the linear
+    growth rate of F at argmax components (property-tested rather than
+    inferred). ``band`` is A as a node-major :class:`NodeBand`, built once;
+    the Newton drivers build every slant on it.
     """
-
-    @property
-    @abc.abstractmethod
-    def d(self) -> int: ...
-
-    @property
-    @abc.abstractmethod
-    def N(self) -> int: ...
-
-    @property
-    @abc.abstractmethod
-    def gamma(self) -> float: ...
-
-    @abc.abstractmethod
-    def evaluate(self, u) -> np.ndarray:
-        """F(u) as a (d, N) array."""
-
-    @abc.abstractmethod
-    def slant_at(self, u) -> sp.spmatrix:
-        """A generalized derivative of F at u, shape (d*N, d*N)."""
-
-    def band_at(self, u) -> NodeBand:
-        """``slant_at(u)`` as a NodeBand; callers must not write to it."""
-        return NodeBand.from_matrix(self.slant_at(u), self.d)
-
-    @property
-    def is_affine(self) -> bool:
-        return False
-
-    @property
-    def norm_F0(self) -> float:
-        """Cached sup-norm of F(0)."""
-        cached = self.__dict__.get("_norm_F0")
-        if cached is None:
-            cached = sup_norm(self.evaluate(np.zeros((self.d, self.N))))
-            self.__dict__["_norm_F0"] = cached
-        return cached
-
-
-class AffineSystem(MonotoneSystem):
-    """F(u) = A vec(u) - b with constant slant A; vec is regime-major."""
 
     def __init__(self, matrix, rhs, gamma: float):
         b = field_values(rhs)
-        self._d, self._n = b.shape
-        if self._d < 2 or self._n < 1:
+        d, n = b.shape
+        if d < 2 or n < 1:
             raise ValueError(f"need at least two regimes and one grid node, got shape {b.shape}")
-        a = sp.csr_matrix(matrix, dtype=float)
-        size = self._d * self._n
-        if a.shape != (size, size):
-            raise ValueError(f"matrix shape {a.shape} does not match field size {size}")
+        a = sp.csr_matrix(matrix, dtype=float, copy=True)
+        if a.shape != (d * n, d * n):
+            raise ValueError(f"matrix shape {a.shape} does not match field size {d * n}")
         if not (np.isfinite(gamma) and gamma > 0):
             raise ValueError(f"gamma must be positive, got {gamma}")
-        self._matrix = a
-        self._rhs = b.ravel().copy()
-        self._gamma = float(gamma)
-
-    @property
-    def d(self) -> int:
-        return self._d
-
-    @property
-    def N(self) -> int:
-        return self._n
-
-    @property
-    def gamma(self) -> float:
-        return self._gamma
-
-    @property
-    def is_affine(self) -> bool:
-        return True
+        # canonical now: scipy would otherwise sort and merge entries in
+        # place later, which the read-only arrays below refuse
+        a.sum_duplicates()
+        for name, values in (("matrix", a.data), ("rhs", b)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} contains non-finite entries")
+        for array in (a.data, a.indices, a.indptr):
+            array.setflags(write=False)
+        self.d, self.N = d, n
+        self.gamma = float(gamma)
+        self.matrix = a
+        self.rhs = b.flatten()
+        self.rhs.setflags(write=False)
 
     def evaluate(self, u) -> np.ndarray:
-        v = field_values(u, self._d, self._n)
-        return (self._matrix @ v.ravel() - self._rhs).reshape(self._d, self._n)
-
-    def slant_at(self, u) -> sp.csr_matrix:
-        return self._matrix
-
-    def band_at(self, u) -> NodeBand:
-        return self._band
+        """F(u) as a (d, N) array."""
+        v = field_values(u, self.d, self.N)
+        return (self.matrix @ v.ravel() - self.rhs).reshape(self.d, self.N)
 
     @functools.cached_property
-    def _band(self) -> NodeBand:
-        band = NodeBand.from_matrix(self._matrix, self._d)
+    def norm_F0(self) -> float:
+        """Sup-norm of F(0) = -b."""
+        return sup_norm(self.rhs)
+
+    @functools.cached_property
+    def band(self) -> NodeBand:
+        """A as a read-only node-major NodeBand."""
+        band = NodeBand.from_matrix(self.matrix, self.d)
         band.ab.setflags(write=False)
         return band
-
-
-class ShiftedSystem(MonotoneSystem):
-    """The base system with a constant subtracted: F(u) - shift."""
-
-    def __init__(self, base: MonotoneSystem, shift: float):
-        self._base = base
-        self._shift = float(shift)
-
-    @property
-    def d(self) -> int:
-        return self._base.d
-
-    @property
-    def N(self) -> int:
-        return self._base.N
-
-    @property
-    def gamma(self) -> float:
-        return self._base.gamma
-
-    @property
-    def is_affine(self) -> bool:
-        return self._base.is_affine
-
-    def evaluate(self, u) -> np.ndarray:
-        return self._base.evaluate(u) - self._shift
-
-    def slant_at(self, u) -> sp.spmatrix:
-        return self._base.slant_at(u)
-
-    def band_at(self, u) -> NodeBand:
-        return self._base.band_at(u)
 
 
 @dataclass(frozen=True)
 class PenalizedProblem:
     """A system together with switching costs, penalty weight, and penalty family."""
 
-    system: MonotoneSystem
+    system: AffineSystem
     costs: SwitchingCostMatrix
     rho: float
     penalty: PenaltyFunction = field(default_factory=PenaltyFunction)
@@ -375,7 +288,7 @@ class SolveReport:
         return len(self.increments)
 
 
-def a_priori_bound(system: MonotoneSystem) -> float:
+def a_priori_bound(system: AffineSystem) -> float:
     """The uniform solution bound ||F(0)|| / gamma."""
     return system.norm_F0 / system.gamma
 
@@ -387,7 +300,7 @@ def _obstacles(v: np.ndarray, costs: SwitchingCostMatrix):
     return cand.max(axis=1), cand.argmax(axis=1)
 
 
-def qvi_residual(u, system: MonotoneSystem, costs) -> np.ndarray:
+def qvi_residual(u, system: AffineSystem, costs) -> np.ndarray:
     """min(F_i(u), u^i - M_i u) per regime and node.
 
     Only defined for strictly positive switching costs; the zero-cost problem
@@ -427,15 +340,15 @@ def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
     return _penalized(u, prob)[0]
 
 
-def slant_band(system: MonotoneSystem, u, keep=None, coupling=None) -> NodeBand:
-    """The slant diag(keep) A + C, where A is the system's band at u.
+def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
+    """The slant diag(keep) A + C, where A is the system's band.
 
     ``keep`` is a (d, N) mask of the rows of A to keep (all when None), and
     the (d, d, N) array ``coupling`` puts C[i, j, l] at row (i, l), column
     (j, l), coupling the components of one node. Returns a fresh NodeBand.
     """
     d, n = system.d, system.N
-    base = system.band_at(u)
+    base = system.band
     ab = base.ab
     if keep is not None:
         # band entry [r, q] lies on node-major row q + r - ku
@@ -463,4 +376,4 @@ def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:
     """The penalized slant as regime-major CSR; degree-1 penalty only."""
     _require_degree_one(prob)
     v = field_values(u, prob.system.d, prob.system.N)
-    return slant_band(prob.system, v, coupling=_penalized(v, prob)[1]).tocsr()
+    return slant_band(prob.system, coupling=_penalized(v, prob)[1]).tocsr()

@@ -285,6 +285,14 @@ def _binding_sets(u, costs, tol, signed):
     return [tuple(int(l) for l in np.nonzero(mask)[0]) for mask in masks]
 
 
+def _check_region_inputs(cost: float, rho: float) -> None:
+    """Reject a cost and weight :func:`extract_regions` cannot use."""
+    if cost <= 0:
+        raise ValueError(f"region extraction needs a positive switching cost, got {cost}")
+    if rho <= 1.0:
+        raise ValueError(f"rho must exceed 1 for the ln(rho) threshold, got {rho}")
+
+
 def extract_regions(config: ExperimentConfig, rho: float) -> RegionReport:
     """Compare estimated switching regions at weight rho with exact ones.
 
@@ -295,10 +303,7 @@ def extract_regions(config: ExperimentConfig, rho: float) -> RegionReport:
     4*rho*||u^{2 rho} - u^{rho}||/ln(rho).
     """
     cost = config.cost_list[0]
-    if cost <= 0:
-        raise ValueError("region extraction needs a positive switching cost")
-    if rho <= 1.0:
-        raise ValueError(f"rho must exceed 1 for the ln(rho) threshold, got {rho}")
+    _check_region_inputs(cost, rho)
     params = config.pde_params()
     system = assemble(params)
     cfg = config.newton

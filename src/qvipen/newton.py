@@ -2,11 +2,11 @@
 
 Every Newton problem is one function ``linearize(u) -> (G(u), keep,
 coupling)``: the residual at u and the slant of G at the same point,
-diag(keep) F'(u) + C, in the terms of :func:`qvipen.core.slant_band` (``keep``
-a (d, N) row mask of F's slant, None for all rows; ``coupling`` the (d, d, N)
-per-node block C, None for none). :func:`_newton` calls it once per iterate,
-so F and the obstacle are evaluated once per iterate, and builds the band
-only for a step it takes.
+diag(keep) A + C, in the terms of :func:`qvipen.core.slant_band` (``keep``
+a (d, N) row mask of the system matrix A, None for all rows; ``coupling``
+the (d, d, N) per-node block C, None for none). :func:`_newton` calls it
+once per iterate, so F and the obstacle are evaluated once per iterate, and
+builds the band only for a step it takes.
 
 The iteration is plain undamped Newton on a piecewise-differentiable residual:
 solve L[u_k] delta = -G(u_k), update, repeat. L is solved by a direct call to
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .core import (
-    MonotoneSystem,
+    AffineSystem,
     NodeBand,
     PenalizedProblem,
     SolveReport,
@@ -42,7 +42,6 @@ from .core import (
 
 __all__ = [
     "NewtonConfig",
-    "ObstacleProblem",
     "SingularSlant",
     "MaxIterExceeded",
     "linear_solve",
@@ -67,18 +66,6 @@ class NewtonConfig:
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-
-
-@dataclass(frozen=True)
-class ObstacleProblem:
-    """min(F(v), v - psi) = 0 with a fixed per-regime obstacle psi."""
-
-    system: MonotoneSystem
-    psi: np.ndarray
-
-    def __post_init__(self) -> None:
-        psi = field_values(self.psi, self.system.d, self.system.N)
-        object.__setattr__(self, "psi", psi)
 
 
 class SingularSlant(Exception):
@@ -128,7 +115,7 @@ def linear_solve(op: NodeBand, rhs: np.ndarray) -> np.ndarray:
     return x.reshape(-1, op.d).T.ravel()
 
 
-def _newton(system: MonotoneSystem, linearize, initial, cfg: NewtonConfig | None = None):
+def _newton(system: AffineSystem, linearize, initial, cfg: NewtonConfig | None = None):
     cfg = cfg or NewtonConfig()
     u = field_values(initial, system.d, system.N).copy()
     if not np.all(np.isfinite(u)):
@@ -140,7 +127,7 @@ def _newton(system: MonotoneSystem, linearize, initial, cfg: NewtonConfig | None
     converged = False
     for _ in range(cfg.max_iter):
         try:
-            slant = slant_band(system, u, keep, coupling)
+            slant = slant_band(system, keep, coupling)
             delta = linear_solve(slant, -g.ravel()).reshape(u.shape)
         except SingularSlant as exc:
             exc.iterate = u
@@ -172,8 +159,8 @@ def _min_rows(f: np.ndarray, constraint: np.ndarray, coupling: np.ndarray):
     return np.minimum(f, constraint), keep, np.where(keep[:, None], 0.0, coupling)
 
 
-def solve_root(system: MonotoneSystem, initial, cfg: NewtonConfig | None = None):
-    """Solve F(u) = 0; one exact step plus a confirming one when F is affine."""
+def solve_root(system: AffineSystem, initial, cfg: NewtonConfig | None = None):
+    """Solve F(u) = 0: one exact step plus a confirming one."""
     return _newton(system, lambda u: (system.evaluate(u), None, None), initial, cfg)
 
 
@@ -188,13 +175,13 @@ def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = 
     return _newton(prob.system, linearize, initial, cfg)
 
 
-def solve_obstacle(prob: ObstacleProblem, initial, cfg: NewtonConfig | None = None):
-    """Solve min(F(v), v - psi) = 0 for fixed psi."""
-    system = prob.system
+def solve_obstacle(system: AffineSystem, psi, initial, cfg: NewtonConfig | None = None):
+    """Solve min(F(v), v - psi) = 0 for a fixed (d, N) obstacle psi."""
+    psi = field_values(psi, system.d, system.N)
     identity = _diagonal_block(system.d)
     return _newton(
         system,
-        lambda u: _min_rows(system.evaluate(u), u - prob.psi, identity),
+        lambda u: _min_rows(system.evaluate(u), u - psi, identity),
         initial,
         cfg,
     )

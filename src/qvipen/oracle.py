@@ -1,12 +1,12 @@
 """Slow, simple ground-truth solvers used to cross-check the Newton path.
 
 Two routes: explicit pseudo-time marching (any penalty degree), and
-exhaustive active-set enumeration (degree 1, desk scale only). Both need an
-affine system F(u) = A vec(u) - b and read the dense A and b = -F(0) from one
-helper. Both build their penalty terms rho * pi(u^j - c[i, j] - u^i)
-straight from that definition, as small dense operators over the d(d-1)
-ordered regime pairs, and share no code with the residual or slant in `core`
-that they are checking; from `core` they take only the problem type.
+exhaustive active-set enumeration (degree 1, desk scale only). Both read the
+dense A and b of the system F(u) = A vec(u) - b from one helper, and both
+build their penalty terms rho * pi(u^j - c[i, j] - u^i) straight from that
+definition, as small dense operators over the d(d-1) ordered regime pairs.
+They share no code with the residual or slant in `core` that they are
+checking; from `core` they take only the problem type.
 
 The march needs about (max diag + rho(d-1)) / gamma * ln(res0 / tol) steps:
 the step is capped by the largest slant row, and each step shrinks the error
@@ -71,14 +71,8 @@ def _pairs(d: int):
 
 
 def _affine_operators(system):
-    """(A, b): the dense slant and the right-hand side of F(u) = A vec(u) - b.
-
-    b is -F(0), so a shifted system's shift is carried in b.
-    """
-    if not system.is_affine:
-        raise ValueError("the oracles require an affine system")
-    zero = np.zeros((system.d, system.N))
-    return np.asarray(system.slant_at(zero).todense()), -system.evaluate(zero).ravel()
+    """(A, b): the dense matrix and the right-hand side of F(u) = A vec(u) - b."""
+    return system.matrix.toarray(), system.rhs
 
 
 def _penalty_operators(prob: PenalizedProblem):
@@ -148,8 +142,7 @@ def pseudo_time_solve(
     The default step 0.9 / (max slant diagonal + rho*(d-1)) makes the update a
     contraction on the assembled systems. A non-finite residual, or one that
     grows for 100 steps in a row, halves the step and restarts the march from
-    zero; ten halvings without recovery is a failure. The system must be
-    affine.
+    zero; ten halvings without recovery is a failure.
     """
     if not isinstance(max_steps, numbers.Integral) or max_steps < 1:
         raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")

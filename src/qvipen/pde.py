@@ -6,10 +6,10 @@ right end. Regime i runs the controlled diffusion at intensity nu = i/(d-1):
     F_i(u)_l = -a_i(x_l) D2 u^i_l - b_i(x_l) D+ u^i_l + r u^i_l - reward(x_l)
 
 with a_i = (sigma_vol * nu)^2 x^2 / 2 and b_i = (r + nu (mu_drift - r)) x.
-Drift is discretized with forward differences (upwind, since b_i >= 0 here)
-and diffusion with central differences, so every row is diagonally dominant
-with nonpositive off-diagonals and the assembled map is monotone with
-constant r.
+Drift is discretized with forward differences (upwind, since mu_drift >= 0
+and r > 0 make b_i >= 0) and diffusion with central differences, so every
+row is diagonally dominant with nonpositive off-diagonals and the assembled
+map is monotone with constant r.
 """
 from __future__ import annotations
 
@@ -106,8 +106,14 @@ class PdeParams:
             raise ValueError(f"need at least two regimes, got d={self.d}")
         if self.N < 2:
             raise ValueError(f"need at least two grid nodes, got N={self.N}")
+        for name in ("sigma_vol", "mu_drift", "r", "domain_right"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.sigma_vol > 0 and self.r > 0 and self.domain_right > 0):
             raise ValueError("sigma_vol, r, and domain_right must be positive")
+        if self.mu_drift < 0:
+            # the forward-difference drift is upwind only for b_i >= 0
+            raise ValueError(f"mu_drift must be nonnegative, got {self.mu_drift}")
 
     @property
     def h(self) -> float:

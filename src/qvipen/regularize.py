@@ -15,12 +15,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
-    MonotoneSystem,
+    AffineSystem,
     PenalizedProblem,
-    ShiftedSystem,
     SwitchingCostMatrix,
     _diagonal_block,
     _obstacles,
@@ -33,7 +31,6 @@ from .core import (
 )
 from .newton import (
     NewtonConfig,
-    ObstacleProblem,
     _min_rows,
     _newton,
     solve_obstacle,
@@ -74,29 +71,15 @@ class GapBoundViolation(Exception):
         self.node = node
 
 
-def estimate_C(system: MonotoneSystem) -> float:
+def estimate_C(system: AffineSystem) -> float:
     """Supremum of ||F(u)|| over the a-priori ball ||u|| <= ||F(0)||/gamma.
 
-    Exact for affine systems (rowwise corner evaluation); otherwise estimated
-    from 1000 draws of ``default_rng(0)``, random corners alternating with
-    random interior points, inflated by 1.1.
+    Exact, row by row: over that ball |F_k(u)| = |A[k] vec(u) - b[k]| peaks
+    at a corner, at radius * sum_j |A[k, j]| + |b[k]|.
     """
     radius = a_priori_bound(system)
-    if system.is_affine:
-        zero = np.zeros((system.d, system.N))
-        matrix = sp.csr_matrix(system.slant_at(zero))
-        b = -system.evaluate(zero).ravel()
-        row_mass = np.asarray(np.abs(matrix).sum(axis=1)).ravel()
-        return float(np.max(row_mass * radius + np.abs(b)))
-    rng = np.random.default_rng(0)
-    best = system.norm_F0
-    for k in range(1000):
-        if k % 2:
-            u = rng.uniform(-radius, radius, (system.d, system.N))
-        else:
-            u = radius * rng.choice([-1.0, 1.0], (system.d, system.N))
-        best = max(best, sup_norm(system.evaluate(u)))
-    return 1.1 * best
+    row_mass = np.asarray(np.abs(system.matrix).sum(axis=1)).ravel()
+    return float(np.max(row_mass * radius + np.abs(system.rhs)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +104,7 @@ class ErrorConstants:
     @classmethod
     def for_system(
         cls,
-        system: MonotoneSystem,
+        system: AffineSystem,
         costs,
         kappa: float | None = None,
         mode: str = "iterated-stopping",
@@ -158,19 +141,20 @@ class ErrorConstants:
 SUPERSOLUTION_RHO = 1e6
 
 
-def strict_supersolution(system: MonotoneSystem, costs, kappa: float,
+def strict_supersolution(system: AffineSystem, costs, kappa: float,
                          cfg: NewtonConfig | None = None) -> np.ndarray:
     """A field w with min(F_i(w), w^i - M_i w) = kappa in every component.
 
-    Solved as the original problem with F shifted down by kappa and every
-    cost reduced by kappa, through the penalty path at weight
-    SUPERSOLUTION_RHO. The residual is validated and the weight retried
-    tenfold once if needed.
+    Solved as the original problem with F shifted down by kappa (b raised
+    by kappa) and every cost reduced by kappa, through the penalty path at
+    weight SUPERSOLUTION_RHO. The residual is validated and the weight
+    retried tenfold once if needed.
     """
     costs = as_costs(costs, system.d)
     if not 0.0 < kappa < costs.min_cost:
         raise ValueError(f"kappa must lie in (0, {costs.min_cost}), got {kappa}")
-    shifted = ShiftedSystem(system, kappa)
+    shifted = AffineSystem(system.matrix, system.rhs.reshape(system.d, system.N) + kappa,
+                           system.gamma)
     reduced = SwitchingCostMatrix(costs.costs - kappa)
     root, _ = solve_root(shifted, np.zeros((system.d, system.N)), cfg)
     w = None
@@ -186,16 +170,16 @@ def strict_supersolution(system: MonotoneSystem, costs, kappa: float,
     )
 
 
-def apply_Q(u, system: MonotoneSystem, costs, cfg: NewtonConfig | None = None) -> np.ndarray:
+def apply_Q(u, system: AffineSystem, costs, cfg: NewtonConfig | None = None) -> np.ndarray:
     """One iterated-stopping sweep: solve with the obstacle frozen at M_i u."""
     v = field_values(u, system.d, system.N)
     costs = as_costs(costs, system.d)
     psi = _obstacles(v, costs)[0]
-    out, _ = solve_obstacle(ObstacleProblem(system, psi), v, cfg)
+    out, _ = solve_obstacle(system, psi, v, cfg)
     return out
 
 
-def apply_T(u, system: MonotoneSystem, costs, epsilon: float,
+def apply_T(u, system: AffineSystem, costs, epsilon: float,
             cfg: NewtonConfig | None = None) -> np.ndarray:
     """One time-marching sweep: the obstacle stays live, the epsilon term
     anchors the solve to the previous iterate."""
@@ -354,7 +338,7 @@ class HjbResult:
     gap_bound: float
 
 
-def hjb_limit_solve(system: MonotoneSystem, rho_schedule,
+def hjb_limit_solve(system: AffineSystem, rho_schedule,
                     cfg: NewtonConfig | None = None) -> HjbResult:
     """Solve the zero-switching-cost problem by driving the penalty weight up.
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .core import AffineSystem, MonotoneSystem
+from .core import AffineSystem
 
 __all__ = ["random_affine_system", "monotonicity_slack"]
 
@@ -29,7 +29,7 @@ def random_affine_system(rng, d: int = 2, n: int = 2, gamma: float = 1.0) -> Aff
     return AffineSystem(matrix, rhs, gamma=gamma)
 
 
-def monotonicity_slack(system: MonotoneSystem, u, v) -> float:
+def monotonicity_slack(system: AffineSystem, u, v) -> float:
     """Slack in the argmax-component growth condition for the pair (u, v).
 
     At a maximizer (i, l) of u - v with nonnegative max, a monotone system

@@ -1,4 +1,4 @@
-"""Node-major band slants: builder equivalence, band solve, derived bands.
+"""Node-major band slants: builder equivalence and band solve.
 
 Each slant the Newton drivers build is checked against a dense matrix
 assembled here, entry by entry, from the definition of that slant.
@@ -10,10 +10,8 @@ from scipy.linalg import solve_banded
 from qvipen import newton, regularize
 from qvipen.core import (
     AffineSystem,
-    MonotoneSystem,
     NodeBand,
     PenalizedProblem,
-    ShiftedSystem,
     SwitchingCostMatrix,
     _coupling_index,
     _diagonal_block,
@@ -23,7 +21,6 @@ from qvipen.core import (
     sup_norm,
 )
 from qvipen.newton import (
-    ObstacleProblem,
     SingularSlant,
     linear_solve,
     solve_obstacle,
@@ -34,24 +31,6 @@ from qvipen.pde import PdeParams, RewardFunction, assemble
 from qvipen.testing import random_affine_system
 
 CASES = ("all", "none", "ties")
-
-
-class NoBand(MonotoneSystem):
-    """An AffineSystem behind the bare interface: its band is derived from
-    ``slant_at`` on every call."""
-
-    def __init__(self, base):
-        self.base = base
-
-    d = property(lambda self: self.base.d)
-    N = property(lambda self: self.base.N)
-    gamma = property(lambda self: self.base.gamma)
-
-    def evaluate(self, u):
-        return self.base.evaluate(u)
-
-    def slant_at(self, u):
-        return self.base.slant_at(u)
 
 
 def _systems():
@@ -85,18 +64,14 @@ def _quarters(d, n):
     return 0.25 * ((np.arange(d)[:, None] + np.arange(n)) % 3)
 
 
-def _assert_slant(system, build, reference):
-    """``build(system)`` matches the dense reference, with the system's own
-    band and with one derived from its slant."""
-    scale = np.abs(reference).max()
-    for s in (system, NoBand(system)):
-        band = build(s)
-        assert isinstance(band, NodeBand)
-        assert np.abs(band.tocsr().toarray() - reference).max() <= 1e-12 * scale
+def _assert_slant(band, reference):
+    """A slant band matches the dense reference."""
+    assert isinstance(band, NodeBand)
+    assert np.abs(band.tocsr().toarray() - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def _dense_base(system):
-    return system.slant_at(None).toarray()
+    return system.matrix.toarray()
 
 
 def _penalized_reference(system, u, costs, rho):
@@ -143,12 +118,12 @@ def _captured_slant(monkeypatch, solve):
     solve()
     monkeypatch.undo()
     system, linearize = seen["problem"]
-    return lambda v: slant_band(system, v, *linearize(v)[1:])
+    return lambda v: slant_band(system, *linearize(v)[1:])
 
 
 def test_affine_band_is_the_node_major_matrix(system):
     d, n = system.d, system.N
-    band = system.band_at(None)
+    band = system.band
     if n == 100:
         assert band.kl == band.ku == d
     order = np.arange(d * n).reshape(d, n).T.ravel()  # i*N + l at l*d + i
@@ -162,7 +137,7 @@ def test_affine_band_is_the_node_major_matrix(system):
             else:
                 assert band.ab[r, q] == 0.0
     assert np.array_equal(rebuilt, node_major)
-    assert ShiftedSystem(system, 0.1).band_at(None) is band
+    assert system.band is band
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -188,13 +163,8 @@ def test_penalized_slant_matches_definition(system, case, monkeypatch):
                     ref[i * n + l, j * n + l] -= rho
     pairs = d * (d - 1) // 2 * n
     assert ties > 0 if case == "ties" else active == {"all": pairs, "none": 0}[case]
-    costs = SwitchingCostMatrix.uniform(d, cost)
-
-    def build(s):
-        prob = PenalizedProblem(s, costs, rho)
-        return _captured_slant(monkeypatch, lambda: solve_penalized(prob, u))(u)
-
-    _assert_slant(system, build, ref)
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(d, cost), rho)
+    _assert_slant(_captured_slant(monkeypatch, lambda: solve_penalized(prob, u))(u), ref)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -215,11 +185,7 @@ def test_obstacle_slant_matches_definition(system, case, monkeypatch):
     if case == "ties":
         assert np.any(f_val == constraint)
 
-    def build(s):
-        solve = lambda: solve_obstacle(ObstacleProblem(s, psi), u)  # noqa: E731
-        return _captured_slant(monkeypatch, solve)(u)
-
-    _assert_slant(system, build, ref)
+    _assert_slant(_captured_slant(monkeypatch, lambda: solve_obstacle(system, psi, u))(u), ref)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -252,11 +218,8 @@ def test_marching_slant_matches_definition(system, case, monkeypatch):
                 ref[r, best * n + l] = -1.0
     assert ties > 0 if case == "ties" else switched == {"all": d * n, "none": 0}[case]
 
-    def build(s):
-        slant = _captured_slant(monkeypatch, lambda: regularize.apply_T(anchor, s, costs, epsilon))
-        return slant(v)
-
-    _assert_slant(system, build, ref)
+    sweep = lambda: regularize.apply_T(anchor, system, costs, epsilon)  # noqa: E731
+    _assert_slant(_captured_slant(monkeypatch, sweep)(v), ref)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.5])
@@ -278,17 +241,12 @@ def test_frozen_penalty_slant_matches_definition(system, case, epsilon, monkeypa
                     active += 1
                     ref[i * n + l, i * n + l] += rho * (1.0 + epsilon)
     assert ties > 0 if case == "ties" else active == {"all": d * (d - 1) * n, "none": 0}[case]
-    costs = SwitchingCostMatrix.uniform(d, cost)
-
-    def build(s):
-        prob = PenalizedProblem(s, costs, rho)
-        if epsilon:
-            sweep = lambda: regularize.apply_T_rho(frozen, prob, epsilon)  # noqa: E731
-        else:
-            sweep = lambda: regularize.apply_Q_rho(frozen, prob)  # noqa: E731
-        return _captured_slant(monkeypatch, sweep)(v)
-
-    _assert_slant(system, build, ref)
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(d, cost), rho)
+    if epsilon:
+        sweep = lambda: regularize.apply_T_rho(frozen, prob, epsilon)  # noqa: E731
+    else:
+        sweep = lambda: regularize.apply_Q_rho(frozen, prob)  # noqa: E731
+    _assert_slant(_captured_slant(monkeypatch, sweep)(v), ref)
 
 
 def test_band_solve_backward_error_at_converged_iterate():
@@ -301,7 +259,7 @@ def test_band_solve_backward_error_at_converged_iterate():
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 1 / 64), 32e3)
     u, report = solve_penalized(prob, root)
     assert report.converged
-    band = slant_band(system, u, coupling=_penalized(u, prob)[1])
+    band = slant_band(system, coupling=_penalized(u, prob)[1])
     op = band.tocsr()
     norm_op = abs(op).sum(axis=1).max()
     rng = np.random.default_rng(71)
@@ -321,7 +279,7 @@ def test_singular_band_raises_with_iterate_and_report(d):
     diagonal = np.arange(1.0, d * n + 1.0)
     diagonal[n + 1] = 0.0
     system = AffineSystem(np.diag(diagonal), np.ones((d, n)), gamma=1.0)
-    band = slant_band(system, None)
+    band = slant_band(system)
     assert isinstance(band, NodeBand)
     with pytest.raises(SingularSlant) as info:
         linear_solve(band, np.ones(d * n))
@@ -334,16 +292,6 @@ def test_singular_band_raises_with_iterate_and_report(d):
     assert info.value.iterate.shape == (d, n)
     assert info.value.report.iterations == 0
     assert not info.value.report.converged
-
-
-def test_system_without_a_cached_band_solves_through_a_derived_one():
-    system = assemble(PdeParams(d=3, reward=RewardFunction.three_regime()))
-    root, _ = solve_root(system, np.zeros((3, 100)))
-    costs = SwitchingCostMatrix.uniform(3, 1 / 64)
-    cached, cached_report = solve_penalized(PenalizedProblem(system, costs, 32e3), root)
-    derived, derived_report = solve_penalized(PenalizedProblem(NoBand(system), costs, 32e3), root)
-    assert derived_report.iterations == cached_report.iterations
-    assert np.array_equal(derived, cached)
 
 
 def test_band_from_matrix_rejects_a_shape_d_cannot_split():
@@ -361,20 +309,20 @@ def test_band_solve_leaves_the_cached_band_intact():
     matrix = 3.0 * np.eye(d * n)
     matrix[np.arange(n), n + np.arange(n)] = matrix[n + np.arange(n), np.arange(n)] = -1.0
     system = AffineSystem(matrix, np.ones((d, n)), gamma=1.0)
-    band = system.band_at(None)
+    band = system.band
     assert (band.kl, band.ku) == (1, 1)
     assert not band.ab.flags.writeable
     before = band.ab.copy()
     x = linear_solve(band, np.ones(d * n))
     assert np.array_equal(band.ab, before)
-    assert sup_norm(system.slant_at(None) @ x - 1.0) <= 1e-15
+    assert sup_norm(system.matrix @ x - 1.0) <= 1e-15
 
     mesh = assemble(PdeParams(d=3, reward=RewardFunction.three_regime()))
-    band = mesh.band_at(None)
+    band = mesh.band
     assert (band.kl, band.ku) == (3, 3)
     assert not band.ab.flags.writeable
     before = band.ab.copy()
-    op = mesh.slant_at(None)
+    op = mesh.matrix
     x = linear_solve(band, np.ones(op.shape[0]))
     assert np.array_equal(band.ab, before)
     norm_op = abs(op).sum(axis=1).max()
@@ -387,7 +335,7 @@ def test_band_solve_is_bitwise_lapack_band_lu(d):
     # the reference: the direct call must give the same bytes
     prob, u = _pde_penalized(d)
     residual, coupling = _penalized(u, prob)
-    band = slant_band(prob.system, u, coupling=coupling)
+    band = slant_band(prob.system, coupling=coupling)
     assert band.kl == band.ku == d
     rng = np.random.default_rng(5)
     for rhs in (-residual.ravel(), rng.normal(size=d * prob.system.N)):
@@ -406,8 +354,8 @@ def test_hoisted_constants_are_read_only():
 
 
 def test_problems_sharing_a_cost_matrix_match_definition(system, monkeypatch):
-    # asymmetric costs, one matrix behind both weights and both band sources;
-    # the second pass runs with every per-problem constant already built
+    # asymmetric costs, one matrix behind both weights; the second pass runs
+    # with every per-problem constant already built
     d, n = system.d, system.N
     costs = SwitchingCostMatrix(0.0625 * (np.add.outer(np.arange(d), 2 * np.arange(d)) % 3))
     u = _quarters(d, n) + 0.01 * np.arange(d)[:, None]
@@ -417,8 +365,5 @@ def test_problems_sharing_a_cost_matrix_match_definition(system, monkeypatch):
         prob = PenalizedProblem(system, costs, rho)
         assert np.abs(penalized_residual(u, prob) - residual).max() <= 1e-12 * np.abs(residual).max()
 
-        def build(s):
-            solve = lambda: solve_penalized(PenalizedProblem(s, costs, rho), u)  # noqa: E731
-            return _captured_slant(monkeypatch, solve)(u)
-
-        _assert_slant(system, build, slant)
+        solve = lambda: solve_penalized(prob, u)  # noqa: E731
+        _assert_slant(_captured_slant(monkeypatch, solve)(u), slant)

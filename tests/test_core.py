@@ -7,7 +7,6 @@ from qvipen.core import (
     AffineSystem,
     PenalizedProblem,
     PenaltyFunction,
-    ShiftedSystem,
     SwitchingCostMatrix,
     a_priori_bound,
     _obstacles,
@@ -89,9 +88,14 @@ def test_affine_system():
     b = np.array([[0.0, 1.0], [2.0, 3.0]])
     system = identity_system(b)
     assert (system.d, system.N) == (2, 2)
-    assert system.is_affine
     u = np.arange(4.0).reshape(2, 2)
     assert np.allclose(system.evaluate(u), u - b)
+    # A and b are copies of the inputs and cannot be written through
+    assert np.array_equal(system.rhs, b.ravel())
+    b[0, 0] = 9.0
+    assert system.rhs[0] == 0.0
+    for array in (system.rhs, system.matrix.data, system.matrix.indices, system.matrix.indptr):
+        assert not array.flags.writeable
     assert system.norm_F0 == 3.0
     assert a_priori_bound(system) == 3.0
     with pytest.raises(ValueError):
@@ -111,14 +115,13 @@ def test_a_priori_bound_trivial_case():
     assert a_priori_bound(identity_system(np.zeros((2, 1)))) == 0.0
 
 
-def test_shifted_system():
-    base = identity_system(np.zeros((2, 2)))
-    shifted = ShiftedSystem(base, 0.5)
-    u = np.ones((2, 2))
-    assert np.allclose(shifted.evaluate(u), base.evaluate(u) - 0.5)
-    assert shifted.gamma == base.gamma
-    assert (shifted.slant_at(u) != base.slant_at(u)).nnz == 0
-    assert shifted.norm_F0 == 0.5
+@pytest.mark.parametrize("name", ["matrix", "rhs"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_affine_system_rejects_non_finite_entries(name, value):
+    matrix, rhs = np.eye(4), np.zeros((2, 2))
+    {"matrix": matrix, "rhs": rhs}[name][0, 1] = value
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
+        AffineSystem(matrix, rhs, gamma=1.0)
 
 
 def test_penalized_problem_validation():
@@ -209,7 +212,7 @@ def test_penalized_slant_inactive_equals_base():
     system = random_affine_system(rng, d=2, n=3)
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 10.0), rho=50.0)
     u = rng.uniform(-1.0, 1.0, (2, 3))  # costs dwarf the spread, nothing active
-    assert (penalized_slant(u, prob) != system.slant_at(u)).nnz == 0
+    assert (penalized_slant(u, prob) != system.matrix).nnz == 0
 
 
 def test_penalized_slant_active_assembly():
@@ -224,7 +227,7 @@ def test_penalized_slant_rho_zero_any_degree():
     system = identity_system(np.zeros((2, 1)))
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 1.0), rho=0.0,
                             penalty=PenaltyFunction(sigma=2.0))
-    assert (penalized_slant(np.zeros((2, 1)), prob) != system.slant_at(0)).nnz == 0
+    assert (penalized_slant(np.zeros((2, 1)), prob) != system.matrix).nnz == 0
     with pytest.raises(ValueError, match="degree"):
         penalized_slant(np.zeros((2, 1)),
                         PenalizedProblem(system, prob.costs, rho=1.0, penalty=prob.penalty))

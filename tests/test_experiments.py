@@ -472,6 +472,29 @@ def test_cli_regions_exit_follows_inclusion_not_match(monkeypatch, capsys, inclu
     assert payload["regions"][0]["included"] is included
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--cost", "0"], "positive switching cost, got 0.0"),
+    (["--rho", "1"], "rho must exceed 1"),
+], ids=["cost-0", "rho-1"])
+def test_cli_regions_rejects_unusable_inputs_before_solving(monkeypatch, capsys, flags, message):
+    # both used to exit 1 with "regions failed"
+    def no_solve(config, rho):
+        raise AssertionError("extract_regions ran")
+
+    monkeypatch.setattr(cli, "extract_regions", no_solve)
+    assert main(["regions", "--case", "two-regime", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
+def test_cli_hjb_rejects_a_cost(capsys):
+    # hjb always runs cost 0; it used to accept --cost and ignore it
+    with pytest.raises(SystemExit) as usage:
+        main(["hjb", "--case", "two-regime", "--cost", "0.5"])
+    assert usage.value.code == 2
+    assert "--cost" in capsys.readouterr().err
+
+
 def test_cli_hjb_reports_zero_cost_path(tmp_path):
     out = tmp_path / "hjb.json"
     rc = main(["hjb", "--case", "two-regime", "--rho", "1000,2000,4000",
@@ -484,8 +507,7 @@ def test_cli_hjb_reports_zero_cost_path(tmp_path):
 
 
 def test_cli_hjb_is_the_zero_cost_row(capsys):
-    rc = main(["hjb", "--case", "two-regime", "--cost", "0.5", "--rho", "1000,2000",
-               "--format", "csv"])
+    rc = main(["hjb", "--case", "two-regime", "--rho", "1000,2000", "--format", "csv"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0].endswith(",converged,regime_gap")

@@ -19,7 +19,6 @@ from qvipen.core import (
 from qvipen.newton import (
     MaxIterExceeded,
     NewtonConfig,
-    ObstacleProblem,
     SingularSlant,
     _min_rows,
     linear_solve,
@@ -139,7 +138,7 @@ def test_newton_globalizes_from_below(three_regime):
     chain = []
     for _ in range(30):
         g, coupling = _penalized(u, prob)
-        delta = linear_solve(slant_band(system, u, coupling=coupling), -g.ravel()).reshape(u.shape)
+        delta = linear_solve(slant_band(system, coupling=coupling), -g.ravel()).reshape(u.shape)
         u = u + delta
         chain.append(u.copy())
         if sup_norm(delta) / max(sup_norm(u), 1.0) < 1e-9:
@@ -175,10 +174,16 @@ def test_solutions_decrease_with_cost(two_regime):
 
 def test_obstacle_never_binding_gives_root():
     system = identity_system(np.array([[1.0, -1.0], [0.5, 2.0]]))
-    prob = ObstacleProblem(system, np.full((2, 2), -1e6))
-    u, report = solve_obstacle(prob, np.zeros((2, 2)))
+    u, report = solve_obstacle(system, np.full((2, 2), -1e6), np.zeros((2, 2)))
     assert sup_norm(u - [[1.0, -1.0], [0.5, 2.0]]) <= 1e-9
     assert report.converged
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 2, 1)])
+def test_obstacle_rejects_a_psi_of_the_wrong_shape(shape):
+    system = identity_system(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="expected|mismatch"):
+        solve_obstacle(system, np.zeros(shape), np.zeros((2, 2)))
 
 
 def test_obstacle_hand_case():
@@ -186,7 +191,7 @@ def test_obstacle_hand_case():
     # unconstrained root (0, 2) already clears it
     system = identity_system(np.array([[0.0], [2.0]]))
     psi = np.full((2, 1), -1.0)
-    u, _ = solve_obstacle(ObstacleProblem(system, psi), np.zeros((2, 1)))
+    u, _ = solve_obstacle(system, psi, np.zeros((2, 1)))
     assert np.allclose(u, [[0.0], [2.0]], atol=1e-12)
 
 
@@ -194,7 +199,7 @@ def test_obstacle_binding_clips_to_psi():
     # root (0, 2) violates psi = (1, -5): regime 0 is lifted onto the obstacle
     system = identity_system(np.array([[0.0], [2.0]]))
     psi = np.array([[1.0], [-5.0]])
-    u, _ = solve_obstacle(ObstacleProblem(system, psi), np.zeros((2, 1)))
+    u, _ = solve_obstacle(system, psi, np.zeros((2, 1)))
     assert np.allclose(u, [[1.0], [2.0]], atol=1e-12)
 
 
@@ -203,8 +208,8 @@ def test_obstacle_tie_selects_f_row():
     u = np.zeros((2, 1))
     # at u = 0 both branches evaluate to 0; the slant must be F's
     _, keep, coupling = _min_rows(system.evaluate(u), u, np.eye(2)[:, :, None])
-    slant = slant_band(system, u, keep, coupling).tocsr()
-    assert (slant != system.slant_at(None)).nnz == 0
+    slant = slant_band(system, keep, coupling).tocsr()
+    assert (slant != system.matrix).nnz == 0
 
 
 def test_linear_solve_identity():
@@ -223,7 +228,7 @@ def test_linear_solve_backward_error(two_regime):
     _, system, root = two_regime
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.125), rho=32e3)
     u, _ = solve_penalized(prob, root)
-    band = slant_band(system, u, coupling=_penalized(u, prob)[1])
+    band = slant_band(system, coupling=_penalized(u, prob)[1])
     op = band.tocsr()
     rng = np.random.default_rng(61)
     for _ in range(5):
@@ -303,7 +308,7 @@ NEWTON_SOLVES = {
     "solve_root": lambda system, costs, prob, root: solve_root(system, 0.0 * root),
     "solve_penalized": lambda system, costs, prob, root: solve_penalized(prob, root),
     "solve_obstacle": lambda system, costs, prob, root: solve_obstacle(
-        ObstacleProblem(system, _obstacles(root, costs)[0]), root),
+        system, _obstacles(root, costs)[0], root),
     "apply_Q": lambda system, costs, prob, root: regularize.apply_Q(root, system, costs),
     "apply_T": lambda system, costs, prob, root: regularize.apply_T(root, system, costs, 1.0),
     "apply_Q_rho": lambda system, costs, prob, root: regularize.apply_Q_rho(root, prob),

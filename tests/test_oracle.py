@@ -9,7 +9,6 @@ from qvipen.core import (
     AffineSystem,
     PenalizedProblem,
     PenaltyFunction,
-    ShiftedSystem,
     SwitchingCostMatrix,
     penalized_residual,
     sup_norm,
@@ -25,7 +24,6 @@ from qvipen.oracle import (
 )
 from qvipen.oracle import _residual as oracle_residual
 from qvipen.testing import random_affine_system
-from test_band import NoBand
 
 
 def identity_system(b):
@@ -73,21 +71,14 @@ def test_pseudo_time_rejects_an_empty_budget_or_a_bad_step(kwargs):
         pseudo_time_solve(tiny_problem(), **kwargs)
 
 
-@pytest.mark.parametrize("oracle", [pseudo_time_solve, active_set_enumerate])
-def test_oracles_require_an_affine_system(oracle):
-    prob = tiny_problem()
-    # NoBand keeps the map and slant but drops the affine flag
-    opaque = PenalizedProblem(NoBand(prob.system), prob.costs, prob.rho)
-    with pytest.raises(ValueError, match="affine"):
-        oracle(opaque)
-
-
 def test_march_carries_a_shift():
-    # b = -F(0) holds the shift, so the march and its residual see F - shift
+    # F shifted down by 0.3 is the system with b + 0.3; the march, its
+    # residual and Newton all see the shift
     rng = np.random.default_rng(61)
     base = random_affine_system(rng, d=3, n=2)
+    shifted = AffineSystem(base.matrix, base.rhs.reshape(3, 2) + 0.3, base.gamma)
     costs = SwitchingCostMatrix.uniform(3, 0.1)
-    prob = PenalizedProblem(ShiftedSystem(base, 0.3), costs, rho=10.0)
+    prob = PenalizedProblem(shifted, costs, rho=10.0)
     u = rng.uniform(-2.0, 2.0, (3, 2))
     assert sup_norm(oracle_residual(prob, u) - penalized_residual(u, prob)) <= 1e-12
     marched = pseudo_time_solve(prob, tol=1e-10)
@@ -281,8 +272,8 @@ def test_comparison_principle(case):
     # penalized equation, so the new solution lies above it
     prob, rng = random_problem(case)
     system, zero = prob.system, np.zeros((case["d"], case["n"]))
-    b = -system.evaluate(zero)
-    raised = AffineSystem(system.slant_at(None), b + rng.uniform(0.0, 1.0, b.shape), system.gamma)
+    b = system.rhs.reshape(zero.shape)
+    raised = AffineSystem(system.matrix, b + rng.uniform(0.0, 1.0, b.shape), system.gamma)
     low, _ = solve_penalized(prob, zero)
     high, _ = solve_penalized(PenalizedProblem(raised, prob.costs, prob.rho), zero)
     assert np.all(high >= low - 1e-12)

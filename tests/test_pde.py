@@ -65,6 +65,22 @@ def test_params_validation():
         PdeParams(d=2, reward=RewardFunction.two_regime(), sigma_vol=0.0)
 
 
+@pytest.mark.parametrize("name, value, rule", [
+    ("sigma_vol", np.inf, "finite"),
+    ("mu_drift", np.inf, "finite"),
+    ("mu_drift", np.nan, "finite"),
+    ("r", np.inf, "finite"),
+    ("domain_right", np.inf, "finite"),
+    ("mu_drift", -0.5, "nonnegative"),
+])
+def test_params_reject_a_non_finite_value_or_a_negative_drift(name, value, rule):
+    # sigma_vol = inf assembled a NaN matrix; mu_drift = -0.5 a two-regime
+    # matrix with diagonal -1.54 and off-diagonal +3.12, so not monotone
+    # with constant r
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}"):
+        PdeParams(d=2, reward=RewardFunction.two_regime(), **{name: value})
+
+
 def test_params_reject_non_integer_sizes():
     # N = 50.5 would otherwise build a 51-node mesh whose Dirichlet ghost
     # sits at x = 51 * 2/50.5, not at 2
@@ -86,7 +102,7 @@ def test_zero_intensity_regime_is_bidiagonal(two_regime):
     # forward only; interior row sums collapse to exactly r
     system = assemble(two_regime)
     n = two_regime.N
-    block = system.slant_at(None).toarray()[:n, :n]
+    block = system.matrix.toarray()[:n, :n]
     assert np.all(block[np.tril_indices(n, k=-1)] == 0.0)
     x = grid(two_regime)
     assert np.allclose(np.diag(block), two_regime.r * x / two_regime.h + two_regime.r)
@@ -98,7 +114,7 @@ def test_zero_intensity_regime_is_bidiagonal(two_regime):
 
 
 def test_rows_are_monotone(three_regime):
-    m = assemble(three_regime).slant_at(None).toarray()
+    m = assemble(three_regime).matrix.toarray()
     off = m - np.diag(np.diag(m))
     assert np.all(off <= 0.0)
     assert np.all(np.diag(m) > 0.0)
@@ -108,7 +124,7 @@ def test_rows_are_monotone(three_regime):
 
 def test_first_row_decouples(three_regime):
     # both coefficient functions vanish at x=0
-    m = assemble(three_regime).slant_at(None).toarray()
+    m = assemble(three_regime).matrix.toarray()
     n = three_regime.N
     for i in range(3):
         row = m[i * n]
@@ -151,7 +167,7 @@ def test_exact_affinity(three_regime):
 
 def test_slant_row_sum_is_lipschitz_bound(two_regime):
     system = assemble(two_regime)
-    m = system.slant_at(None)
+    m = system.matrix
     lip = np.max(np.abs(m).sum(axis=1))
     rng = np.random.default_rng(37)
     for _ in range(20):
