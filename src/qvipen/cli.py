@@ -65,6 +65,9 @@ def _load_config(args) -> ExperimentConfig:
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         mapping.update(loaded)
+        if args.command == "hjb" and any(c != 0 for c in mapping.get("cost_list") or ()):
+            raise ValueError(f"hjb runs the cost-0 row only; cost_list must be [0] "
+                             f"or absent, got {mapping['cost_list']!r}")
     if args.case:
         mapping["case"] = args.case
     if args.rho is not None:

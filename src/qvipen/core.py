@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "SwitchingCostMatrix",
@@ -192,6 +191,15 @@ def _coupling_index(d: int, n: int, ku: int) -> np.ndarray:
     return index
 
 
+@functools.lru_cache(maxsize=16)
+def _row_index(kl: int, ku: int, size: int) -> np.ndarray:
+    """Read-only (kl + ku + 1, size) index r + q into a row mask padded with
+    ku entries on top: band entry [r, q] lies on node-major row q + r - ku."""
+    index = np.arange(kl + ku + 1)[:, None] + np.arange(size)
+    index.setflags(write=False)
+    return index
+
+
 def _node_major(d: int, n: int) -> np.ndarray:
     """Node-major index l*d + i of each regime-major index i*N + l."""
     return np.arange(d * n).reshape(n, d).T.ravel()
@@ -351,9 +359,8 @@ def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
     base = system.band
     ab = base.ab
     if keep is not None:
-        # band entry [r, q] lies on node-major row q + r - ku
         rows = np.concatenate([np.zeros(base.ku), np.ravel(keep, order="F"), np.zeros(base.kl)])
-        ab = ab * sliding_window_view(rows, d * n)
+        ab = ab * rows[_row_index(base.kl, base.ku, d * n)]
     kl, ku = max(base.kl, d - 1), max(base.ku, d - 1)
     out = np.zeros((kl + ku + 1, d * n))
     out[ku - base.ku:ku + base.kl + 1] = ab

@@ -24,10 +24,17 @@ from .core import (
     a_priori_bound,
     sup_norm,
 )
-from .newton import MaxIterExceeded, NewtonConfig, SingularSlant, solve_penalized, solve_root
+from .newton import (
+    MaxIterExceeded,
+    NewtonConfig,
+    SingularSlant,
+    _solve_qvi,
+    solve_penalized,
+    solve_root,
+)
 from .oracle import active_set_enumerate, pseudo_time_solve
 from .pde import PdeParams, RewardFunction, assemble, probe_index
-from .regularize import _regime_gap, hjb_limit_solve
+from .regularize import _regime_gap
 from .testing import monotonicity_slack, random_affine_system
 
 __all__ = [
@@ -272,17 +279,15 @@ class RegimeRegions:
 @dataclass
 class RegionReport:
     rho_used: float
-    rho_reference: float
     C0_estimate: float
     threshold: float
     regions: list
     match: bool
 
 
-def _binding_sets(u, costs, tol, signed):
+def _binding_sets(u, costs, tol):
     gap = u - _obstacles(u, costs)[0]
-    masks = gap <= tol if signed else np.abs(gap) <= tol
-    return [tuple(int(l) for l in np.nonzero(mask)[0]) for mask in masks]
+    return [tuple(int(l) for l in np.nonzero(mask)[0]) for mask in np.abs(gap) <= tol]
 
 
 def _check_region_inputs(cost: float, rho: float) -> None:
@@ -296,10 +301,10 @@ def _check_region_inputs(cost: float, rho: float) -> None:
 def extract_regions(config: ExperimentConfig, rho: float) -> RegionReport:
     """Compare estimated switching regions at weight rho with exact ones.
 
-    The exact regions come from a reference solve at 100*rho with the signed
-    rule gap <= 1e-6 (the reference solution approaches from below, so
-    binding nodes can carry small negative gaps). The estimated regions use
-    the published recipe |gap| <= C0 * ln(rho)/rho, with C0 estimated as
+    The exact regions are where |gap| <= REGION_TOL at the QVI solution u
+    itself, solved exactly by Newton from u^rho (two or three iterations).
+    The estimated regions use the published recipe
+    |gap| <= C0 * ln(rho)/rho at u^rho, with C0 estimated as
     4*rho*||u^{2 rho} - u^{rho}||/ln(rho).
     """
     cost = config.cost_list[0]
@@ -313,12 +318,11 @@ def extract_regions(config: ExperimentConfig, rho: float) -> RegionReport:
     u_rho, _ = solve_penalized(PenalizedProblem(system, costs, rho), root, cfg)
     u_2rho, _ = solve_penalized(PenalizedProblem(system, costs, 2 * rho), root, cfg)
     C0 = 4.0 * rho * sup_norm(u_2rho - u_rho) / math.log(rho)
-    rho_ref = 100.0 * rho
-    u_ref, _ = solve_penalized(PenalizedProblem(system, costs, rho_ref), root, cfg)
+    u, _ = _solve_qvi(system, costs, u_rho, cfg=cfg)
 
     threshold = C0 * math.log(rho) / rho
-    exact = _binding_sets(u_ref, costs, REGION_TOL, signed=True)
-    estimated = _binding_sets(u_rho, costs, threshold, signed=False)
+    exact = _binding_sets(u, costs, REGION_TOL)
+    estimated = _binding_sets(u_rho, costs, threshold)
     regions = []
     for i, (ex, est) in enumerate(zip(exact, estimated)):
         ex_set, est_set = set(ex), set(est)
@@ -333,7 +337,6 @@ def extract_regions(config: ExperimentConfig, rho: float) -> RegionReport:
         ))
     return RegionReport(
         rho_used=float(rho),
-        rho_reference=rho_ref,
         C0_estimate=C0,
         threshold=threshold,
         regions=regions,
@@ -424,13 +427,20 @@ def verify(config: ExperimentConfig | None = None) -> dict:
     except Exception as exc:
         checks.append(_check("a-priori-bound", False, _failure(exc)))
 
-    # 5. zero-cost regime gaps halve per weight doubling
+    # 5. zero-cost regime gaps halve per weight doubling, read off the
+    # cost-0 row of the sweep
     try:
-        result = hjb_limit_solve(assemble(config.pde_params()), [1e3, 2e3, 4e3], cfg)
-        ratios = [result.regime_gaps[k] / result.regime_gaps[k + 1] for k in range(2)]
-        ok = all(1.8 <= r <= 2.2 for r in ratios)
-        checks.append(_check("zero-cost-gap-halving", ok,
-                             f"ratios {', '.join('%.3f' % r for r in ratios)}"))
+        row = run_table(dataclasses.replace(config, cost_list=(0.0,),
+                                            rho_list=(1e3, 2e3, 4e3))).cells
+        failed = [cell for cell in row if cell.error is not None]
+        if failed:
+            checks.append(_check("zero-cost-gap-halving", False,
+                                 f"rho = {failed[0].rho:g}: {failed[0].error}"))
+        else:
+            ratios = [row[k].regime_gap / row[k + 1].regime_gap for k in range(2)]
+            ok = all(1.8 <= r <= 2.2 for r in ratios)
+            checks.append(_check("zero-cost-gap-halving", ok,
+                                 f"ratios {', '.join('%.3f' % r for r in ratios)}"))
     except Exception as exc:
         checks.append(_check("zero-cost-gap-halving", False, _failure(exc)))
 

@@ -33,8 +33,10 @@ from .core import (
     PenalizedProblem,
     SolveReport,
     _diagonal_block,
+    _obstacles,
     _penalized,
     _require_degree_one,
+    as_costs,
     field_values,
     slant_band,
     sup_norm,
@@ -185,3 +187,26 @@ def solve_obstacle(system: AffineSystem, psi, initial, cfg: NewtonConfig | None 
         initial,
         cfg,
     )
+
+
+def _solve_qvi(system: AffineSystem, costs, initial, epsilon: float = 0.0,
+               cfg: NewtonConfig | None = None):
+    """Solve min(F(v), v - M v + epsilon (v - initial)) = 0 from ``initial``.
+
+    At epsilon = 0 this is the QVI itself, and Newton on it is policy
+    iteration; for epsilon > 0 it is one time-marching sweep anchored at
+    ``initial``. Costs must be positive.
+    """
+    anchor = field_values(initial, system.d, system.N)
+    costs = as_costs(costs, system.d)
+    diagonal = (1.0 + epsilon) * _diagonal_block(system.d)
+    targets = np.arange(system.d)[:, None]
+
+    def linearize(v):
+        obstacle, regimes = _obstacles(v, costs)
+        constraint = v - obstacle + epsilon * (v - anchor)
+        # (1 + eps) on the diagonal and -1 at the regime switched to
+        switch = diagonal - (regimes[:, None] == targets)
+        return _min_rows(system.evaluate(v), constraint, switch)
+
+    return _newton(system, linearize, anchor, cfg)

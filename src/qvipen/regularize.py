@@ -26,13 +26,12 @@ from .core import (
     a_priori_bound,
     as_costs,
     field_values,
-    qvi_residual,
     sup_norm,
 )
 from .newton import (
     NewtonConfig,
-    _min_rows,
     _newton,
+    _solve_qvi,
     solve_obstacle,
     solve_penalized,
     solve_root,
@@ -138,36 +137,23 @@ class ErrorConstants:
         )
 
 
-SUPERSOLUTION_RHO = 1e6
-
-
 def strict_supersolution(system: AffineSystem, costs, kappa: float,
                          cfg: NewtonConfig | None = None) -> np.ndarray:
     """A field w with min(F_i(w), w^i - M_i w) = kappa in every component.
 
-    Solved as the original problem with F shifted down by kappa (b raised
-    by kappa) and every cost reduced by kappa, through the penalty path at
-    weight SUPERSOLUTION_RHO. The residual is validated and the weight
-    retried tenfold once if needed.
+    Solved exactly as the QVI of the original problem with F shifted down by
+    kappa (b raised by kappa) and every cost reduced by kappa, from the
+    shifted root: that QVI's residual is min(F(w), w - M w) - kappa, so the
+    Newton residual test bounds the defect directly.
     """
     costs = as_costs(costs, system.d)
     if not 0.0 < kappa < costs.min_cost:
         raise ValueError(f"kappa must lie in (0, {costs.min_cost}), got {kappa}")
     shifted = AffineSystem(system.matrix, system.rhs.reshape(system.d, system.N) + kappa,
                            system.gamma)
-    reduced = SwitchingCostMatrix(costs.costs - kappa)
     root, _ = solve_root(shifted, np.zeros((system.d, system.N)), cfg)
-    w = None
-    for weight in (SUPERSOLUTION_RHO, 10.0 * SUPERSOLUTION_RHO):
-        prob = PenalizedProblem(shifted, reduced, weight)
-        w, _ = solve_penalized(prob, root, cfg)
-        defect = sup_norm(qvi_residual(w, system, costs) - kappa)
-        if defect <= 10.0 * kappa * 1e-3:
-            return w
-    raise ValueError(
-        f"supersolution residual defect {defect:.3e} exceeds tolerance "
-        f"{10.0 * kappa * 1e-3:.3e} even at weight {10.0 * SUPERSOLUTION_RHO:.1e}"
-    )
+    w, _ = _solve_qvi(shifted, SwitchingCostMatrix(costs.costs - kappa), root, cfg=cfg)
+    return w
 
 
 def apply_Q(u, system: AffineSystem, costs, cfg: NewtonConfig | None = None) -> np.ndarray:
@@ -185,20 +171,7 @@ def apply_T(u, system: AffineSystem, costs, epsilon: float,
     anchors the solve to the previous iterate."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    anchor = field_values(u, system.d, system.N)
-    costs = as_costs(costs, system.d)
-    diagonal = (1.0 + epsilon) * _diagonal_block(system.d)
-    targets = np.arange(system.d)[:, None]
-
-    def linearize(v):
-        obstacle, regimes = _obstacles(v, costs)
-        constraint = v - obstacle + epsilon * (v - anchor)
-        # (1 + eps) on the diagonal and -1 at the regime switched to
-        switch = diagonal - (regimes[:, None] == targets)
-        return _min_rows(system.evaluate(v), constraint, switch)
-
-    out, _ = _newton(system, linearize, anchor, cfg)
-    return out
+    return _solve_qvi(system, costs, u, epsilon, cfg)[0]
 
 
 def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray, epsilon: float,

@@ -17,7 +17,8 @@ from qvipen.experiments import (
     RegimeRegions,
     RegionReport,
 )
-from qvipen.newton import NewtonConfig
+from qvipen.core import PenalizedProblem, SwitchingCostMatrix, _obstacles
+from qvipen.newton import NewtonConfig, solve_penalized, solve_root
 from qvipen.pde import assemble
 from qvipen.regularize import hjb_limit_solve
 
@@ -251,7 +252,6 @@ def region_config():
 def test_regions_match_exact_at_large_weight(region_config):
     report = extract_regions(region_config, 32e3)
     assert report.match
-    assert report.rho_reference == 3.2e6
     assert len(report.regions[0].exact) == 57
     assert all(r.included for r in report.regions)
 
@@ -281,6 +281,41 @@ def test_regions_reject_zero_cost():
         extract_regions(config, 1e3)
 
 
+def test_regions_at_three_regime_largest_weight():
+    # the 100*rho reference solve this replaced stalled above residual_tol here
+    config = ExperimentConfig.from_mapping(
+        {"case": "three-regime", "cost_list": [1 / 64], "rho_list": [128e3]}
+    )
+    report = extract_regions(config, 128e3)
+    assert all(r.included for r in report.regions)
+    assert any(r.exact for r in report.regions)
+
+
+@pytest.fixture(scope="module")
+def two_regime_system():
+    system = assemble(ExperimentConfig().pde_params())
+    root, _ = solve_root(system, np.zeros((system.d, system.N)))
+    return system, root
+
+
+@pytest.mark.parametrize("rho", [1e3, 2e3, 4e3, 8e3, 16e3, 32e3])
+@pytest.mark.parametrize("cost", [0.5, 0.125])
+def test_exact_regions_equal_a_penalized_reference(two_regime_system, cost, rho):
+    # the exact sets come from the QVI solution; a penalized solve at
+    # 100*rho with the signed rule gap <= 1e-6 (that solution approaches
+    # from below, so binding gaps can be slightly negative) gives the same
+    system, root = two_regime_system
+    costs = SwitchingCostMatrix.uniform(system.d, cost)
+    u_ref, _ = solve_penalized(PenalizedProblem(system, costs, 100 * rho), root)
+    gap = u_ref - _obstacles(u_ref, costs)[0]
+    reference = [tuple(int(l) for l in np.nonzero(mask)[0]) for mask in gap <= 1e-6]
+    config = ExperimentConfig.from_mapping(
+        {"case": "two-regime", "cost_list": [cost], "rho_list": [rho]}
+    )
+    report = extract_regions(config, rho)
+    assert [r.exact for r in report.regions] == reference
+
+
 def test_region_report_serializes(region_config):
     report = extract_regions(region_config, 32e3)
     payload = json.loads(json.dumps(dataclasses.asdict(report)))
@@ -307,6 +342,13 @@ def test_verify_reports_a_failed_bound_solve():
     check = next(c for c in summary["checks"] if c["name"] == "a-priori-bound")
     assert not check["passed"]
     assert check["detail"].startswith("MaxIterExceeded at ")
+
+
+def test_verify_gap_check_carries_the_failed_cell_error():
+    summary = verify(ExperimentConfig.from_mapping({"newton": {"max_iter": 2}}))
+    check = next(c for c in summary["checks"] if c["name"] == "zero-cost-gap-halving")
+    assert not check["passed"]
+    assert check["detail"].startswith("rho = 1000: no convergence in 2 iterations")
 
 
 def test_verify_names_the_exception_type_and_location(monkeypatch):
@@ -459,7 +501,7 @@ def region_report(included):
     region = RegimeRegions(regime=0, exact=exact, estimated=(3, 4), match=False,
                            missing=() if included else (5,), spurious=(4,),
                            included=included)
-    return RegionReport(rho_used=1e3, rho_reference=1e5, C0_estimate=1.0,
+    return RegionReport(rho_used=1e3, C0_estimate=1.0,
                         threshold=0.1, regions=[region], match=False)
 
 
@@ -493,6 +535,24 @@ def test_cli_hjb_rejects_a_cost(capsys):
         main(["hjb", "--case", "two-regime", "--cost", "0.5"])
     assert usage.value.code == 2
     assert "--cost" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cost_list, status", [
+    ([0.5], 2), ([0, 0.25], 2), ([0], 0), (None, 0),
+], ids=["nonzero", "mixed", "zero", "absent"])
+def test_cli_hjb_config_accepts_only_the_zero_cost_row(tmp_path, capsys, cost_list, status):
+    # a config file's cost_list used to be ignored, like the --cost flag
+    mapping = {"case": "two-regime", "rho_list": [1000]}
+    if cost_list is not None:
+        mapping["cost_list"] = cost_list
+    path = tmp_path / "hjb.json"
+    path.write_text(json.dumps(mapping))
+    assert main(["hjb", "--config", str(path), "--format", "csv"]) == status
+    out, err = capsys.readouterr()
+    if status:
+        assert "configuration error" in err and "cost_list" in err
+    else:
+        assert [line.split(",")[1] for line in out.strip().split("\n")[1:]] == ["0"]
 
 
 def test_cli_hjb_reports_zero_cost_path(tmp_path):

@@ -13,6 +13,7 @@ from qvipen.core import (
     _obstacles,
     _penalized,
     penalized_residual,
+    qvi_residual,
     slant_band,
     sup_norm,
 )
@@ -21,6 +22,7 @@ from qvipen.newton import (
     NewtonConfig,
     SingularSlant,
     _min_rows,
+    _solve_qvi,
     linear_solve,
     solve_obstacle,
     solve_penalized,
@@ -212,6 +214,33 @@ def test_obstacle_tie_selects_f_row():
     assert (slant != system.matrix).nnz == 0
 
 
+def test_qvi_solve_is_exact_and_dominates_the_penalized_solution():
+    # policy iteration on min(F(u), u - M u) itself: from the root it lands
+    # on the QVI solution to roundoff, and u^rho approaches it from below
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        d, n = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        cost = float(rng.uniform(0.05, 0.5))
+        system = random_affine_system(rng, d=d, n=n, gamma=1.0)
+        root, _ = solve_root(system, np.zeros((d, n)))
+        u, report = _solve_qvi(system, cost, root)
+        assert report.converged
+        assert sup_norm(qvi_residual(u, system, cost)) <= 1e-8
+        prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(d, cost), 1e3)
+        u_rho, _ = solve_penalized(prob, root)
+        assert (u_rho - u).max() <= 1e-12
+
+
+def test_qvi_solve_from_a_table_cell_takes_few_iterations(three_regime):
+    _, system, root = three_regime
+    costs = SwitchingCostMatrix.uniform(3, 1 / 64)
+    u_rho, _ = solve_penalized(PenalizedProblem(system, costs, 32e3), root)
+    u, report = _solve_qvi(system, costs, u_rho)
+    assert report.iterations <= 3
+    assert sup_norm(qvi_residual(u, system, costs)) <= 1e-12
+    assert (u_rho - u).max() <= 1e-12
+
+
 def test_linear_solve_identity():
     rhs = np.array([3.0, -1.0, 4.0])
     assert np.array_equal(linear_solve(NodeBand.from_matrix(sp.eye(3), 1), rhs), rhs)
@@ -309,6 +338,7 @@ NEWTON_SOLVES = {
     "solve_penalized": lambda system, costs, prob, root: solve_penalized(prob, root),
     "solve_obstacle": lambda system, costs, prob, root: solve_obstacle(
         system, _obstacles(root, costs)[0], root),
+    "solve_qvi": lambda system, costs, prob, root: _solve_qvi(system, costs, root),
     "apply_Q": lambda system, costs, prob, root: regularize.apply_Q(root, system, costs),
     "apply_T": lambda system, costs, prob, root: regularize.apply_T(root, system, costs, 1.0),
     "apply_Q_rho": lambda system, costs, prob, root: regularize.apply_Q_rho(root, prob),

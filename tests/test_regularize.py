@@ -89,7 +89,7 @@ def test_supersolution_residual_pinned_at_kappa(two_regime, q_fixed):
     kappa = 0.25
     w = strict_supersolution(system, COST, kappa)
     defect = sup_norm(qvi_residual(w, system, COST) - kappa)
-    assert defect <= 10.0 * kappa * 1e-3
+    assert defect <= 1e-10
     assert sup_norm(w) <= (system.norm_F0 + kappa) / system.gamma
     # a strict supersolution dominates the solution
     assert (w - q_fixed[0]).min() >= -1e-8
