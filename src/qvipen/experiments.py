@@ -141,6 +141,12 @@ class ExperimentConfig:
             fields["newton"] = NewtonConfig(**newton_map)
         for key in ("rho_list", "cost_list", "reward_pieces"):
             if key in fields and fields[key] is not None:
+                # a string is iterable too, and would be split into characters
+                if not isinstance(fields[key], (list, tuple)):
+                    raise ValueError(
+                        f"{key} must be a list, got {type(fields[key]).__name__} "
+                        f"{fields[key]!r}"
+                    )
                 fields[key] = tuple(
                     tuple(p) if isinstance(p, (list, tuple)) else p for p in fields[key]
                 )

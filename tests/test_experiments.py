@@ -455,6 +455,22 @@ def test_cli_rejects_invalid_reward_pieces(tmp_path, capsys, pieces, message):
     assert "reward piece" in err and message in err
 
 
+@pytest.mark.parametrize("command, mapping, message", [
+    ("table", {"cost_list": 0.5}, "cost_list must be a list, got float 0.5"),
+    ("solve", {"case": "custom", "d": 2, "reward_pieces": 3},
+     "reward_pieces must be a list, got int 3"),
+    ("solve", {"rho_list": "1000"}, "rho_list must be a list, got str '1000'"),
+], ids=["scalar-cost", "scalar-pieces", "string-rho"])
+def test_cli_rejects_a_list_field_that_is_not_a_list(tmp_path, capsys, command, mapping, message):
+    # these failed with "not iterable", and the string was split into
+    # characters before a numpy casting error
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(mapping))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
 @pytest.mark.parametrize("command", ["solve", "regions", "verify"])
 def test_cli_format_is_a_usage_error_where_output_is_json_only(command, capsys):
     with pytest.raises(SystemExit) as usage:

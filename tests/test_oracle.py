@@ -22,6 +22,7 @@ from qvipen.oracle import (
     active_set_enumerate,
     pseudo_time_solve,
 )
+from qvipen.oracle import _march_operators
 from qvipen.oracle import _residual as oracle_residual
 from qvipen.testing import random_affine_system
 
@@ -125,6 +126,72 @@ def test_pseudo_time_quadratic_penalty():
     )
     u = pseudo_time_solve(prob, tol=1e-10)
     assert np.allclose(u, [[1.0], [2.0]], atol=1e-8)
+
+
+def reference_march(prob, step=None, tol=1e-9):
+    """pseudo_time_solve's march written plainly, allocating as it goes.
+
+    Returns the solution and the number of residual evaluations before the
+    one that met tol.
+    """
+    lift, floor, reduce = _march_operators(prob)
+    d, n = prob.system.d, prob.system.N
+    y = np.append(np.zeros(d * n), 1.0)
+    u = y[:-1]
+    if step is None:
+        step = 0.9 / (np.abs(np.diag(lift)[: d * n]).max() + prob.rho * (d - 1))
+    delta, halvings, growth, prev, steps = step, 0, 0, np.inf, 0
+    while True:
+        z = np.maximum(lift @ y, floor)
+        z[d * n:] = z[d * n:] ** (1.0 / prob.penalty.sigma)
+        g = reduce @ z
+        res = np.abs(g).max()
+        if res <= tol:
+            return u.reshape(d, n), steps
+        steps += 1
+        growth = 0 if res <= prev else growth + 1
+        if growth >= 100:
+            halvings += 1
+            assert halvings <= 10
+            delta, growth, prev = delta / 2, 0, np.inf
+            u[:] = 0.0
+            continue
+        prev = res
+        u -= delta * g
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+def test_march_trajectory_matches_the_plain_reference(seed, sigma):
+    # stepping through preallocated buffers changes no rounding: the result
+    # is bitwise the reference's, after the same number of steps. A last-bit
+    # change in a step often washes out of the converged iterate, so several
+    # instances are needed; folding the step into R shows on half of these
+    rng = np.random.default_rng(seed)
+    system = random_affine_system(rng, d=3, n=2)
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), 10.0,
+                            PenaltyFunction(sigma))
+    expected, steps = reference_march(prob)
+    assert np.array_equal(pseudo_time_solve(prob, tol=1e-9, max_steps=steps + 1), expected)
+    with pytest.raises(MaxStepsExceeded):
+        pseudo_time_solve(prob, tol=1e-9, max_steps=steps)
+
+
+def test_march_trajectory_matches_the_reference_through_halvings():
+    expected, steps = reference_march(tiny_problem(), step=3.0, tol=1e-10)
+    u = pseudo_time_solve(tiny_problem(), step=3.0, tol=1e-10, max_steps=steps + 1)
+    assert np.array_equal(u, expected)
+    with pytest.raises(MaxStepsExceeded):
+        pseudo_time_solve(tiny_problem(), step=3.0, tol=1e-10, max_steps=steps)
+
+
+def test_pseudo_time_rejects_a_penalty_degree_above_one():
+    # pi = sqrt(t+) has unbounded slope at 0+, so no fixed step contracts; at
+    # sigma = 2 the march stalled and spent its whole step budget
+    prob = tiny_problem()
+    steep = PenalizedProblem(prob.system, prob.costs, rho=1.0, penalty=PenaltyFunction(2.0))
+    with pytest.raises(ValueError, match="sigma=2.0"):
+        pseudo_time_solve(steep)
 
 
 def test_enumerate_tiny_instance():
