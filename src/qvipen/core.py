@@ -10,14 +10,13 @@ operation and solver; :func:`field_values` is the one shape check on input.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "SwitchingCostMatrix",
-    "PenaltyFunction",
     "NodeBand",
     "AffineSystem",
     "PenalizedProblem",
@@ -115,24 +114,6 @@ def as_costs(costs, d: int) -> SwitchingCostMatrix:
     if np.isscalar(costs):
         return SwitchingCostMatrix.uniform(d, float(costs))
     return as_costs(SwitchingCostMatrix(np.asarray(costs)), d)
-
-
-@dataclass(frozen=True)
-class PenaltyFunction:
-    """The penalty family pi(y) = (max(y, 0))**(1/sigma).
-
-    It meets the lower bound pi(y) >= tau * y**(1/sigma) with tau = 1.
-    """
-
-    sigma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"penalty degree must be positive, got {self.sigma}")
-
-    def __call__(self, y):
-        clamped = np.maximum(np.asarray(y, dtype=float), 0.0)
-        return clamped if self.sigma == 1.0 else clamped ** (1.0 / self.sigma)
 
 
 @dataclass(frozen=True)
@@ -259,21 +240,21 @@ class AffineSystem:
 
 @dataclass(frozen=True)
 class PenalizedProblem:
-    """A system together with switching costs, penalty weight, and penalty family."""
+    """A system together with switching costs and a penalty weight.
+
+    The penalty is pi(y) = max(y, 0). ``costs`` may be a scalar, a matrix or
+    a SwitchingCostMatrix; it is stored as a SwitchingCostMatrix of the
+    system's size.
+    """
 
     system: AffineSystem
     costs: SwitchingCostMatrix
     rho: float
-    penalty: PenaltyFunction = field(default_factory=PenaltyFunction)
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.rho) and self.rho >= 0):
             raise ValueError(f"penalty weight must be nonnegative, got {self.rho}")
-        if self.costs.d != self.system.d:
-            raise ValueError(
-                f"cost matrix is {self.costs.d}x{self.costs.d}, "
-                f"system has {self.system.d} regimes"
-            )
+        object.__setattr__(self, "costs", as_costs(self.costs, self.system.d))
 
 
 @dataclass
@@ -326,7 +307,7 @@ def qvi_residual(u, system: AffineSystem, costs) -> np.ndarray:
 
 def _penalized(u, prob: PenalizedProblem):
     """``(residual, coupling)``: the penalized residual at u and the coupling
-    its degree-1 slant adds to F's, for :func:`slant_band`.
+    its slant adds to F's, for :func:`slant_band`.
 
     Active terms (argument strictly positive) add +rho on the (i, l) diagonal
     and -rho at column (j, l); the kink at zero counts as inactive. At rho = 0
@@ -336,11 +317,11 @@ def _penalized(u, prob: PenalizedProblem):
     f = prob.system.evaluate(v)
     if prob.rho == 0.0:
         return f, None
-    # entry [i, j, l] = v[j, l] - c[i, j] - v[i, l]; pi(-inf) = 0 drops i == j
+    # entry [i, j, l] = v[j, l] - c[i, j] - v[i, l]; max(-inf, 0) = 0 drops i == j
     args = v[None, :, :] - prob.costs._cost_tensor - v[:, None, :]
     active = args > 0.0
     count = _diagonal_block(v.shape[0]) * active.sum(axis=1)[:, None]
-    return f - prob.rho * prob.penalty(args).sum(axis=1), prob.rho * (count - active)
+    return f - prob.rho * np.maximum(args, 0.0).sum(axis=1), prob.rho * (count - active)
 
 
 def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
@@ -369,18 +350,7 @@ def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
     return NodeBand(d, kl, ku, out)
 
 
-def _require_degree_one(prob: PenalizedProblem) -> None:
-    """Reject a penalty the Newton path cannot linearize; at rho = 0 the
-    penalty never evaluates, so any degree passes."""
-    if prob.rho != 0.0 and prob.penalty.sigma != 1.0:
-        raise ValueError(
-            f"Newton path supports penalty degree 1 only, got sigma={prob.penalty.sigma}; "
-            "other degrees go through the marching oracle"
-        )
-
-
 def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:
-    """The penalized slant as regime-major CSR; degree-1 penalty only."""
-    _require_degree_one(prob)
+    """The penalized slant as regime-major CSR."""
     v = field_values(u, prob.system.d, prob.system.N)
     return slant_band(prob.system, coupling=_penalized(v, prob)[1]).tocsr()

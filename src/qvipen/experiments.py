@@ -10,6 +10,7 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 import traceback
 from dataclasses import dataclass, field
 
@@ -77,6 +78,11 @@ CASES = {
 _NEWTON_KEYS = {f.name for f in dataclasses.fields(NewtonConfig)}
 
 
+def _finite(x) -> bool:
+    """Whether x is a finite real number; a bool or a string is not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a named case, its (cost, weight) grid, and output."""
@@ -107,14 +113,16 @@ class ExperimentConfig:
         if not self.cost_list:
             raise ValueError("cost_list must be nonempty")
         for k, rho in enumerate(self.rho_list):
-            if not (np.isfinite(rho) and rho > 0):
-                raise ValueError(f"rho_list[{k}] = {rho} is not a positive weight")
+            if not (_finite(rho) and rho > 0):
+                raise ValueError(f"rho_list[{k}] = {rho!r} is not a positive weight")
         for k, c in enumerate(self.cost_list):
-            if not (np.isfinite(c) and c >= 0):
+            if not (_finite(c) and c >= 0):
                 raise ValueError(
-                    f"cost_list[{k}] = {c} is invalid: switching costs must be "
-                    "nonnegative"
+                    f"cost_list[{k}] = {c!r} is invalid: switching costs must be "
+                    "nonnegative numbers"
                 )
+        if not _finite(self.probe_point):
+            raise ValueError(f"probe_point = {self.probe_point!r} is not a finite number")
         given = [name for name in ("d", "reward_pieces") if getattr(self, name) is not None]
         if self.case == "custom" and len(given) < 2:
             raise ValueError("custom case needs explicit 'd' and 'reward_pieces'")
@@ -135,6 +143,11 @@ class ExperimentConfig:
         fields = dict(mapping)
         newton_map = fields.pop("newton", None)
         if newton_map is not None:
+            if not isinstance(newton_map, dict):
+                raise ValueError(
+                    f"newton must be a mapping of {', '.join(sorted(_NEWTON_KEYS))}, "
+                    f"got {type(newton_map).__name__} {newton_map!r}"
+                )
             bad = sorted(set(newton_map) - _NEWTON_KEYS)
             if bad:
                 raise ValueError(f"unknown newton config keys: {', '.join(bad)}")
@@ -186,13 +199,17 @@ class CellRecord:
 
 @dataclass
 class TableResult:
+    """A solved sweep: one CellRecord per cell, and in ``solutions`` the
+    (d, N) field of every cell that converged, keyed by its (cost index,
+    weight index) in the config's lists."""
+
     case: str
     probe_x: float
     cells: list
     solutions: dict
 
 
-def run_table(config: ExperimentConfig, keep_solutions: bool = False) -> TableResult:
+def run_table(config: ExperimentConfig) -> TableResult:
     """Solve the full (cost, weight) grid, every cell cold from the root of F.
 
     Zero-cost cells take the same penalized solve as the others: as rho grows
@@ -224,8 +241,7 @@ def run_table(config: ExperimentConfig, keep_solutions: bool = False) -> TableRe
                 report.elapsed_seconds, report.converged,
                 regime_gap=_regime_gap(u),
             ))
-            if keep_solutions:
-                solutions[(ci, ri)] = u
+            solutions[(ci, ri)] = u
             previous = u
     return TableResult(config.case, config.probe_point, cells, solutions)
 

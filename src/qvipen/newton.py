@@ -35,7 +35,6 @@ from .core import (
     _diagonal_block,
     _obstacles,
     _penalized,
-    _require_degree_one,
     as_costs,
     field_values,
     slant_band,
@@ -167,8 +166,7 @@ def solve_root(system: AffineSystem, initial, cfg: NewtonConfig | None = None):
 
 
 def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = None):
-    """Solve the penalized equation; degree-1 penalty only."""
-    _require_degree_one(prob)
+    """Solve the penalized equation."""
 
     def linearize(u):
         residual, coupling = _penalized(u, prob)

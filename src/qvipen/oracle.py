@@ -1,12 +1,12 @@
 """Slow, simple ground-truth solvers used to cross-check the Newton path.
 
-Two routes: explicit pseudo-time marching (penalty degree sigma <= 1), and
-exhaustive active-set enumeration (degree 1, desk scale only). Both read the
-dense A and b of the system F(u) = A vec(u) - b from one helper, and both
-build their penalty terms rho * pi(u^j - c[i, j] - u^i) straight from that
-definition, as small dense operators over the d(d-1) ordered regime pairs.
-They share no code with the residual or slant in `core` that they are
-checking; from `core` they take only the problem type.
+Two routes: explicit pseudo-time marching, and exhaustive active-set
+enumeration (desk scale only). Both read the dense A and b of the system
+F(u) = A vec(u) - b from one helper, and both build their penalty terms
+rho * max(u^j - c[i, j] - u^i, 0) straight from that definition, as small
+dense operators over the d(d-1) ordered regime pairs. They share no code
+with the residual or slant in `core` that they are checking; from `core`
+they take only the problem type.
 
 The march needs about (max diag + rho(d-1)) / gamma * ln(res0 / tol) steps:
 the step is capped by the largest slant row, and each step shrinks the error
@@ -14,20 +14,16 @@ by about gamma times the step. That count is a property of the instance, so
 only the cost of one step can be cut. One step is two small dense products
 and a clamp: K = [A | -b; D x I_N | -c], built once per solve, maps
 y = [vec(u), 1] to F(u) above the penalty arguments; the penalty rows are
-clamped at 0 (and raised to 1/sigma), and [I | -S x I_N] folds them into
-G(u). Every step writes into buffers allocated once per solve, through
-``ndarray.dot(..., out=)`` and in-place ufuncs, so it makes no temporaries;
-the arithmetic, and so the trajectory, is bitwise that of the allocating
-step. On the 72 verify-style instances of the benchmark's oracle pool
-(557,835 steps; numpy 2.4, one BLAS thread, 2-core shared host) a step went
-from about 10 to about 8.5 us. A per-row (Jacobi) step does not lower the
-count: at rho = 1e3 the term rho(d-1) dominates every row's diagonal, so
-such a step saves at most 0.2% of the steps on verify-style random
-instances and 1.5% on the N = 20 two-regime grid.
-
-The march needs a penalty degree sigma <= 1: the default step assumes the
-penalty's slope is at most 1, and pi(t) = t ** (1/sigma) with sigma > 1 has
-unbounded slope at 0+.
+clamped at 0, and [I | -S x I_N] folds them into G(u). Every step writes
+into buffers allocated once per solve, through ``ndarray.dot(..., out=)``
+and in-place ufuncs, so it makes no temporaries; the arithmetic, and so the
+trajectory, is bitwise that of the allocating step. On the 72 verify-style
+instances of the benchmark's oracle pool (557,835 steps; numpy 2.4, one
+BLAS thread, 2-core shared host) a step went from about 10 to about 8.5 us.
+A per-row (Jacobi) step does not lower the count: at rho = 1e3 the term
+rho(d-1) dominates every row's diagonal, so such a step saves at most 0.2%
+of the steps on verify-style random instances and 1.5% on the N = 20
+two-regime grid.
 """
 from __future__ import annotations
 
@@ -85,7 +81,7 @@ def _affine_operators(system):
 
 
 def _penalty_operators(prob: PenalizedProblem):
-    """(D, c, S): the penalty is S @ pi(D @ u - c), one row of D and c per pair.
+    """(D, c, S): the penalty is S @ max(D @ u - c, 0), one row of D and c per pair.
 
     Row k of the (P, d) difference matrix D, for pair (i, j), has +1 at j and
     -1 at i; c[k] is the cost c[i, j]; the (d, P) scatter S adds rho times
@@ -102,13 +98,12 @@ def _penalty_operators(prob: PenalizedProblem):
 
 
 def _march_operators(prob: PenalizedProblem):
-    """(K, floor, R): G(u) = R @ pi_floor(K @ [vec(u), 1]).
+    """(K, floor, R): G(u) = R @ max(K @ [vec(u), 1], floor).
 
     K stacks [A | -b] above [D x I_N | -c], so K @ y holds F(u) and then the
     penalty argument of each (pair, node). Clamping at ``floor`` (-inf on the
-    F rows, 0 on the penalty rows) and raising the penalty rows to 1/sigma
-    gives pi, and R = [I | -S x I_N] subtracts rho times each term from its
-    regime's F row.
+    F rows, 0 on the penalty rows) gives the penalty pi(t) = max(t, 0), and
+    R = [I | -S x I_N] subtracts rho times each term from its regime's F row.
     """
     a, b = _affine_operators(prob.system)
     diff, cost, scatter = _penalty_operators(prob)
@@ -123,17 +118,14 @@ def _march_operators(prob: PenalizedProblem):
     return lift, floor, reduce
 
 
-def _march_residual(ops, y: np.ndarray, power: float, z: np.ndarray,
-                    g: np.ndarray) -> np.ndarray:
-    """G(u) at y = [vec(u), 1] into g, with pi(t) = max(t, 0) ** power.
+def _march_residual(ops, y: np.ndarray, z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """G(u) at y = [vec(u), 1] into g, with pi(t) = max(t, 0).
 
     z (one entry per row of K) is scratch; both buffers are overwritten.
     """
     lift, floor, reduce = ops
     lift.dot(y, out=z)
     np.maximum(z, floor, out=z)
-    if power != 1.0:
-        z[reduce.shape[0]:] **= power
     return reduce.dot(z, out=g)
 
 
@@ -143,7 +135,7 @@ def _residual(prob: PenalizedProblem, u: np.ndarray) -> np.ndarray:
     y = np.append(np.asarray(u, dtype=float).ravel(), 1.0)
     z = np.empty(ops[0].shape[0])
     g = np.empty(ops[2].shape[0])
-    _march_residual(ops, y, 1.0 / prob.penalty.sigma, z, g)
+    _march_residual(ops, y, z, g)
     return g.reshape(prob.system.d, prob.system.N)
 
 
@@ -156,10 +148,10 @@ def pseudo_time_solve(
     """March u <- u - step * G(u) from zero until the residual sup-norm <= tol.
 
     The default step 0.9 / (max slant diagonal + rho*(d-1)) makes the update a
-    contraction on the assembled systems when the penalty is Lipschitz with
-    constant 1, so the penalty degree must be sigma <= 1. A non-finite
-    residual, or one that grows for 100 steps in a row, halves the step and
-    restarts the march from zero; ten halvings without recovery is a failure.
+    contraction on the assembled systems, the penalty max(t, 0) being
+    Lipschitz with constant 1. A non-finite residual, or one that grows for
+    100 steps in a row, halves the step and restarts the march from zero; ten
+    halvings without recovery is a failure.
     """
     if not isinstance(max_steps, numbers.Integral) or max_steps < 1:
         raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
@@ -167,13 +159,8 @@ def pseudo_time_solve(
         raise ValueError(f"step must be positive and finite, got {step}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if prob.penalty.sigma > 1.0:
-        raise ValueError(
-            f"marching supports penalty degree sigma <= 1 only, got sigma={prob.penalty.sigma}"
-        )
     d, n = prob.system.d, prob.system.N
     ops = _march_operators(prob)
-    power = 1.0 / prob.penalty.sigma
     # y = [vec(u), 1]; u is a view, updated in place
     y = np.zeros(d * n + 1)
     y[-1] = 1.0
@@ -193,7 +180,7 @@ def pseudo_time_solve(
     # overflow on a divergent trajectory is an anticipated signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_steps):
-            _march_residual(ops, y, power, z, g)
+            _march_residual(ops, y, z, g)
             np.absolute(g, out=mag)
             res = float(mag.max())
             if res <= tol:
@@ -231,10 +218,6 @@ def active_set_enumerate(prob: PenalizedProblem) -> np.ndarray:
     exactly singular pattern matrix is skipped.
     """
     system = prob.system
-    if prob.penalty.sigma != 1.0:
-        raise ValueError(
-            f"enumeration supports penalty degree 1 only, got sigma={prob.penalty.sigma}"
-        )
     d, n = system.d, system.N
     i, j = _pairs(d)
     bits = i.size * n

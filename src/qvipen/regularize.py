@@ -22,7 +22,6 @@ from .core import (
     SwitchingCostMatrix,
     _diagonal_block,
     _obstacles,
-    _require_degree_one,
     a_priori_bound,
     as_costs,
     field_values,
@@ -85,17 +84,15 @@ def estimate_C(system: AffineSystem) -> float:
 class ErrorConstants:
     """The constants feeding every error formula: kappa, L_kappa, mu, and C.
 
-    mode picks the contraction factor: "iterated-stopping" gives
-    mu = min(1, gamma*kappa / (2||F(0)|| + kappa)); "time-marching" gives
-    mu = kappa / (kappa + epsilon*L_kappa) and requires epsilon.
+    mu = min(1, gamma*kappa / (2||F(0)|| + kappa)) is the contraction factor
+    of the iterated-stopping sweep Q started at the root of F;
+    L_kappa = (2||F(0)|| + kappa) / gamma and C is :func:`estimate_C`.
     """
 
     kappa: float
     L_kappa: float
     mu: float
     C: float
-    mode: str
-    epsilon: float | None
     norm_F0: float
     gamma: float
     min_cost: float
@@ -106,8 +103,6 @@ class ErrorConstants:
         system: AffineSystem,
         costs,
         kappa: float | None = None,
-        mode: str = "iterated-stopping",
-        epsilon: float | None = None,
     ) -> "ErrorConstants":
         costs = as_costs(costs, system.d)
         if kappa is None:
@@ -115,22 +110,11 @@ class ErrorConstants:
         if not 0.0 < kappa < costs.min_cost:
             raise ValueError(f"kappa must lie in (0, {costs.min_cost}), got {kappa}")
         f0 = system.norm_F0
-        l_kappa = (2.0 * f0 + kappa) / system.gamma
-        if mode == "iterated-stopping":
-            mu = min(1.0, system.gamma * kappa / (2.0 * f0 + kappa))
-        elif mode == "time-marching":
-            if epsilon is None or epsilon <= 0:
-                raise ValueError("time-marching mode needs epsilon > 0")
-            mu = kappa / (kappa + epsilon * l_kappa)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
         return cls(
             kappa=float(kappa),
-            L_kappa=l_kappa,
-            mu=mu,
+            L_kappa=(2.0 * f0 + kappa) / system.gamma,
+            mu=min(1.0, system.gamma * kappa / (2.0 * f0 + kappa)),
             C=estimate_C(system),
-            mode=mode,
-            epsilon=epsilon,
             norm_F0=f0,
             gamma=system.gamma,
             min_cost=costs.min_cost,
@@ -180,7 +164,6 @@ def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray, epsilon: f
     if prob.rho == 0.0:
         out, _ = solve_root(system, frozen, cfg)
         return out
-    _require_degree_one(prob)
     # entry [i, j, l] = frozen[j, l] - c[i, j], -inf at j == i
     switch = frozen[None, :, :] - prob.costs._cost_tensor
     block = _diagonal_block(system.d)
@@ -189,7 +172,7 @@ def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray, epsilon: f
         args = switch - v[:, None, :]
         if epsilon:
             args = args - epsilon * (v - frozen)[:, None, :]
-        residual = system.evaluate(v) - prob.rho * prob.penalty(args).sum(axis=1)
+        residual = system.evaluate(v) - prob.rho * np.maximum(args, 0.0).sum(axis=1)
         # each active term depends on v only through -(1+epsilon) * v^i, so
         # the penalty part of the slant is purely diagonal
         diagonal = prob.rho * (1.0 + epsilon) * (args > 0.0).sum(axis=1)
@@ -280,9 +263,8 @@ def phi_upper_bound(nu: float, a: float, b: float) -> float:
 
 
 def penalty_error_bound(constants: ErrorConstants, rho: float) -> float:
-    """Rigorous upper bound on ||u - u^rho|| for the degree-1 penalty, built
-    from the per-sweep drift C/rho; zero when costs are so large that the
-    obstacle never binds."""
+    """Rigorous upper bound on ||u - u^rho||, built from the per-sweep drift
+    C/rho; zero when costs are so large that the obstacle never binds."""
     if rho <= 0.0:
         raise ValueError(f"penalty weight must be positive, got {rho}")
     if constants.min_cost > 2.0 * constants.norm_F0 / constants.gamma:

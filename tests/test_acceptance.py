@@ -56,7 +56,7 @@ def _report(number, passed, detail):
 def table1():
     config = ExperimentConfig.from_mapping({"case": "two-regime"})
     start = time.perf_counter()
-    result = run_table(config, keep_solutions=True)
+    result = run_table(config)
     elapsed = time.perf_counter() - start
     return result, elapsed
 
@@ -64,7 +64,7 @@ def table1():
 @pytest.fixture(scope="module")
 def table2():
     config = ExperimentConfig.from_mapping({"case": "three-regime"})
-    result = run_table(config, keep_solutions=True)
+    result = run_table(config)
     return result
 
 

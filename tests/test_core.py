@@ -6,7 +6,6 @@ import scipy.sparse as sp
 from qvipen.core import (
     AffineSystem,
     PenalizedProblem,
-    PenaltyFunction,
     SwitchingCostMatrix,
     a_priori_bound,
     _obstacles,
@@ -59,29 +58,34 @@ def test_as_costs():
         as_costs(c, 3)
 
 
+def penalty_term(y, rho):
+    """pi(y) as penalized_residual applies it, one argument per node.
+
+    On F(u) = u with zero costs, u^0 = 0 and u^1 = y make the regime-0
+    residual -rho * pi(y); the regime-1 argument -y is never read here.
+    """
+    y = np.asarray(y, dtype=float)
+    system = identity_system(np.zeros((2, y.size)))
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.0), rho=rho)
+    return -penalized_residual(np.stack([np.zeros_like(y), y]), prob)[0] / rho
+
+
 def test_penalty_function():
-    pi = PenaltyFunction()
-    assert pi.sigma == 1.0
-    y = np.array([-1.0, 0.0, 2.0])
-    assert np.array_equal(pi(y), [0.0, 0.0, 2.0])
-    sq = PenaltyFunction(sigma=0.5)
-    assert np.array_equal(sq(y), [0.0, 0.0, 4.0])
-    with pytest.raises(ValueError):
-        PenaltyFunction(sigma=0.0)
+    # the one penalty is pi(y) = max(y, 0); the kink at zero gives 0
+    assert np.array_equal(penalty_term([-1.0, 0.0, 2.0], 1.0), [0.0, 0.0, 2.0])
 
 
-@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
-def test_penalty_laws(sigma):
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+def test_penalty_laws(rho):
     # grid spans twice the a-priori radius of the shipped models
-    pi = PenaltyFunction(sigma)
     y = np.linspace(-48.0, 48.0, 1001)
-    vals = pi(y)
+    vals = penalty_term(y, rho)
     assert np.all(vals[y <= 0.0] == 0.0)
     assert np.all(vals[y > 0.0] > 0.0)
     assert np.all(np.diff(vals) >= 0.0)
+    # the lower bound pi(y) >= tau * y holds with tau = 1
     pos = y[y >= 0.0]
-    # the lower bound pi(y) >= tau * y**(1/sigma) holds with tau = 1
-    assert np.all(pi(pos) >= pos ** (1.0 / sigma) - 1e-12)
+    assert np.all(vals[y >= 0.0] >= pos - 1e-12)
 
 
 def test_affine_system():
@@ -128,8 +132,22 @@ def test_penalized_problem_validation():
     system = identity_system(np.zeros((2, 1)))
     with pytest.raises(ValueError):
         PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 1.0), rho=-1.0)
-    with pytest.raises(ValueError):
-        PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 1.0), rho=1.0)
+    for costs in (SwitchingCostMatrix.uniform(3, 1.0), np.full((3, 3), 0.1), [[0.0, 0.1]]):
+        with pytest.raises(ValueError):
+            PenalizedProblem(system, costs, rho=1.0)
+
+
+@pytest.mark.parametrize("costs", [0.1, [[0.0, 0.1], [0.1, 0.0]], np.full((2, 2), 0.1)],
+                         ids=["scalar", "list", "array"])
+def test_penalized_problem_takes_costs_as_as_costs_does(costs):
+    # these failed on first use with "'float' object has no attribute 'd'"
+    system = identity_system(np.array([[0.0], [2.0]]))
+    prob = PenalizedProblem(system, costs, rho=1.0)
+    assert isinstance(prob.costs, SwitchingCostMatrix)
+    assert np.array_equal(prob.costs.costs, as_costs(0.1, 2).costs)
+    uniform = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.1), rho=1.0)
+    assert np.array_equal(penalized_residual(np.ones((2, 1)), prob),
+                          penalized_residual(np.ones((2, 1)), uniform))
 
 
 def test_intervention_single_competitor():
@@ -199,9 +217,7 @@ def test_penalized_residual_matches_loop_oracle():
         n = int(rng.integers(1, 6))
         system = random_affine_system(rng, d=d, n=n)
         costs = SwitchingCostMatrix(rng.uniform(0.0, 1.0, (d, d)))
-        sigma = float(rng.choice([0.5, 1.0, 2.0]))
-        prob = PenalizedProblem(system, costs, rho=float(rng.uniform(0.0, 100.0)),
-                                penalty=PenaltyFunction(sigma))
+        prob = PenalizedProblem(system, costs, rho=float(rng.uniform(0.0, 100.0)))
         u = rng.normal(scale=2.0, size=(d, n))
         assert np.allclose(penalized_residual(u, prob), oracle_residual(prob, u),
                            rtol=0.0, atol=1e-10)
@@ -224,13 +240,13 @@ def test_penalized_slant_active_assembly():
 
 
 def test_penalized_slant_rho_zero_any_degree():
+    # at rho = 0 the penalty never enters: the slant is A, even where a
+    # penalty argument is positive
     system = identity_system(np.zeros((2, 1)))
-    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 1.0), rho=0.0,
-                            penalty=PenaltyFunction(sigma=2.0))
-    assert (penalized_slant(np.zeros((2, 1)), prob) != system.matrix).nnz == 0
-    with pytest.raises(ValueError, match="degree"):
-        penalized_slant(np.zeros((2, 1)),
-                        PenalizedProblem(system, prob.costs, rho=1.0, penalty=prob.penalty))
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 1.0), rho=0.0)
+    u = np.array([[0.0], [3.0]])
+    assert (penalized_slant(u, prob) != system.matrix).nnz == 0
+    assert np.array_equal(penalized_residual(u, prob), system.evaluate(u))
 
 
 def test_penalized_slant_directional_derivative():

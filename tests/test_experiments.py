@@ -185,10 +185,11 @@ def test_zero_cost_regime_gaps_match_the_hjb_limit(small_table):
 
 
 def test_keep_solutions_stores_fields():
+    # run_table always keeps every converged cell's field
     config = ExperimentConfig.from_mapping(
         {"case": "two-regime", "cost_list": [0.5, 0.0], "rho_list": [1e3, 2e3]}
     )
-    table = run_table(config, keep_solutions=True)
+    table = run_table(config)
     assert set(table.solutions) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert table.solutions[(0, 0)].shape == (2, 100)
 
@@ -467,6 +468,31 @@ def test_cli_rejects_a_list_field_that_is_not_a_list(tmp_path, capsys, command, 
     path = tmp_path / "config.json"
     path.write_text(json.dumps(mapping))
     assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ({"cost_list": [0.5, "0.5"]}, "cost_list[1] = '0.5' is invalid"),
+    ({"rho_list": [None]}, "rho_list[0] = None is not a positive weight"),
+    ({"rho_list": [True]}, "rho_list[0] = True is not a positive weight"),
+    ({"newton": ["tol"]}, "newton must be a mapping of max_iter, residual_tol, tol, "
+                          "got list ['tol']"),
+    ({"newton": 5}, "newton must be a mapping of max_iter, residual_tol, tol, got int 5"),
+    ({"probe_point": float("nan")}, "probe_point = nan is not a finite number"),
+    ({"probe_point": float("inf")}, "probe_point = inf is not a finite number"),
+    ({"probe_point": "0.5"}, "probe_point = '0.5' is not a finite number"),
+], ids=["string-cost", "null-rho", "bool-rho", "list-newton", "int-newton", "nan-probe",
+        "inf-probe", "string-probe"])
+def test_cli_names_the_field_of_a_bad_entry(tmp_path, capsys, mapping, message):
+    # each printed a message that named no field: a numpy isfinite casting
+    # error, "argument after ** must be a mapping", "'int' object is not
+    # iterable", "cannot convert float NaN to integer" or "unsupported operand
+    # type(s) for /"; an infinite probe raised OverflowError (exit 1) and a
+    # bool weight ran as rho = 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(mapping))
+    assert main(["solve", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
 

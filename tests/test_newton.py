@@ -8,7 +8,6 @@ from qvipen.core import (
     AffineSystem,
     NodeBand,
     PenalizedProblem,
-    PenaltyFunction,
     SwitchingCostMatrix,
     _obstacles,
     _penalized,
@@ -118,15 +117,16 @@ def test_huge_cost_removes_penalty_dependence():
     assert sup_norm(solutions[1] - solutions[2]) <= 1e-9
 
 
-def test_solve_penalized_rejects_unsupported_degree():
+def test_solve_penalized_at_zero_weight_is_the_root_solve():
+    # at rho = 0 the penalty never evaluates, so the solve reduces to F(u) = 0
+    # even from a start that activates a penalty argument
     system = identity_system(np.zeros((2, 1)))
     costs = SwitchingCostMatrix.uniform(2, 1.0)
-    quad = PenaltyFunction(sigma=0.5)
-    with pytest.raises(ValueError, match="degree"):
-        solve_penalized(PenalizedProblem(system, costs, 1.0, quad), np.zeros((2, 1)))
-    # at rho=0 the penalty never evaluates, any degree reduces to the root solve
-    u, _ = solve_penalized(PenalizedProblem(system, costs, 0.0, quad), np.ones((2, 1)))
+    start = np.array([[0.0], [3.0]])
+    u, report = solve_penalized(PenalizedProblem(system, costs, 0.0), start)
+    root, root_report = solve_root(system, start)
     assert sup_norm(u) <= 1e-12
+    assert np.array_equal(u, root) and report.iterations == root_report.iterations
 
 
 def test_newton_globalizes_from_below(three_regime):

@@ -264,17 +264,6 @@ def test_t_rho_fixed_point_matches_penalty_solution(two_regime):
     assert sup_norm(u_t - u_rho) <= 1e-5
 
 
-def test_penalized_sweeps_reject_quadratic_penalty(two_regime):
-    from qvipen import PenaltyFunction
-
-    system, root = two_regime
-    prob = PenalizedProblem(
-        system, SwitchingCostMatrix.uniform(2, COST), 1e3, PenaltyFunction(sigma=0.5)
-    )
-    with pytest.raises(ValueError):
-        apply_Q_rho(root, prob)
-
-
 # ------------------------------------------------------------------ the driver
 
 
@@ -337,16 +326,8 @@ def test_error_constants_formulas(two_regime):
         system.gamma * cons.kappa / (2.0 * f0 + cons.kappa)
     )
     assert cons.C >= f0
-    timed = ErrorConstants.for_system(
-        system, COST, kappa=0.25, mode="time-marching", epsilon=2.0
-    )
-    assert timed.mu == pytest.approx(0.25 / (0.25 + 2.0 * timed.L_kappa))
-    with pytest.raises(ValueError):
-        ErrorConstants.for_system(system, COST, mode="time-marching")
     with pytest.raises(ValueError):
         ErrorConstants.for_system(system, COST, kappa=COST)
-    with pytest.raises(ValueError):
-        ErrorConstants.for_system(system, COST, mode="nonsense")
 
 
 def test_supremum_constant_exact_for_affine(small_instance):
