@@ -133,15 +133,18 @@ class NodeBand:
 
     @classmethod
     def from_matrix(cls, matrix, d: int) -> "NodeBand":
-        """A regime-major square matrix, with d regimes, in node-major band storage."""
+        """A regime-major square matrix, with d regimes, in node-major band
+        storage: ``ab`` is Fortran-ordered, the layout of LAPACK's band
+        arrays, and both widths are at least d - 1, so that the band also
+        holds every d x d block coupling the components of a node."""
         coo = sp.coo_matrix(matrix)
         size = coo.shape[0]
         if coo.shape != (size, size) or size % d:
             raise ValueError(f"need a square matrix of a size that d={d} divides, got {coo.shape}")
         position = _node_major(d, size // d)
         p, q = position[coo.row], position[coo.col]
-        kl, ku = int((p - q).max(initial=0)), int((q - p).max(initial=0))
-        ab = np.zeros((kl + ku + 1, size))
+        kl, ku = int((p - q).max(initial=d - 1)), int((q - p).max(initial=d - 1))
+        ab = np.zeros((kl + ku + 1, size), order="F")
         np.add.at(ab, (ku + p - q, q), coo.data)
         return cls(d, kl, ku, ab)
 
@@ -160,16 +163,6 @@ def _diagonal_block(d: int) -> np.ndarray:
     eye = np.eye(d)[:, :, None]
     eye.setflags(write=False)
     return eye
-
-
-@functools.lru_cache(maxsize=16)
-def _coupling_index(d: int, n: int, ku: int) -> np.ndarray:
-    """Read-only (d, d, N) flat index into a C-ordered band of d*N columns
-    and ku upper diagonals: entry [i, j, l] addresses row (i, l), column (j, l)."""
-    i, j = np.indices((d, d))[:, :, :, None]
-    index = (ku + i - j) * (d * n) + np.arange(n) * d + j
-    index.setflags(write=False)
-    return index
 
 
 @functools.lru_cache(maxsize=16)
@@ -318,10 +311,17 @@ def _penalized(u, prob: PenalizedProblem):
     if prob.rho == 0.0:
         return f, None
     # entry [i, j, l] = v[j, l] - c[i, j] - v[i, l]; max(-inf, 0) = 0 drops i == j
-    args = v[None, :, :] - prob.costs._cost_tensor - v[:, None, :]
+    args = v[None, :, :] - prob.costs._cost_tensor
+    args -= v[:, None, :]
     active = args > 0.0
-    count = _diagonal_block(v.shape[0]) * active.sum(axis=1)[:, None]
-    return f - prob.rho * np.maximum(args, 0.0).sum(axis=1), prob.rho * (count - active)
+    # rho * (count - active) and f - rho * sum(max(args, 0)), in place
+    coupling = _diagonal_block(v.shape[0]) * active.sum(axis=1)[:, None]
+    coupling -= active
+    coupling *= prob.rho
+    penalty = np.maximum(args, 0.0, out=args).sum(axis=1)
+    penalty *= prob.rho
+    f -= penalty
+    return f, coupling
 
 
 def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
@@ -329,25 +329,46 @@ def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
     return _penalized(u, prob)[0]
 
 
+def _coupling_blocks(ab: np.ndarray, row: int, system: AffineSystem) -> np.ndarray:
+    """The (d, d, N) view of a Fortran-ordered array ``ab`` that holds a
+    slant of ``system``, in the band storage of ``system.band``, from row
+    ``row`` on: entry [i, j, l] of the view is the slant's entry at row
+    (i, l), column (j, l)."""
+    d, n = system.d, system.N
+    height, item = ab.shape[0], ab.itemsize
+    # entry (l*d + i, l*d + j) sits at ab[row + ku + i - j, l*d + j]
+    return np.ndarray((d, d, n), ab.dtype, ab.T, (row + system.band.ku) * item,
+                      (item, (height - 1) * item, d * height * item))
+
+
+def _write_slant(out: np.ndarray, blocks: np.ndarray, system: AffineSystem,
+                 keep=None, coupling=None) -> None:
+    """Write the slant diag(keep) A + C, in the band storage of
+    ``system.band``, over every entry of ``out``; ``blocks`` is the
+    :func:`_coupling_blocks` view of ``out``, and ``keep`` and ``coupling``
+    are those of :func:`slant_band`."""
+    base = system.band
+    if keep is None:
+        out[...] = base.ab
+    else:
+        rows = np.concatenate([np.zeros(base.ku), np.ravel(keep, order="F"), np.zeros(base.kl)])
+        np.multiply(base.ab, rows[_row_index(base.kl, base.ku, base.ab.shape[1])], out=out)
+    if coupling is not None:
+        blocks += coupling
+
+
 def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
     """The slant diag(keep) A + C, where A is the system's band.
 
     ``keep`` is a (d, N) mask of the rows of A to keep (all when None), and
     the (d, d, N) array ``coupling`` puts C[i, j, l] at row (i, l), column
-    (j, l), coupling the components of one node. Returns a fresh NodeBand.
+    (j, l), coupling the components of one node. Returns a fresh NodeBand
+    of A's widths.
     """
-    d, n = system.d, system.N
     base = system.band
-    ab = base.ab
-    if keep is not None:
-        rows = np.concatenate([np.zeros(base.ku), np.ravel(keep, order="F"), np.zeros(base.kl)])
-        ab = ab * rows[_row_index(base.kl, base.ku, d * n)]
-    kl, ku = max(base.kl, d - 1), max(base.ku, d - 1)
-    out = np.zeros((kl + ku + 1, d * n))
-    out[ku - base.ku:ku + base.kl + 1] = ab
-    if coupling is not None:
-        out.reshape(-1)[_coupling_index(d, n, ku)] += coupling
-    return NodeBand(d, kl, ku, out)
+    out = np.empty_like(base.ab, order="F")
+    _write_slant(out, _coupling_blocks(out, 0, system), system, keep, coupling)
+    return NodeBand(system.d, base.kl, base.ku, out)
 
 
 def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:

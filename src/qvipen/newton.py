@@ -5,13 +5,18 @@ coupling)``: the residual at u and the slant of G at the same point,
 diag(keep) A + C, in the terms of :func:`qvipen.core.slant_band` (``keep``
 a (d, N) row mask of the system matrix A, None for all rows; ``coupling``
 the (d, d, N) per-node block C, None for none). :func:`_newton` calls it
-once per iterate, so F and the obstacle are evaluated once per iterate, and
-builds the band only for a step it takes.
+once per iterate, so F and the obstacle are evaluated once per iterate.
 
 The iteration is plain undamped Newton on a piecewise-differentiable residual:
-solve L[u_k] delta = -G(u_k), update, repeat. L is solved by a direct call to
-LAPACK's band LU driver ``gbsv``, without iterative refinement: that leaves a
-backward error near roundoff. It stops once BOTH the relative increment
+solve L[u_k] delta = -G(u_k), update, repeat. Each solve owns one
+workspace, allocated once: a LAPACK band LU array, into which every step
+writes its slant in place, and a node-major right-hand side. A slant is
+factored by LAPACK's band LU driver ``gbsv``, without iterative refinement:
+that leaves a backward error near roundoff. On these problems Newton is
+policy iteration, which stops when the policy repeats, so a step whose
+keep and coupling equal those of the slant the array holds is a single
+``gbtrs`` back-solve on the held factors, as the confirming step of a
+converged solve usually is. It stops once BOTH the relative increment
 ||delta|| / max(||u||, 1) drops below tol AND the residual sup-norm is at or
 below residual_tol; the increment rule alone can declare victory on a
 stagnating iteration, and the residual check costs one evaluation that is
@@ -20,6 +25,7 @@ including the final confirming one.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -32,12 +38,13 @@ from .core import (
     NodeBand,
     PenalizedProblem,
     SolveReport,
+    _coupling_blocks,
     _diagonal_block,
     _obstacles,
     _penalized,
+    _write_slant,
     as_costs,
     field_values,
-    slant_band,
     sup_norm,
 )
 
@@ -61,12 +68,18 @@ class NewtonConfig:
     max_iter: int = 100
 
     def __post_init__(self) -> None:
-        if not (self.tol > 0 and self.residual_tol > 0):
-            raise ValueError("tol and residual_tol must be positive")
-        if not isinstance(self.max_iter, numbers.Integral):
+        for name in ("tol", "residual_tol"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and value > 0)):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+
+
+_DEFAULT_CONFIG = NewtonConfig()
 
 
 class SingularSlant(Exception):
@@ -89,6 +102,34 @@ class MaxIterExceeded(Exception):
 
 
 _gbsv = get_lapack_funcs("gbsv", dtype=np.float64)
+_gbtrs = get_lapack_funcs("gbtrs", dtype=np.float64)
+
+
+def _band_solve(lu, kl: int, ku: int, d: int, rhs: np.ndarray, ipiv=None):
+    """``(x, ipiv)``: the solution of a band system with d regimes per node,
+    and the pivots of its factorization, which ``lu`` holds on return.
+
+    Without ``ipiv``, ``lu`` is a LAPACK LU array holding the band in rows
+    kl:, Fortran-ordered float64 so that ``gbsv`` factors it in place; given
+    the ``ipiv`` of the factorization ``lu`` already holds, the solve is one
+    ``gbtrs`` back-solve. ``gbsv`` is ``gbtrf`` then ``gbtrs``, so both give
+    the same x to the bit. ``rhs`` is node-major and may be overwritten. A
+    zero pivot raises SingularSlant naming its regime and node; so does a
+    non-finite x, without them.
+    """
+    if ipiv is None:
+        _, ipiv, x, info = _gbsv(kl, ku, lu, rhs, overwrite_ab=True, overwrite_b=True)
+        if info > 0:  # U[info-1, info-1] is exactly zero; columns are node-major
+            node, regime = divmod(info - 1, d)
+            raise SingularSlant(f"factorization failed: zero pivot at regime {regime}, node {node}",
+                                regime=regime, node=node)
+    else:
+        x, info = _gbtrs(lu, kl, ku, rhs, ipiv, overwrite_b=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK's band solve")
+    if not np.isfinite(x).all():
+        raise SingularSlant("linear solve produced non-finite entries")
+    return x, ipiv
 
 
 def linear_solve(op: NodeBand, rhs: np.ndarray) -> np.ndarray:
@@ -103,33 +144,68 @@ def linear_solve(op: NodeBand, rhs: np.ndarray) -> np.ndarray:
     kl, ku = op.kl, op.ku
     lu = np.zeros((2 * kl + ku + 1, op.ab.shape[1]), order="F")
     lu[kl:] = op.ab
-    _, _, x, info = _gbsv(kl, ku, lu, rhs.reshape(op.d, -1).T.flatten(),
-                          overwrite_ab=True, overwrite_b=True)
-    if info > 0:  # U[info-1, info-1] is exactly zero; columns are node-major
-        node, regime = divmod(info - 1, op.d)
-        raise SingularSlant(f"factorization failed: zero pivot at regime {regime}, node {node}",
-                            regime=regime, node=node)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gbsv")
-    if not np.all(np.isfinite(x)):
-        raise SingularSlant("linear solve produced non-finite entries")
+    x, _ = _band_solve(lu, kl, ku, op.d, rhs.reshape(op.d, -1).T.flatten())
     return x.reshape(-1, op.d).T.ravel()
 
 
+class _Workspace:
+    """The buffers of one Newton solve, allocated once.
+
+    ``lu`` is the Fortran-ordered LAPACK LU array, (2kl + ku + 1) x dN for
+    the widths of ``system.band``, ``band`` its rows kl: and ``blocks``
+    their per-node coupling view; ``rhs`` is the node-major right-hand
+    side. ``keep``, ``coupling`` and ``ipiv`` describe the factorization
+    ``lu`` holds, ``ipiv`` None when it holds none.
+    """
+
+    __slots__ = ("system", "kl", "ku", "lu", "band", "blocks", "rhs", "keep", "coupling", "ipiv")
+
+    def __init__(self, system: AffineSystem):
+        self.system = system
+        kl, ku = self.kl, self.ku = system.band.kl, system.band.ku
+        self.lu = np.zeros((2 * kl + ku + 1, system.d * system.N), order="F")
+        self.band = self.lu[kl:]
+        self.blocks = _coupling_blocks(self.lu, kl, system)
+        self.rhs = np.empty((system.N, system.d))
+        self.keep = self.coupling = self.ipiv = None
+
+    def step(self, g: np.ndarray, keep, coupling) -> np.ndarray:
+        """The Newton step -L^{-1} g, a (d, N) view of ``rhs``, for the slant
+        L = diag(keep) A + C. L is assembled in ``lu`` and factored only
+        when it differs from the slant held there; ``keep`` and
+        ``coupling`` are held by reference, so the caller must not change
+        them afterwards."""
+        np.negative(g.T, out=self.rhs)
+        if self.ipiv is None or not (_same(keep, self.keep) and _same(coupling, self.coupling)):
+            self.ipiv = None
+            _write_slant(self.band, self.blocks, self.system, keep, coupling)
+            self.keep, self.coupling = keep, coupling
+        x, self.ipiv = _band_solve(self.lu, self.kl, self.ku, self.system.d,
+                                   self.rhs.reshape(-1), self.ipiv)
+        return x.reshape(self.rhs.shape).T
+
+
+def _same(a, b) -> bool:
+    """Whether two optional arrays are both None or equal."""
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b)
+
+
 def _newton(system: AffineSystem, linearize, initial, cfg: NewtonConfig | None = None):
-    cfg = cfg or NewtonConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     u = field_values(initial, system.d, system.N).copy()
     if not np.all(np.isfinite(u)):
         raise ValueError("initial iterate contains non-finite entries")
     start = time.perf_counter()
     g, keep, coupling = linearize(u)
+    workspace = _Workspace(system)
     increments: list = []
     residuals = [sup_norm(g)]
     converged = False
     for _ in range(cfg.max_iter):
         try:
-            slant = slant_band(system, keep, coupling)
-            delta = linear_solve(slant, -g.ravel()).reshape(u.shape)
+            delta = workspace.step(g, keep, coupling)
         except SingularSlant as exc:
             exc.iterate = u
             exc.report = SolveReport(increments, residuals, time.perf_counter() - start, False)
@@ -178,6 +254,8 @@ def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = 
 def solve_obstacle(system: AffineSystem, psi, initial, cfg: NewtonConfig | None = None):
     """Solve min(F(v), v - psi) = 0 for a fixed (d, N) obstacle psi."""
     psi = field_values(psi, system.d, system.N)
+    if not np.isfinite(psi).all():
+        raise ValueError("psi contains non-finite entries")
     identity = _diagonal_block(system.d)
     return _newton(
         system,

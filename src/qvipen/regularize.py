@@ -153,9 +153,14 @@ def apply_T(u, system: AffineSystem, costs, epsilon: float,
             cfg: NewtonConfig | None = None) -> np.ndarray:
     """One time-marching sweep: the obstacle stays live, the epsilon term
     anchors the solve to the previous iterate."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     return _solve_qvi(system, costs, u, epsilon, cfg)[0]
+
+
+def _check_epsilon(epsilon: float) -> None:
+    # NaN would pass epsilon <= 0 and surface as a non-finite linear solve
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
 def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray, epsilon: float,
@@ -171,11 +176,12 @@ def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray, epsilon: f
     def linearize(v):
         args = switch - v[:, None, :]
         if epsilon:
-            args = args - epsilon * (v - frozen)[:, None, :]
-        residual = system.evaluate(v) - prob.rho * np.maximum(args, 0.0).sum(axis=1)
+            args -= epsilon * (v - frozen)[:, None, :]
         # each active term depends on v only through -(1+epsilon) * v^i, so
         # the penalty part of the slant is purely diagonal
         diagonal = prob.rho * (1.0 + epsilon) * (args > 0.0).sum(axis=1)
+        residual = system.evaluate(v)
+        residual -= prob.rho * np.maximum(args, 0.0, out=args).sum(axis=1)
         return residual, None, block * diagonal[:, None]
 
     out, _ = _newton(system, linearize, frozen, cfg)
@@ -192,8 +198,7 @@ def apply_T_rho(u, prob: PenalizedProblem, epsilon: float,
                 cfg: NewtonConfig | None = None) -> np.ndarray:
     """The time-marching variant of the penalized sweep: the penalty argument
     picks up an extra -epsilon*(v - u) pull toward the previous iterate."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     frozen = field_values(u, prob.system.d, prob.system.N)
     return _frozen_penalty_solve(prob, frozen, float(epsilon), cfg)
 

@@ -13,7 +13,6 @@ from qvipen.core import (
     NodeBand,
     PenalizedProblem,
     SwitchingCostMatrix,
-    _coupling_index,
     _diagonal_block,
     _penalized,
     penalized_residual,
@@ -347,7 +346,7 @@ def test_band_solve_is_bitwise_lapack_band_lu(d):
 def test_hoisted_constants_are_read_only():
     costs = SwitchingCostMatrix.uniform(3, 0.25)
     assert costs._cost_tensor is costs._cost_tensor
-    for constant in (costs._cost_tensor, _diagonal_block(3), _coupling_index(3, 100, 3)):
+    for constant in (costs._cost_tensor, _diagonal_block(3)):
         assert not constant.flags.writeable
         with pytest.raises(ValueError):
             constant[(0,) * constant.ndim] = 1

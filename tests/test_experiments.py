@@ -497,6 +497,22 @@ def test_cli_names_the_field_of_a_bad_entry(tmp_path, capsys, mapping, message):
     assert "configuration error" in err and message in err
 
 
+@pytest.mark.parametrize("newton, message", [
+    ({"tol": "1e-9"}, "tol must be a positive finite number, got '1e-9'"),
+    ({"residual_tol": True}, "residual_tol must be a positive finite number, got True"),
+    ({"tol": float("inf")}, "tol must be a positive finite number, got inf"),
+    ({"max_iter": True}, "max_iter must be an integer, got True"),
+], ids=["string-tol", "bool-residual-tol", "inf-tol", "bool-max-iter"])
+def test_cli_names_the_newton_setting_it_rejects(tmp_path, capsys, newton, message):
+    # a string tol printed "'>' not supported between instances of 'str' and
+    # 'int'", and max_iter: true ran one iteration and exited 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"newton": newton}))
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
 @pytest.mark.parametrize("command", ["solve", "regions", "verify"])
 def test_cli_format_is_a_usage_error_where_output_is_json_only(command, capsys):
     with pytest.raises(SystemExit) as usage:

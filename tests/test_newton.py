@@ -64,6 +64,29 @@ def test_config_validation():
         NewtonConfig(max_iter=1e2)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("tol", "1e-9", "tol must be a positive finite number, got '1e-9'"),
+    ("tol", True, "tol must be a positive finite number, got True"),
+    ("tol", np.nan, "tol must be a positive finite number, got nan"),
+    ("residual_tol", np.inf, "residual_tol must be a positive finite number, got inf"),
+    ("residual_tol", None, "residual_tol must be a positive finite number, got None"),
+    ("residual_tol", -1.0, "residual_tol must be a positive finite number, got -1.0"),
+    ("max_iter", True, "max_iter must be an integer, got True"),
+    ("max_iter", "5", "max_iter must be an integer, got '5'"),
+])
+def test_config_names_the_field_it_rejects(field, value, message):
+    # a string tol failed with "'>' not supported between instances", a
+    # bool was taken as 0 or 1, and an infinite tolerance was accepted
+    with pytest.raises(ValueError) as info:
+        NewtonConfig(**{field: value})
+    assert str(info.value) == message
+
+
+def test_config_takes_numpy_scalars():
+    cfg = NewtonConfig(tol=np.float64(1e-10), residual_tol=np.float32(1e-7), max_iter=np.int64(5))
+    assert cfg.max_iter == 5
+
+
 def test_solve_root_affine_is_one_exact_step(two_regime):
     # the first step lands on the root; the second merely confirms it
     _, system, _ = two_regime
@@ -179,6 +202,18 @@ def test_obstacle_never_binding_gives_root():
     u, report = solve_obstacle(system, np.full((2, 2), -1e6), np.zeros((2, 2)))
     assert sup_norm(u - [[1.0, -1.0], [0.5, 2.0]]) <= 1e-9
     assert report.converged
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_obstacle_names_a_non_finite_psi(bad):
+    # NaN and +inf failed as a SingularSlant "linear solve produced
+    # non-finite entries", which blamed the slant; -inf, which never binds,
+    # is rejected with them, as a non-finite start is
+    system = identity_system(np.zeros((2, 2)))
+    psi = np.zeros((2, 2))
+    psi[1, 0] = bad
+    with pytest.raises(ValueError, match="psi contains non-finite entries"):
+        solve_obstacle(system, psi, np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 2, 1)])
@@ -354,21 +389,137 @@ def test_each_newton_solve_evaluates_F_once_per_iterate(three_regime, name, monk
     costs = SwitchingCostMatrix.uniform(3, 1 / 16)
     prob = PenalizedProblem(system, costs, 16e3)
     counts = {"evaluate": 0, "steps": 0}
-    evaluate, solve = system.evaluate, newton.linear_solve
+    evaluate, step = system.evaluate, newton._Workspace.step
 
     def counted_evaluate(u):
         counts["evaluate"] += 1
         return evaluate(u)
 
-    def counted_solve(op, rhs):
+    def counted_step(workspace, g, keep, coupling):
         counts["steps"] += 1
-        return solve(op, rhs)
+        return step(workspace, g, keep, coupling)
 
     monkeypatch.setattr(system, "evaluate", counted_evaluate)
-    monkeypatch.setattr(newton, "linear_solve", counted_solve)
+    monkeypatch.setattr(newton._Workspace, "step", counted_step)
     NEWTON_SOLVES[name](system, costs, prob, root)
     assert counts["steps"] >= 2
     assert counts["evaluate"] == counts["steps"] + 1
+
+
+def _reference_newton(system, linearize, initial, cfg):
+    """The Newton loop with a fresh slant and a fresh factorization at every
+    step, through the public slant_band and linear_solve."""
+    u = np.array(initial, dtype=float)
+    g, keep, coupling = linearize(u)
+    increments, residuals = [], [sup_norm(g)]
+    for _ in range(cfg.max_iter):
+        delta = linear_solve(slant_band(system, keep, coupling), -g.ravel()).reshape(u.shape)
+        u = u + delta
+        g, keep, coupling = linearize(u)
+        residuals.append(sup_norm(g))
+        increments.append(sup_norm(delta) / max(sup_norm(u), 1.0))
+        if increments[-1] < cfg.tol and residuals[-1] <= cfg.residual_tol:
+            return u, increments, residuals
+    raise AssertionError("the reference loop did not converge")
+
+
+def _assert_newton_solves_match_the_reference(monkeypatch, solve):
+    """Run ``solve`` and check each Newton solve it makes, sweeps' inner ones
+    included, bitwise against :func:`_reference_newton`."""
+    real = newton._newton
+    solves = []
+
+    def recording(system, linearize, initial, cfg=None):
+        u, report = real(system, linearize, initial, cfg)
+        solves.append((system, linearize, np.array(initial, dtype=float), cfg, u, report))
+        return u, report
+
+    for module in (newton, regularize):
+        monkeypatch.setattr(module, "_newton", recording)
+    solve()
+    monkeypatch.undo()
+    assert solves
+    for system, linearize, initial, cfg, u, report in solves:
+        expected, increments, residuals = _reference_newton(
+            system, linearize, initial, cfg or NewtonConfig())
+        assert np.array_equal(u, expected)
+        assert report.increments == increments and report.residuals == residuals
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_SOLVES))
+@pytest.mark.parametrize("case", ["two_regime", "three_regime"])
+def test_newton_solves_equal_a_fresh_factorization_per_step(request, monkeypatch, case, name):
+    # held factors are reused only for a slant equal to the one they factor,
+    # and gbtrs on them gives the bytes gbsv would
+    _, system, root = request.getfixturevalue(case)
+    costs = SwitchingCostMatrix.uniform(system.d, 1 / 16)
+    prob = PenalizedProblem(system, costs, 16e3)
+    _assert_newton_solves_match_the_reference(
+        monkeypatch, lambda: NEWTON_SOLVES[name](system, costs, prob, root))
+
+
+def test_newton_solves_on_random_instances_equal_a_fresh_factorization_per_step(monkeypatch):
+    rng = np.random.default_rng(83)
+    for _ in range(8):
+        d, n = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        system = random_affine_system(rng, d=d, n=n, gamma=1.0)
+        costs = SwitchingCostMatrix.uniform(d, float(rng.uniform(0.05, 0.5)))
+        prob = PenalizedProblem(system, costs, float(rng.uniform(1.0, 1e3)))
+        root, _ = solve_root(system, np.zeros((d, n)))
+        for name in sorted(NEWTON_SOLVES):
+            _assert_newton_solves_match_the_reference(
+                monkeypatch, lambda: NEWTON_SOLVES[name](system, costs, prob, root))
+
+
+def _lapack_calls(monkeypatch):
+    """The sequence of band factorizations ("gbsv") and back-solves
+    ("gbtrs") that the Newton drivers make from here on."""
+    calls = []
+    for name in ("_gbsv", "_gbtrs"):
+        def counted(*args, real=getattr(newton, name), label=name[1:], **kwargs):
+            calls.append(label)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(newton, name, counted)
+    return calls
+
+
+def test_root_solve_factors_once(two_regime, monkeypatch):
+    # the slant of F is A at every iterate: the confirming step back-solves
+    _, system, root = two_regime
+    calls = _lapack_calls(monkeypatch)
+    _, report = solve_root(system, np.zeros((2, 100)))
+    assert report.iterations == 2
+    assert calls == ["gbsv", "gbtrs"]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in NEWTON_SOLVES if n != "solve_root"))
+def test_a_converged_solve_back_solves_its_confirming_step(three_regime, monkeypatch, name):
+    # policy iteration stops when the policy repeats, so the last step
+    # solves with the slant of the step before it
+    _, system, root = three_regime
+    costs = SwitchingCostMatrix.uniform(3, 1 / 16)
+    prob = PenalizedProblem(system, costs, 16e3)
+    calls = _lapack_calls(monkeypatch)
+    NEWTON_SOLVES[name](system, costs, prob, root)
+    assert len(calls) >= 2
+    assert calls[0] == "gbsv" and calls[-1] == "gbtrs"
+
+
+def test_a_slant_is_factored_again_only_when_it_changes(monkeypatch):
+    # a residual that never vanishes, on slants I, 2I, 2I (an equal but new
+    # coupling array), I and I again
+    system = identity_system(np.zeros((2, 2)))
+    block = lambda: np.eye(2)[:, :, None] * np.ones(2)  # noqa: E731
+    couplings = iter([None, block(), block(), None, None, None])
+
+    def linearize(u):
+        return np.ones((2, 2)), None, next(couplings)
+
+    calls = _lapack_calls(monkeypatch)
+    with pytest.raises(MaxIterExceeded):
+        newton._newton(system, linearize, np.zeros((2, 2)), NewtonConfig(max_iter=5))
+    assert calls == ["gbsv", "gbsv", "gbtrs", "gbsv", "gbtrs"]
 
 
 def _tiny_problem():

@@ -219,6 +219,20 @@ def test_t_rejects_nonpositive_epsilon(two_regime):
         apply_T(root, system, COST, 0.0)
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("sweep", ["T", "T_rho"])
+def test_time_marching_sweeps_name_an_unusable_epsilon(two_regime, sweep, epsilon):
+    # NaN passed the epsilon <= 0 test, and NaN or inf then failed as a
+    # SingularSlant "linear solve produced non-finite entries"
+    system, root = two_regime
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, COST), 1e3)
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        if sweep == "T":
+            apply_T(root, system, COST, epsilon)
+        else:
+            apply_T_rho(root, prob, epsilon)
+
+
 # ----------------------------------------------------------- penalized sweeps
 
 
