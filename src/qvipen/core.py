@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "SwitchingCostMatrix",
@@ -214,9 +215,14 @@ class AffineSystem:
         self.rhs.setflags(write=False)
 
     def evaluate(self, u) -> np.ndarray:
-        """F(u) as a (d, N) array."""
+        """F(u) as a fresh (d, N) array."""
         v = field_values(u, self.d, self.N)
-        return (self.matrix @ v.ravel() - self.rhs).reshape(self.d, self.N)
+        a = self.matrix
+        # the kernel ``a @ x`` ends in, without scipy's dispatch around it
+        out = np.zeros(a.shape[0])
+        _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, v.ravel(), out)
+        out -= self.rhs
+        return out.reshape(self.d, self.N)
 
     @functools.cached_property
     def norm_F0(self) -> float:
@@ -314,10 +320,12 @@ def _penalized(u, prob: PenalizedProblem):
     args = v[None, :, :] - prob.costs._cost_tensor
     args -= v[:, None, :]
     active = args > 0.0
-    # rho * (count - active) and f - rho * sum(max(args, 0)), in place
-    coupling = _diagonal_block(v.shape[0]) * active.sum(axis=1)[:, None]
-    coupling -= active
-    coupling *= prob.rho
+    # -rho at each active [i, j, l] and rho * count on the diagonal, which
+    # no term is active on; the inactive entries are -0.0, which the slant
+    # adds without changing a bit
+    d = v.shape[0]
+    coupling = active * -prob.rho
+    np.multiply(active.sum(axis=1), prob.rho, out=coupling.reshape(d * d, -1)[::d + 1])
     penalty = np.maximum(args, 0.0, out=args).sum(axis=1)
     penalty *= prob.rho
     f -= penalty
@@ -341,13 +349,12 @@ def _coupling_blocks(ab: np.ndarray, row: int, system: AffineSystem) -> np.ndarr
                       (item, (height - 1) * item, d * height * item))
 
 
-def _write_slant(out: np.ndarray, blocks: np.ndarray, system: AffineSystem,
+def _write_slant(out: np.ndarray, blocks: np.ndarray, base: NodeBand,
                  keep=None, coupling=None) -> None:
-    """Write the slant diag(keep) A + C, in the band storage of
-    ``system.band``, over every entry of ``out``; ``blocks`` is the
+    """Write the slant diag(keep) A + C, in the band storage of A's band
+    ``base``, over every entry of ``out``; ``blocks`` is the
     :func:`_coupling_blocks` view of ``out``, and ``keep`` and ``coupling``
     are those of :func:`slant_band`."""
-    base = system.band
     if keep is None:
         out[...] = base.ab
     else:
@@ -367,7 +374,7 @@ def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
     """
     base = system.band
     out = np.empty_like(base.ab, order="F")
-    _write_slant(out, _coupling_blocks(out, 0, system), system, keep, coupling)
+    _write_slant(out, _coupling_blocks(out, 0, system), base, keep, coupling)
     return NodeBand(system.d, base.kl, base.ku, out)
 
 

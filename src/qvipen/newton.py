@@ -8,20 +8,26 @@ the (d, d, N) per-node block C, None for none). :func:`_newton` calls it
 once per iterate, so F and the obstacle are evaluated once per iterate.
 
 The iteration is plain undamped Newton on a piecewise-differentiable residual:
-solve L[u_k] delta = -G(u_k), update, repeat. Each solve owns one
-workspace, allocated once: a LAPACK band LU array, into which every step
-writes its slant in place, and a node-major right-hand side. A slant is
-factored by LAPACK's band LU driver ``gbsv``, without iterative refinement:
-that leaves a backward error near roundoff. On these problems Newton is
-policy iteration, which stops when the policy repeats, so a step whose
-keep and coupling equal those of the slant the array holds is a single
-``gbtrs`` back-solve on the held factors, as the confirming step of a
-converged solve usually is. It stops once BOTH the relative increment
-||delta|| / max(||u||, 1) drops below tol AND the residual sup-norm is at or
-below residual_tol; the increment rule alone can declare victory on a
-stagnating iteration, and the residual check costs one evaluation that is
-needed anyway. The iteration count is the number of updates performed,
-including the final confirming one.
+solve L[u_k] delta = -G(u_k), update, repeat. It stops once BOTH the
+relative increment ||delta|| / max(||u||, 1) drops below tol AND the
+residual sup-norm is at or below residual_tol; the increment rule alone can
+declare victory on a stagnating iteration, and the residual check costs one
+evaluation that is needed anyway. The iteration count is the number of
+updates performed, including the final confirming one. A step with a
+non-finite entry fails as a singular slant does.
+
+Each system holds one workspace, allocated at its first solve: a LAPACK
+band LU array, into which every step writes its slant in place, and a
+node-major right-hand side. A solve borrows it for its duration; a solve
+that finds it taken, nested in or concurrent with another on the same
+system, allocates its own. A slant is factored by LAPACK's band LU driver
+``gbsv``, without iterative refinement: that leaves a backward error near
+roundoff. On these problems Newton is policy iteration, which stops when
+the policy repeats, so a step whose keep and coupling have the bytes of
+those of the slant the array holds is a single ``gbtrs`` back-solve on the
+held factors. The confirming step of a converged solve usually is one, and
+so is the first step of a sweep whose policy is the one the sweep before it
+ended on: 314 of the 645 steps of the ``sweeps`` benchmark op back-solve.
 """
 from __future__ import annotations
 
@@ -114,8 +120,8 @@ def _band_solve(lu, kl: int, ku: int, d: int, rhs: np.ndarray, ipiv=None):
     the ``ipiv`` of the factorization ``lu`` already holds, the solve is one
     ``gbtrs`` back-solve. ``gbsv`` is ``gbtrf`` then ``gbtrs``, so both give
     the same x to the bit. ``rhs`` is node-major and may be overwritten. A
-    zero pivot raises SingularSlant naming its regime and node; so does a
-    non-finite x, without them.
+    zero pivot raises SingularSlant naming its regime and node; x is not
+    checked for non-finite entries.
     """
     if ipiv is None:
         _, ipiv, x, info = _gbsv(kl, ku, lu, rhs, overwrite_ab=True, overwrite_b=True)
@@ -127,8 +133,6 @@ def _band_solve(lu, kl: int, ku: int, d: int, rhs: np.ndarray, ipiv=None):
         x, info = _gbtrs(lu, kl, ku, rhs, ipiv, overwrite_b=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK's band solve")
-    if not np.isfinite(x).all():
-        raise SingularSlant("linear solve produced non-finite entries")
     return x, ipiv
 
 
@@ -138,58 +142,57 @@ def linear_solve(op: NodeBand, rhs: np.ndarray) -> np.ndarray:
     The band is copied into a zeroed LU array with kl spare rows on top and
     factored by LAPACK ``gbsv`` (band LU with partial pivoting), after
     permuting rhs to node-major order; the band itself is left untouched.
-    A zero pivot raises SingularSlant naming its regime and node.
+    A zero pivot raises SingularSlant naming its regime and node; so does a
+    non-finite x, without them.
     """
     rhs = np.asarray(rhs, dtype=float)
     kl, ku = op.kl, op.ku
     lu = np.zeros((2 * kl + ku + 1, op.ab.shape[1]), order="F")
     lu[kl:] = op.ab
     x, _ = _band_solve(lu, kl, ku, op.d, rhs.reshape(op.d, -1).T.flatten())
+    if not np.isfinite(x).all():
+        raise SingularSlant("linear solve produced non-finite entries")
     return x.reshape(-1, op.d).T.ravel()
 
 
 class _Workspace:
-    """The buffers of one Newton solve, allocated once.
+    """The buffers of a system's Newton solves, allocated once.
 
     ``lu`` is the Fortran-ordered LAPACK LU array, (2kl + ku + 1) x dN for
-    the widths of ``system.band``, ``band`` its rows kl: and ``blocks``
-    their per-node coupling view; ``rhs`` is the node-major right-hand
-    side. ``keep``, ``coupling`` and ``ipiv`` describe the factorization
-    ``lu`` holds, ``ipiv`` None when it holds none.
+    the widths of the system's band ``base``, ``band`` its rows kl: and
+    ``blocks`` their per-node coupling view; ``rhs`` is the node-major
+    right-hand side. ``policy`` holds the bytes of the keep and coupling of
+    the slant ``lu`` holds factored, and ``ipiv`` its pivots, None when it
+    holds no factorization.
     """
 
-    __slots__ = ("system", "kl", "ku", "lu", "band", "blocks", "rhs", "keep", "coupling", "ipiv")
+    __slots__ = ("base", "lu", "band", "blocks", "rhs", "policy", "ipiv")
 
     def __init__(self, system: AffineSystem):
-        self.system = system
-        kl, ku = self.kl, self.ku = system.band.kl, system.band.ku
+        self.base = system.band
+        kl, ku = self.base.kl, self.base.ku
         self.lu = np.zeros((2 * kl + ku + 1, system.d * system.N), order="F")
         self.band = self.lu[kl:]
         self.blocks = _coupling_blocks(self.lu, kl, system)
         self.rhs = np.empty((system.N, system.d))
-        self.keep = self.coupling = self.ipiv = None
+        self.policy = self.ipiv = None
 
     def step(self, g: np.ndarray, keep, coupling) -> np.ndarray:
         """The Newton step -L^{-1} g, a (d, N) view of ``rhs``, for the slant
-        L = diag(keep) A + C. L is assembled in ``lu`` and factored only
-        when it differs from the slant held there; ``keep`` and
-        ``coupling`` are held by reference, so the caller must not change
-        them afterwards."""
+        L = diag(keep) A + C, ``keep`` a boolean (d, N) mask and ``coupling``
+        a float (d, d, N) block, either None. L is assembled in ``lu`` and
+        factored only when its policy differs from the held one."""
         np.negative(g.T, out=self.rhs)
-        if self.ipiv is None or not (_same(keep, self.keep) and _same(coupling, self.coupling)):
+        policy = (None if keep is None else keep.tobytes(),
+                  None if coupling is None else coupling.tobytes())
+        if self.ipiv is None or policy != self.policy:
+            # a factorization that fails is never held
             self.ipiv = None
-            _write_slant(self.band, self.blocks, self.system, keep, coupling)
-            self.keep, self.coupling = keep, coupling
-        x, self.ipiv = _band_solve(self.lu, self.kl, self.ku, self.system.d,
+            _write_slant(self.band, self.blocks, self.base, keep, coupling)
+            self.policy = policy
+        x, self.ipiv = _band_solve(self.lu, self.base.kl, self.base.ku, self.base.d,
                                    self.rhs.reshape(-1), self.ipiv)
         return x.reshape(self.rhs.shape).T
-
-
-def _same(a, b) -> bool:
-    """Whether two optional arrays are both None or equal."""
-    if a is None or b is None:
-        return a is b
-    return np.array_equal(a, b)
 
 
 def _newton(system: AffineSystem, linearize, initial, cfg: NewtonConfig | None = None):
@@ -199,24 +202,31 @@ def _newton(system: AffineSystem, linearize, initial, cfg: NewtonConfig | None =
         raise ValueError("initial iterate contains non-finite entries")
     start = time.perf_counter()
     g, keep, coupling = linearize(u)
-    workspace = _Workspace(system)
     increments: list = []
     residuals = [sup_norm(g)]
     converged = False
-    for _ in range(cfg.max_iter):
-        try:
-            delta = workspace.step(g, keep, coupling)
-        except SingularSlant as exc:
-            exc.iterate = u
-            exc.report = SolveReport(increments, residuals, time.perf_counter() - start, False)
-            raise
-        u = u + delta
-        g, keep, coupling = linearize(u)
-        residuals.append(sup_norm(g))
-        increments.append(sup_norm(delta) / max(sup_norm(u), 1.0))
-        if increments[-1] < cfg.tol and residuals[-1] <= cfg.residual_tol:
-            converged = True
-            break
+    # dict.pop is atomic, so no two solves ever hold one workspace
+    workspace = system.__dict__.pop("_workspace", None) or _Workspace(system)
+    try:
+        for _ in range(cfg.max_iter):
+            try:
+                delta = workspace.step(g, keep, coupling)
+                step = sup_norm(delta)
+                if not math.isfinite(step):
+                    raise SingularSlant("linear solve produced non-finite entries")
+            except SingularSlant as exc:
+                exc.iterate = u
+                exc.report = SolveReport(increments, residuals, time.perf_counter() - start, False)
+                raise
+            u = u + delta
+            g, keep, coupling = linearize(u)
+            residuals.append(sup_norm(g))
+            increments.append(step / max(sup_norm(u), 1.0))
+            if increments[-1] < cfg.tol and residuals[-1] <= cfg.residual_tol:
+                converged = True
+                break
+    finally:
+        system.__dict__["_workspace"] = workspace
     report = SolveReport(increments, residuals, time.perf_counter() - start, converged)
     if not converged:
         raise MaxIterExceeded(

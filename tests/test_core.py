@@ -15,8 +15,10 @@ from qvipen.core import (
     qvi_residual,
     sup_norm,
 )
+from qvipen.experiments import CASES
 from qvipen.oracle import active_set_enumerate
 from qvipen.oracle import _residual as oracle_residual
+from qvipen.pde import PdeParams, assemble
 from qvipen.testing import random_affine_system
 
 
@@ -106,6 +108,27 @@ def test_affine_system():
         AffineSystem(sp.eye(3), b, gamma=1.0)
     with pytest.raises(ValueError):
         AffineSystem(sp.eye(4), b, gamma=0.0)
+
+
+def _evaluated_systems():
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        d, n = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+        yield random_affine_system(rng, d=d, n=n), rng.normal(size=(d, n))
+    for case in CASES.values():
+        system = assemble(PdeParams(d=case.d, reward=case.reward))
+        yield system, rng.normal(size=(system.d, system.N))
+
+
+def test_evaluate_is_the_sparse_product_to_the_bit():
+    for system, u in _evaluated_systems():
+        expected = (system.matrix @ u.ravel() - system.rhs).reshape(u.shape)
+        f = system.evaluate(u)
+        assert f.shape == u.shape and np.array_equal(f, expected)
+        # a fresh array each call: the penalized residual subtracts in place
+        f += 1.0
+        assert np.array_equal(system.evaluate(u), expected)
+        assert not np.shares_memory(f, u) and not np.shares_memory(f, system.rhs)
 
 
 @pytest.mark.parametrize("shape", [(5,), (1, 5), (2, 0)])

@@ -1,4 +1,7 @@
 """Newton driver, linear solve, and solver-vs-oracle agreement."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -446,16 +449,28 @@ def _assert_newton_solves_match_the_reference(monkeypatch, solve):
         assert report.increments == increments and report.residuals == residuals
 
 
-@pytest.mark.parametrize("name", sorted(NEWTON_SOLVES))
+def _sweep_chain(system, costs, prob, root):
+    """Ten sweeps of each kind, then a strict supersolution, on one system:
+    each solve starts on the factors the solve before it left."""
+    for step in (lambda u: regularize.apply_Q(u, system, costs),
+                 lambda u: regularize.apply_T(u, system, costs, 1.0),
+                 lambda u: regularize.apply_Q_rho(u, prob),
+                 lambda u: regularize.apply_T_rho(u, prob, 1.0)):
+        regularize.iterate_to_fixed_point(step, root, max_sweeps=10)
+    regularize.strict_supersolution(system, costs, costs.min_cost / 2)
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_SOLVES) + ["sweep_chain"])
 @pytest.mark.parametrize("case", ["two_regime", "three_regime"])
 def test_newton_solves_equal_a_fresh_factorization_per_step(request, monkeypatch, case, name):
     # held factors are reused only for a slant equal to the one they factor,
-    # and gbtrs on them gives the bytes gbsv would
+    # within a solve and across the solves on one system, and gbtrs on them
+    # gives the bytes gbsv would
     _, system, root = request.getfixturevalue(case)
     costs = SwitchingCostMatrix.uniform(system.d, 1 / 16)
     prob = PenalizedProblem(system, costs, 16e3)
-    _assert_newton_solves_match_the_reference(
-        monkeypatch, lambda: NEWTON_SOLVES[name](system, costs, prob, root))
+    solve = _sweep_chain if name == "sweep_chain" else NEWTON_SOLVES[name]
+    _assert_newton_solves_match_the_reference(monkeypatch, lambda: solve(system, costs, prob, root))
 
 
 def test_newton_solves_on_random_instances_equal_a_fresh_factorization_per_step(monkeypatch):
@@ -484,13 +499,16 @@ def _lapack_calls(monkeypatch):
     return calls
 
 
-def test_root_solve_factors_once(two_regime, monkeypatch):
-    # the slant of F is A at every iterate: the confirming step back-solves
-    _, system, root = two_regime
+def test_root_solve_factors_once(monkeypatch):
+    # the slant of F is A at every iterate: the confirming step back-solves,
+    # and so does every step of a later solve on the same system
+    system = assemble(PdeParams(d=2, reward=RewardFunction.two_regime()))
     calls = _lapack_calls(monkeypatch)
-    _, report = solve_root(system, np.zeros((2, 100)))
-    assert report.iterations == 2
-    assert calls == ["gbsv", "gbtrs"]
+    for expected in (["gbsv", "gbtrs"], ["gbtrs", "gbtrs"]):
+        calls.clear()
+        _, report = solve_root(system, np.zeros((2, 100)))
+        assert report.iterations == 2
+        assert calls == expected
 
 
 @pytest.mark.parametrize("name", sorted(n for n in NEWTON_SOLVES if n != "solve_root"))
@@ -520,6 +538,72 @@ def test_a_slant_is_factored_again_only_when_it_changes(monkeypatch):
     with pytest.raises(MaxIterExceeded):
         newton._newton(system, linearize, np.zeros((2, 2)), NewtonConfig(max_iter=5))
     assert calls == ["gbsv", "gbsv", "gbtrs", "gbsv", "gbtrs"]
+
+
+def test_a_failed_factorization_is_never_held():
+    # the zero pivot's factors must not serve the next solve on the system
+    system = identity_system(np.ones((2, 3)))
+    keep = np.ones((2, 3), bool)
+    keep[1, 2] = False
+
+    for _ in range(2):
+        with pytest.raises(SingularSlant) as info:
+            newton._newton(system, lambda u: (system.evaluate(u), keep, None), np.zeros((2, 3)))
+        assert (info.value.regime, info.value.node) == (1, 2)
+
+
+def test_solves_on_one_system_from_two_threads_equal_the_serial_ones():
+    # each solve borrows the system's workspace or, finding it taken by the
+    # other thread's solve, works in its own
+    system = assemble(PdeParams(d=3, reward=RewardFunction.three_regime()))
+    root, _ = solve_root(system, np.zeros((3, 100)))
+    probs = [PenalizedProblem(system, SwitchingCostMatrix.uniform(3, cost), rho)
+             for cost in (1 / 16, 1 / 64) for rho in (4e3, 16e3)]
+
+    def solve_all():
+        return [solve_penalized(prob, root)[0] for prob in probs]
+
+    serial = solve_all()
+    results = [None, None]
+
+    def run(k):
+        results[k] = [solve_all() for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for runs in results:
+        assert runs is not None and len(runs) == 3
+        for solutions in runs:
+            assert all(np.array_equal(u, v) for u, v in zip(solutions, serial))
+
+
+def _overflowing_system():
+    """F(u) = diag(1e-308, 1) u - (10, 1): the first Newton step from zero
+    is (1e309, 1), which overflows to inf."""
+    return AffineSystem(sp.diags([1e-308, 1.0]).tocsr(), [[10.0], [1.0]], gamma=1e-308)
+
+
+@pytest.mark.parametrize("name", ["solve_root", "solve_penalized", "solve_obstacle", "solve_qvi"])
+def test_a_non_finite_step_raises_a_singular_slant(name):
+    system = _overflowing_system()
+    start = np.zeros((2, 1))
+    costs = SwitchingCostMatrix.uniform(2, 1.0)
+    with pytest.raises(SingularSlant, match="^linear solve produced non-finite entries$") as info:
+        NEWTON_SOLVES[name](system, costs, PenalizedProblem(system, costs, 1.0), start)
+    assert np.array_equal(info.value.iterate, start)
+    assert info.value.report.iterations == 0 and not info.value.report.converged
+    assert info.value.regime is None and info.value.node is None
+    with pytest.raises(SingularSlant, match="^linear solve produced non-finite entries$"):
+        linear_solve(system.band, np.array([10.0, 1.0]))
 
 
 def _tiny_problem():
