@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .experiments import (
@@ -85,6 +86,20 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_mapping(mapping)
 
 
+def _check_output_path(path: str) -> None:
+    """Reject an output path that cannot be written, before anything is solved."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        reason = f"directory {folder!r} does not exist"
+    elif os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ValueError(f"cannot write output to {path!r}: {reason}")
+
+
 def _emit(text: str, config: ExperimentConfig) -> None:
     if config.output_path:
         with open(config.output_path, "w") as handle:
@@ -144,6 +159,8 @@ def main(argv=None) -> int:
         config = _load_config(args)
         if args.command == "regions":
             _check_region_inputs(config.cost_list[0], config.rho_list[0])
+        if config.output_path:
+            _check_output_path(config.output_path)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"qvipen: configuration error: {exc}", file=sys.stderr)
         return 2

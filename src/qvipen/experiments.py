@@ -167,7 +167,7 @@ class ExperimentConfig:
 
     def pde_params(self) -> PdeParams:
         if self.case == "custom":
-            return PdeParams(d=self.d, reward=RewardFunction.custom(self.reward_pieces), N=self.N)
+            return PdeParams(d=self.d, reward=RewardFunction(self.reward_pieces), N=self.N)
         spec = CASES[self.case]
         return PdeParams(d=spec.d, reward=spec.reward, N=self.N)
 

@@ -261,18 +261,13 @@ def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = 
     return _newton(prob.system, linearize, initial, cfg)
 
 
-def solve_obstacle(system: AffineSystem, psi, initial, cfg: NewtonConfig | None = None):
+def solve_obstacle(system: AffineSystem, psi, initial):
     """Solve min(F(v), v - psi) = 0 for a fixed (d, N) obstacle psi."""
     psi = field_values(psi, system.d, system.N)
     if not np.isfinite(psi).all():
         raise ValueError("psi contains non-finite entries")
     identity = _diagonal_block(system.d)
-    return _newton(
-        system,
-        lambda u: _min_rows(system.evaluate(u), u - psi, identity),
-        initial,
-        cfg,
-    )
+    return _newton(system, lambda u: _min_rows(system.evaluate(u), u - psi, identity), initial)
 
 
 def _solve_qvi(system: AffineSystem, costs, initial, epsilon: float = 0.0,

@@ -1,15 +1,17 @@
 """Finite-difference assembly of the infinite-horizon optimal-switching model.
 
-One spatial dimension on (0, 2) with a homogeneous Dirichlet condition at the
-right end. Regime i runs the controlled diffusion at intensity nu = i/(d-1):
+One spatial dimension on (0, DOMAIN_RIGHT) with a homogeneous Dirichlet
+condition at the right end. Regime i runs the controlled diffusion at
+intensity nu = i/(d-1):
 
-    F_i(u)_l = -a_i(x_l) D2 u^i_l - b_i(x_l) D+ u^i_l + r u^i_l - reward(x_l)
+    F_i(u)_l = -a_i(x_l) D2 u^i_l - b_i(x_l) D+ u^i_l + R u^i_l - reward(x_l)
 
-with a_i = (sigma_vol * nu)^2 x^2 / 2 and b_i = (r + nu (mu_drift - r)) x.
-Drift is discretized with forward differences (upwind, since mu_drift >= 0
-and r > 0 make b_i >= 0) and diffusion with central differences, so every
-row is diagonally dominant with nonpositive off-diagonals and the assembled
-map is monotone with constant r.
+with a_i = (SIGMA_VOL * nu)^2 x^2 / 2 and b_i = (R + nu (MU_DRIFT - R)) x.
+SIGMA_VOL, MU_DRIFT, R and DOMAIN_RIGHT are module constants, fixed at the
+values of the paper's experiments. Drift is discretized with forward
+differences (upwind, since MU_DRIFT >= 0 and R > 0 make b_i >= 0) and
+diffusion with central differences, so every row is diagonally dominant with
+nonpositive off-diagonals and the assembled map is monotone with constant R.
 """
 from __future__ import annotations
 
@@ -23,6 +25,11 @@ from .core import AffineSystem
 
 __all__ = ["RewardFunction", "PdeParams", "grid", "probe_index", "reward_values", "assemble"]
 
+SIGMA_VOL = 0.2  # volatility at full intensity
+MU_DRIFT = 0.06  # drift at full intensity
+R = 0.02  # discount rate, the monotonicity constant gamma
+DOMAIN_RIGHT = 2.0  # right end of the domain, where u = 0
+
 
 @dataclass(frozen=True)
 class RewardFunction:
@@ -33,7 +40,6 @@ class RewardFunction:
     overlap, though one may end where the next begins.
     """
 
-    name: str
     pieces: tuple = ()
 
     def __post_init__(self) -> None:
@@ -59,23 +65,16 @@ class RewardFunction:
 
     @classmethod
     def two_regime(cls) -> "RewardFunction":
-        return cls("two-regime", ((0.75, 1.0, -2.0, 2.0),))
+        return cls(((0.75, 1.0, -2.0, 2.0),))
 
     @classmethod
     def three_regime(cls) -> "RewardFunction":
-        return cls(
-            "three-regime",
-            (
-                (0.0, 0.5, -1.0, 0.5),
-                (0.5, 1.0, 1.0, -0.5),
-                (1.0, 1.5, -1.0, 1.5),
-                (1.5, 1.75, 1.0, -1.5),
-            ),
-        )
-
-    @classmethod
-    def custom(cls, pieces) -> "RewardFunction":
-        return cls("custom", pieces)
+        return cls((
+            (0.0, 0.5, -1.0, 0.5),
+            (0.5, 1.0, 1.0, -0.5),
+            (1.0, 1.5, -1.0, 1.5),
+            (1.5, 1.75, 1.0, -1.5),
+        ))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -88,15 +87,11 @@ class RewardFunction:
 
 @dataclass(frozen=True)
 class PdeParams:
-    """Model and mesh parameters; defaults are the shipped benchmark values."""
+    """Regime count, reward and mesh size; N = 100 is the paper's mesh."""
 
     d: int
     reward: RewardFunction
-    sigma_vol: float = 0.2
-    mu_drift: float = 0.06
-    r: float = 0.02
     N: int = 100
-    domain_right: float = 2.0
 
     def __post_init__(self) -> None:
         for name in ("d", "N"):
@@ -106,22 +101,14 @@ class PdeParams:
             raise ValueError(f"need at least two regimes, got d={self.d}")
         if self.N < 2:
             raise ValueError(f"need at least two grid nodes, got N={self.N}")
-        for name in ("sigma_vol", "mu_drift", "r", "domain_right"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (self.sigma_vol > 0 and self.r > 0 and self.domain_right > 0):
-            raise ValueError("sigma_vol, r, and domain_right must be positive")
-        if self.mu_drift < 0:
-            # the forward-difference drift is upwind only for b_i >= 0
-            raise ValueError(f"mu_drift must be nonnegative, got {self.mu_drift}")
 
     @property
     def h(self) -> float:
-        return self.domain_right / self.N
+        return DOMAIN_RIGHT / self.N
 
 
 def grid(params: PdeParams) -> np.ndarray:
-    """Nodes x_l = l*h for l = 0..N-1; x = domain_right is the Dirichlet ghost."""
+    """Nodes x_l = l*h for l = 0..N-1; x = DOMAIN_RIGHT is the Dirichlet ghost."""
     return params.h * np.arange(params.N)
 
 
@@ -141,7 +128,7 @@ def reward_values(params: PdeParams) -> np.ndarray:
 def assemble(params: PdeParams) -> AffineSystem:
     """Build the block-diagonal affine system; every regime earns the same reward.
 
-    The l=0 row degenerates to r*u_0 - reward(0) because both coefficient
+    The l=0 row degenerates to R*u_0 - reward(0) because both coefficient
     functions vanish at x=0; the last row absorbs the zero Dirichlet ghost.
     """
     x = grid(params)
@@ -149,12 +136,12 @@ def assemble(params: PdeParams) -> AffineSystem:
     blocks = []
     for i in range(params.d):
         nu = i / (params.d - 1)
-        a = 0.5 * (params.sigma_vol * nu * x) ** 2
-        b = (params.r + nu * (params.mu_drift - params.r)) * x
-        diag = 2.0 * a / h**2 + b / h + params.r
+        a = 0.5 * (SIGMA_VOL * nu * x) ** 2
+        b = (R + nu * (MU_DRIFT - R)) * x
+        diag = 2.0 * a / h**2 + b / h + R
         lower = -a[1:] / h**2
         upper = -a[:-1] / h**2 - b[:-1] / h
         blocks.append(sp.diags([lower, diag, upper], [-1, 0, 1]))
     matrix = sp.block_diag(blocks, format="csr")
     rhs = np.tile(reward_values(params), (params.d, 1))
-    return AffineSystem(matrix, rhs, gamma=params.r)
+    return AffineSystem(matrix, rhs, gamma=R)

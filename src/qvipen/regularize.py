@@ -121,8 +121,7 @@ class ErrorConstants:
         )
 
 
-def strict_supersolution(system: AffineSystem, costs, kappa: float,
-                         cfg: NewtonConfig | None = None) -> np.ndarray:
+def strict_supersolution(system: AffineSystem, costs, kappa: float) -> np.ndarray:
     """A field w with min(F_i(w), w^i - M_i w) = kappa in every component.
 
     Solved exactly as the QVI of the original problem with F shifted down by
@@ -135,26 +134,25 @@ def strict_supersolution(system: AffineSystem, costs, kappa: float,
         raise ValueError(f"kappa must lie in (0, {costs.min_cost}), got {kappa}")
     shifted = AffineSystem(system.matrix, system.rhs.reshape(system.d, system.N) + kappa,
                            system.gamma)
-    root, _ = solve_root(shifted, np.zeros((system.d, system.N)), cfg)
-    w, _ = _solve_qvi(shifted, SwitchingCostMatrix(costs.costs - kappa), root, cfg=cfg)
+    root, _ = solve_root(shifted, np.zeros((system.d, system.N)))
+    w, _ = _solve_qvi(shifted, SwitchingCostMatrix(costs.costs - kappa), root)
     return w
 
 
-def apply_Q(u, system: AffineSystem, costs, cfg: NewtonConfig | None = None) -> np.ndarray:
+def apply_Q(u, system: AffineSystem, costs) -> np.ndarray:
     """One iterated-stopping sweep: solve with the obstacle frozen at M_i u."""
     v = field_values(u, system.d, system.N)
     costs = as_costs(costs, system.d)
     psi = _obstacles(v, costs)[0]
-    out, _ = solve_obstacle(system, psi, v, cfg)
+    out, _ = solve_obstacle(system, psi, v)
     return out
 
 
-def apply_T(u, system: AffineSystem, costs, epsilon: float,
-            cfg: NewtonConfig | None = None) -> np.ndarray:
+def apply_T(u, system: AffineSystem, costs, epsilon: float) -> np.ndarray:
     """One time-marching sweep: the obstacle stays live, the epsilon term
     anchors the solve to the previous iterate."""
     _check_epsilon(epsilon)
-    return _solve_qvi(system, costs, u, epsilon, cfg)[0]
+    return _solve_qvi(system, costs, u, epsilon)[0]
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -163,11 +161,11 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
-def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray, epsilon: float,
-                          cfg: NewtonConfig | None) -> np.ndarray:
+def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray,
+                          epsilon: float) -> np.ndarray:
     system = prob.system
     if prob.rho == 0.0:
-        out, _ = solve_root(system, frozen, cfg)
+        out, _ = solve_root(system, frozen)
         return out
     # entry [i, j, l] = frozen[j, l] - c[i, j], -inf at j == i
     switch = frozen[None, :, :] - prob.costs._cost_tensor
@@ -184,23 +182,22 @@ def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray, epsilon: f
         residual -= prob.rho * np.maximum(args, 0.0, out=args).sum(axis=1)
         return residual, None, block * diagonal[:, None]
 
-    out, _ = _newton(system, linearize, frozen, cfg)
+    out, _ = _newton(system, linearize, frozen)
     return out
 
 
-def apply_Q_rho(u, prob: PenalizedProblem, cfg: NewtonConfig | None = None) -> np.ndarray:
+def apply_Q_rho(u, prob: PenalizedProblem) -> np.ndarray:
     """One penalized sweep: penalty arguments read their first slot from u."""
     frozen = field_values(u, prob.system.d, prob.system.N)
-    return _frozen_penalty_solve(prob, frozen, 0.0, cfg)
+    return _frozen_penalty_solve(prob, frozen, 0.0)
 
 
-def apply_T_rho(u, prob: PenalizedProblem, epsilon: float,
-                cfg: NewtonConfig | None = None) -> np.ndarray:
+def apply_T_rho(u, prob: PenalizedProblem, epsilon: float) -> np.ndarray:
     """The time-marching variant of the penalized sweep: the penalty argument
     picks up an extra -epsilon*(v - u) pull toward the previous iterate."""
     _check_epsilon(epsilon)
     frozen = field_values(u, prob.system.d, prob.system.N)
-    return _frozen_penalty_solve(prob, frozen, float(epsilon), cfg)
+    return _frozen_penalty_solve(prob, frozen, float(epsilon))
 
 
 def iterate_to_fixed_point(step, start, max_sweeps: int = 200, tol: float = 1e-10):
@@ -270,8 +267,8 @@ def phi_upper_bound(nu: float, a: float, b: float) -> float:
 def penalty_error_bound(constants: ErrorConstants, rho: float) -> float:
     """Rigorous upper bound on ||u - u^rho||, built from the per-sweep drift
     C/rho; zero when costs are so large that the obstacle never binds."""
-    if rho <= 0.0:
-        raise ValueError(f"penalty weight must be positive, got {rho}")
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise ValueError(f"penalty weight must be positive and finite, got {rho}")
     if constants.min_cost > 2.0 * constants.norm_F0 / constants.gamma:
         return 0.0
     per_sweep = constants.C / rho

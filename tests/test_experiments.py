@@ -587,6 +587,26 @@ def test_cli_regions_rejects_unusable_inputs_before_solving(monkeypatch, capsys,
     assert "configuration error" in err and message in err
 
 
+@pytest.mark.parametrize("command", ["solve", "table"])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/out.csv", "does not exist"),
+    (".", "it is a directory"),
+], ids=["missing-directory", "directory"])
+def test_cli_rejects_an_unwritable_output_path_before_solving(
+        monkeypatch, tmp_path, capsys, command, target, reason):
+    # a missing directory used to be found after the solve, as "solve failed"
+    # with exit 1
+    def no_solve(config):
+        raise AssertionError("run_table ran")
+
+    monkeypatch.setattr(cli, "run_table", no_solve)
+    out = tmp_path / target
+    argv = [command, "--case", "two-regime", "--cost", "0.5", "--rho", "1000", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and repr(str(out)) in err and reason in err
+
+
 def test_cli_hjb_rejects_a_cost(capsys):
     # hjb always runs cost 0; it used to accept --cost and ignore it
     with pytest.raises(SystemExit) as usage:

@@ -371,8 +371,9 @@ def test_penalty_error_bound_dominates_observed(two_regime, penalty_reference, q
     bounds = [penalty_error_bound(cons, rho) for rho in (1e3, 2e3, 4e3, 8e3)]
     assert bounds[0] >= observed
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
-    with pytest.raises(ValueError):
-        penalty_error_bound(cons, 0.0)
+    for rho in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="penalty weight must be positive and finite"):
+            penalty_error_bound(cons, rho)
 
 
 def test_q_and_penalized_q_drift_apart_linearly(small_instance):
