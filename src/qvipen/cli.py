@@ -16,6 +16,7 @@ import sys
 from .experiments import (
     ExperimentConfig,
     _check_region_inputs,
+    _json_text,
     extract_regions,
     run_table,
     verify,
@@ -100,7 +101,9 @@ def _check_output_path(path: str) -> None:
     raise ValueError(f"cannot write output to {path!r}: {reason}")
 
 
-def _emit(text: str, config: ExperimentConfig) -> None:
+def _emit(output, config: ExperimentConfig) -> None:
+    """Write finished text, or a record (a dataclass or a dict) as JSON."""
+    text = output if isinstance(output, str) else _json_text(output)
     if config.output_path:
         with open(config.output_path, "w") as handle:
             handle.write(text)
@@ -116,7 +119,7 @@ def _cmd_solve(config: ExperimentConfig) -> int:
     one = dataclasses.replace(config, cost_list=config.cost_list[:1],
                               rho_list=config.rho_list[:1])
     cells = run_table(one).cells
-    _emit(json.dumps(dataclasses.asdict(cells[0]), indent=2) + "\n", config)
+    _emit(cells[0], config)
     return 0 if _converged(cells) else 1
 
 
@@ -128,14 +131,14 @@ def _cmd_table(config: ExperimentConfig) -> int:
 
 def _cmd_regions(config: ExperimentConfig) -> int:
     report = extract_regions(config, config.rho_list[0])
-    _emit(json.dumps(dataclasses.asdict(report), indent=2) + "\n", config)
+    _emit(report, config)
     # inclusion of the exact regions is the proven property; match is informational
     return 0 if all(r.included for r in report.regions) else 1
 
 
 def _cmd_verify(config: ExperimentConfig) -> int:
     summary = verify(config)
-    _emit(json.dumps(summary, indent=2) + "\n", config)
+    _emit(summary, config)
     return 0 if summary["passed"] else 1
 
 

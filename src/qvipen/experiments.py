@@ -6,6 +6,7 @@ in the config's cost-major order.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import json
@@ -191,10 +192,11 @@ class CellRecord:
     iterations: int | None
     runtime_s: float | None
     converged: bool
-    error: str | None = None
     # max over nodes of the spread between regimes; tends to 0 as rho grows
     # on a zero-cost row
     regime_gap: float | None = None
+    # the cause of a failed cell
+    error: str | None = None
 
 
 @dataclass
@@ -231,7 +233,8 @@ def run_table(config: ExperimentConfig) -> TableResult:
                 u, report = solve_penalized(PenalizedProblem(system, costs, rho), root, cfg)
             except (SingularSlant, MaxIterExceeded) as exc:
                 cells.append(CellRecord(config.case, cost, rho, config.probe_point,
-                                        None, None, None, None, False, str(exc)))
+                                        None, None, exc.report.iterations,
+                                        exc.report.elapsed_seconds, False, error=str(exc)))
                 previous = None
                 continue
             increment = None if previous is None else sup_norm(u - previous)
@@ -246,41 +249,38 @@ def run_table(config: ExperimentConfig) -> TableResult:
     return TableResult(config.case, config.probe_point, cells, solutions)
 
 
-def _fmt(x, spec="%.6g"):
-    return "" if x is None else spec % x
+def _blank_or(spec):
+    return lambda x: "" if x is None else spec % x
+
+
+# CellRecord's fields in order, each with its CSV text: a field not named here
+# is a number to 6 significant digits, whatever its Python type
+_CSV_TEXT = {"case": str, "iterations": _blank_or("%d"), "runtime_s": _blank_or("%.4f"),
+             "converged": lambda x: "true" if x else "false", "error": _blank_or("%s")}
+_COLUMNS = tuple((f.name, _CSV_TEXT.get(f.name, _blank_or("%.6g")))
+                 for f in dataclasses.fields(CellRecord))
+
+
+def _json_text(record) -> str:
+    """A dataclass or a dict as indented JSON, ending in a newline."""
+    if dataclasses.is_dataclass(record):
+        record = dataclasses.asdict(record)
+    return json.dumps(record, indent=2) + "\n"
 
 
 def write_table(table: TableResult, fmt: str = "csv") -> str:
-    """Render a sweep as CSV (runtime to 4 decimals, other floats to 6
-    significant digits, increments blank on each row's first weight) or JSON.
-    """
+    """Render a sweep as CSV or JSON, one column or key per CellRecord field;
+    a CSV field is blank for None and quoted when it holds a comma."""
     if fmt == "csv":
         buf = io.StringIO()
-        buf.write("case,c,rho,probe_x,value,increment,iterations,runtime_s,converged,"
-                  "regime_gap\n")
-        for cell in table.cells:
-            buf.write(",".join([
-                cell.case,
-                _fmt(cell.c),
-                _fmt(cell.rho),
-                _fmt(cell.probe_x),
-                _fmt(cell.value),
-                _fmt(cell.increment),
-                "" if cell.iterations is None else str(cell.iterations),
-                _fmt(cell.runtime_s, "%.4f"),
-                "true" if cell.converged else "false",
-                _fmt(cell.regime_gap),
-            ]) + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(name for name, _ in _COLUMNS)
+        writer.writerows([text(getattr(cell, name)) for name, text in _COLUMNS]
+                         for cell in table.cells)
         return buf.getvalue()
     if fmt == "json":
-        return json.dumps(
-            {
-                "case": table.case,
-                "probe_x": table.probe_x,
-                "cells": [dataclasses.asdict(c) for c in table.cells],
-            },
-            indent=2,
-        ) + "\n"
+        cells = [{name: getattr(cell, name) for name, _ in _COLUMNS} for cell in table.cells]
+        return _json_text({"case": table.case, "probe_x": table.probe_x, "cells": cells})
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
@@ -366,61 +366,45 @@ def extract_regions(config: ExperimentConfig, rho: float) -> RegionReport:
     )
 
 
-def _check(name, passed, detail):
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
 def _failure(exc: Exception) -> str:
     """The exception's type and message, and the file and line that raised it."""
     where = traceback.extract_tb(exc.__traceback__)[-1]
     return f"{type(exc).__name__} at {where.filename}:{where.lineno}: {exc}"
 
 
-def verify(config: ExperimentConfig | None = None) -> dict:
-    """Run the oracle-agreement and invariant suites; failures are data."""
-    config = config or ExperimentConfig()
-    cfg = config.newton
-    checks = []
+def _tiny_instance(config: ExperimentConfig):
+    """A tiny instance with a known closed form: F_i(u) = u^i - b_i."""
+    system = AffineSystem(sp.identity(2, format="csr"), np.array([[0.0], [2.0]]), gamma=1.0)
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.0), 1.0)
+    newton_u, _ = solve_penalized(prob, np.zeros((2, 1)), config.newton)
+    march_u = pseudo_time_solve(prob, tol=1e-10)
+    enum_u = active_set_enumerate(prob)
+    expected = np.array([[1.0], [2.0]])
+    worst = max(sup_norm(u - expected) for u in (newton_u, march_u, enum_u))
+    return worst <= 1e-6, f"max deviation {worst:.2e}"
 
-    # 1. tiny instance with a known closed form: F_i(u) = u^i - b_i
-    try:
-        system = AffineSystem(sp.identity(2, format="csr"),
-                              np.array([[0.0], [2.0]]), gamma=1.0)
-        prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.0), 1.0)
-        newton_u, _ = solve_penalized(prob, np.zeros((2, 1)), cfg)
-        march_u = pseudo_time_solve(prob, tol=1e-10)
-        enum_u = active_set_enumerate(prob)
-        expected = np.array([[1.0], [2.0]])
-        worst = max(sup_norm(u - expected) for u in (newton_u, march_u, enum_u))
-        checks.append(_check("tiny-instance-closed-form", worst <= 1e-6,
-                             f"max deviation {worst:.2e}"))
-    except Exception as exc:
-        checks.append(_check("tiny-instance-closed-form", False, _failure(exc)))
 
-    # 2. three solvers agree on random small instances
+def _solver_agreement(config: ExperimentConfig):
+    """The three solvers agree on random small instances."""
     rng = np.random.default_rng(2024)
     worst = 0.0
-    detail = ""
-    try:
-        for k in range(15):
-            d = int(rng.integers(2, 4))
-            n = int(rng.integers(1, 3))
-            system = random_affine_system(rng, d=d, n=n, gamma=1.0)
-            rho = [0.0, 1.0, 1e3][k % 3]
-            cost = [0.0, 0.1, 1.0][(k // 3) % 3]
-            prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(d, cost), rho)
-            u_newton, _ = solve_penalized(prob, np.zeros((d, n)), cfg)
-            u_march = pseudo_time_solve(prob, tol=1e-9)
-            worst = max(worst, sup_norm(u_newton - u_march))
-            if (d - 1) * d * n <= 16:
-                u_enum = active_set_enumerate(prob)
-                worst = max(worst, sup_norm(u_newton - u_enum))
-        detail = f"max pairwise gap {worst:.2e} over 15 instances"
-        checks.append(_check("solver-agreement", worst <= 1e-6, detail))
-    except Exception as exc:
-        checks.append(_check("solver-agreement", False, _failure(exc)))
+    for k in range(15):
+        d = int(rng.integers(2, 4))
+        n = int(rng.integers(1, 3))
+        system = random_affine_system(rng, d=d, n=n, gamma=1.0)
+        rho = [0.0, 1.0, 1e3][k % 3]
+        cost = [0.0, 0.1, 1.0][(k // 3) % 3]
+        prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(d, cost), rho)
+        u_newton, _ = solve_penalized(prob, np.zeros((d, n)), config.newton)
+        u_march = pseudo_time_solve(prob, tol=1e-9)
+        worst = max(worst, sup_norm(u_newton - u_march))
+        if (d - 1) * d * n <= 16:
+            worst = max(worst, sup_norm(u_newton - active_set_enumerate(prob)))
+    return worst <= 1e-6, f"max pairwise gap {worst:.2e} over 15 instances"
 
-    # 3. monotonicity probes on random systems
+
+def _monotonicity_probes(config: ExperimentConfig):
+    """Monotonicity probes on random systems."""
     rng = np.random.default_rng(7)
     slack = 0.0
     for _ in range(20):
@@ -428,42 +412,51 @@ def verify(config: ExperimentConfig | None = None) -> dict:
         u = rng.uniform(-2, 2, (3, 3))
         v = rng.uniform(-2, 2, (3, 3))
         slack = min(slack, monotonicity_slack(system, u, v))
-    checks.append(_check("monotonicity-probes", slack >= -1e-12,
-                         f"min slack {slack:.2e} over 20 probes"))
+    return slack >= -1e-12, f"min slack {slack:.2e} over 20 probes"
 
-    # 4. a-priori bound on the named case
-    try:
-        system = assemble(config.pde_params())
-        root, _ = solve_root(system, np.zeros((system.d, system.N)), cfg)
-        prob = PenalizedProblem(
-            system, SwitchingCostMatrix.uniform(system.d, config.cost_list[0]),
-            config.rho_list[-1],
-        )
-        u, report = solve_penalized(prob, root, cfg)
-        bound = a_priori_bound(system)
-        checks.append(_check(
-            "a-priori-bound",
-            report.converged and sup_norm(u) <= bound + 1e-9,
-            f"||u|| = {sup_norm(u):.4f} vs bound {bound:.4f}",
-        ))
-    except Exception as exc:
-        checks.append(_check("a-priori-bound", False, _failure(exc)))
 
-    # 5. zero-cost regime gaps halve per weight doubling, read off the
-    # cost-0 row of the sweep
-    try:
-        row = run_table(dataclasses.replace(config, cost_list=(0.0,),
-                                            rho_list=(1e3, 2e3, 4e3))).cells
-        failed = [cell for cell in row if cell.error is not None]
-        if failed:
-            checks.append(_check("zero-cost-gap-halving", False,
-                                 f"rho = {failed[0].rho:g}: {failed[0].error}"))
-        else:
-            ratios = [row[k].regime_gap / row[k + 1].regime_gap for k in range(2)]
-            ok = all(1.8 <= r <= 2.2 for r in ratios)
-            checks.append(_check("zero-cost-gap-halving", ok,
-                                 f"ratios {', '.join('%.3f' % r for r in ratios)}"))
-    except Exception as exc:
-        checks.append(_check("zero-cost-gap-halving", False, _failure(exc)))
+def _bound_holds(config: ExperimentConfig):
+    """The a-priori bound on the named case, at its first cost and last weight."""
+    system = assemble(config.pde_params())
+    root, _ = solve_root(system, np.zeros((system.d, system.N)), config.newton)
+    costs = SwitchingCostMatrix.uniform(system.d, config.cost_list[0])
+    prob = PenalizedProblem(system, costs, config.rho_list[-1])
+    u, report = solve_penalized(prob, root, config.newton)
+    bound = a_priori_bound(system)
+    return (report.converged and sup_norm(u) <= bound + 1e-9,
+            f"||u|| = {sup_norm(u):.4f} vs bound {bound:.4f}")
 
+
+def _gap_halving(config: ExperimentConfig):
+    """Zero-cost regime gaps halve per weight doubling on the sweep's cost-0 row."""
+    row = run_table(dataclasses.replace(config, cost_list=(0.0,),
+                                        rho_list=(1e3, 2e3, 4e3))).cells
+    failed = [cell for cell in row if cell.error is not None]
+    if failed:
+        return False, f"rho = {failed[0].rho:g}: {failed[0].error}"
+    ratios = [row[k].regime_gap / row[k + 1].regime_gap for k in range(2)]
+    return (all(1.8 <= r <= 2.2 for r in ratios),
+            f"ratios {', '.join('%.3f' % r for r in ratios)}")
+
+
+_CHECKS = (
+    ("tiny-instance-closed-form", _tiny_instance),
+    ("solver-agreement", _solver_agreement),
+    ("monotonicity-probes", _monotonicity_probes),
+    ("a-priori-bound", _bound_holds),
+    ("zero-cost-gap-halving", _gap_halving),
+)
+
+
+def verify(config: ExperimentConfig | None = None) -> dict:
+    """Run the oracle-agreement and invariant suites; failures are data, and a
+    check that raises fails with :func:`_failure` as its detail."""
+    config = config or ExperimentConfig()
+    checks = []
+    for name, check in _CHECKS:
+        try:
+            passed, detail = check(config)
+        except Exception as exc:
+            passed, detail = False, _failure(exc)
+        checks.append({"name": name, "passed": bool(passed), "detail": detail})
     return {"checks": checks, "passed": all(c["passed"] for c in checks)}

@@ -89,13 +89,12 @@ _DEFAULT_CONFIG = NewtonConfig()
 
 
 class SingularSlant(Exception):
-    """Linear solve failed; carries the outer iterate when one exists, and
-    the regime and node of the zero pivot when the factorization found one."""
+    """Linear solve failed; carries the zero pivot's regime and node when the
+    factorization found one, and a Newton solve's last iterate and report."""
 
-    def __init__(self, message, iterate=None, report=None, regime=None, node=None):
+    def __init__(self, message, regime=None, node=None):
         super().__init__(message)
-        self.iterate = iterate
-        self.report = report
+        self.iterate = self.report = None
         self.regime = regime
         self.node = node
 

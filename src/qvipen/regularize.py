@@ -90,12 +90,18 @@ class ErrorConstants:
     """
 
     kappa: float
-    L_kappa: float
-    mu: float
     C: float
     norm_F0: float
     gamma: float
     min_cost: float
+
+    @property
+    def L_kappa(self) -> float:
+        return (2.0 * self.norm_F0 + self.kappa) / self.gamma
+
+    @property
+    def mu(self) -> float:
+        return min(1.0, self.gamma * self.kappa / (2.0 * self.norm_F0 + self.kappa))
 
     @classmethod
     def for_system(
@@ -109,13 +115,10 @@ class ErrorConstants:
             kappa = costs.min_cost / 2.0  # any value in (0, c) works; take the midpoint
         if not 0.0 < kappa < costs.min_cost:
             raise ValueError(f"kappa must lie in (0, {costs.min_cost}), got {kappa}")
-        f0 = system.norm_F0
         return cls(
             kappa=float(kappa),
-            L_kappa=(2.0 * f0 + kappa) / system.gamma,
-            mu=min(1.0, system.gamma * kappa / (2.0 * f0 + kappa)),
             C=estimate_C(system),
-            norm_F0=f0,
+            norm_F0=system.norm_F0,
             gamma=system.gamma,
             min_cost=costs.min_cost,
         )

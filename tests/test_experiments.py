@@ -1,5 +1,7 @@
 """Experiment harness and command line: configs, sweeps, regions, output."""
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -10,6 +12,7 @@ from qvipen import cli, experiments
 from qvipen.cli import main
 from qvipen.experiments import (
     CASES,
+    CellRecord,
     TABLE1_COSTS,
     TABLE1_RHO,
     TABLE2_COSTS,
@@ -202,7 +205,7 @@ def test_csv_schema(small_table):
     text = write_table(table, fmt="csv")
     lines = text.strip().split("\n")
     assert lines[0] == (
-        "case,c,rho,probe_x,value,increment,iterations,runtime_s,converged,regime_gap"
+        "case,c,rho,probe_x,value,increment,iterations,runtime_s,converged,regime_gap,error"
     )
     assert len(lines) == 1 + len(table.cells)
     first = lines[1].split(",")
@@ -211,6 +214,53 @@ def test_csv_schema(small_table):
     assert first[8] == "true"
     runtime = first[7]
     assert len(runtime.split(".")[1]) == 4
+    assert first[10] == ""  # no error on a converged cell
+
+
+FAILING = {"case": "two-regime", "cost_list": [0.125], "rho_list": [1e3],
+           # enough iterations for the affine root solve, too few for the cell
+           "newton": {"max_iter": 2}}
+
+
+def test_a_failed_cell_keeps_its_iterations_and_runtime():
+    # both used to be blank, as if the solve had measured nothing
+    table = run_table(ExperimentConfig.from_mapping(FAILING))
+    (row,) = csv.DictReader(io.StringIO(write_table(table, fmt="csv")))
+    (cell,) = json.loads(write_table(table, fmt="json"))["cells"]
+    assert row["iterations"] == "2" and cell["iterations"] == 2
+    assert isinstance(cell["runtime_s"], float)
+    assert row["runtime_s"] == "%.4f" % cell["runtime_s"]
+    assert row["error"] == cell["error"]
+    assert cell["error"].startswith("no convergence in 2 iterations")
+    for name in ("value", "increment", "regime_gap"):
+        assert row[name] == "" and cell[name] is None
+
+
+def test_csv_and_json_carry_the_same_fields(small_table):
+    # the CSV used to drop the error, so a failed cell's row gave no cause
+    _, table = small_table
+    failed = run_table(ExperimentConfig.from_mapping(FAILING)).cells
+    pivot = CellRecord("two-regime", 0.5, 1e3, 0.5, None, None, 3, 0.001, False,
+                       error="factorization failed: zero pivot at regime 0, node 5")
+    table = dataclasses.replace(table, cells=table.cells + failed + [pivot])
+    rows = list(csv.DictReader(io.StringIO(write_table(table, fmt="csv"))))
+    cells = json.loads(write_table(table, fmt="json"))["cells"]
+    assert len(rows) == len(cells) == len(table.cells)
+    for row, cell in zip(rows, cells):
+        assert list(row) == list(cell)
+        assert row["error"] == (cell["error"] or "")
+    assert rows[-1]["error"] == pivot.error
+    assert rows[-2]["error"].startswith("no convergence in 2 iterations")
+
+
+def test_csv_prints_an_integer_weight_as_a_number(tmp_path, capsys):
+    # a JSON config gives rho the int 1000000, printed like the float 1e6
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"case": "two-regime", "cost_list": [0.5],
+                                "rho_list": [1000000]}))
+    assert main(["table", "--config", str(path)]) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert row["rho"] == "1e+06" and row["c"] == "0.5" and row["iterations"] == "6"
 
 
 def test_csv_deterministic_except_runtime(small_table):
@@ -364,6 +414,24 @@ def test_verify_names_the_exception_type_and_location(monkeypatch):
     assert not check["passed"]
     assert check["detail"].startswith("RuntimeError at ")
     assert f"test_experiments.py:{line}: march broke" in check["detail"]
+
+
+def test_verify_reports_a_monotonicity_probe_that_raises(monkeypatch):
+    # the probe was the one check run without a handler: its error ended verify
+    def broken_probe(system, u, v):
+        raise RuntimeError("probe broke")
+
+    monkeypatch.setattr(experiments, "monotonicity_slack", broken_probe)
+    summary = verify()
+    assert not summary["passed"]
+    assert [c["name"] for c in summary["checks"]] == [
+        "tiny-instance-closed-form", "solver-agreement", "monotonicity-probes",
+        "a-priori-bound", "zero-cost-gap-halving"]
+    probe = summary["checks"][2]
+    assert not probe["passed"]
+    assert probe["detail"].startswith("RuntimeError at ")
+    assert probe["detail"].endswith(": probe broke")
+    assert all(c["passed"] for c in summary["checks"] if c is not probe)
 
 
 # -------------------------------------------------------------------- the CLI
@@ -648,7 +716,7 @@ def test_cli_hjb_is_the_zero_cost_row(capsys):
     rc = main(["hjb", "--case", "two-regime", "--rho", "1000,2000", "--format", "csv"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0].endswith(",converged,regime_gap")
+    assert lines[0].endswith(",converged,regime_gap,error")
     assert [line.split(",")[1] for line in lines[1:]] == ["0", "0"]
 
 
