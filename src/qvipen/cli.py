@@ -112,7 +112,7 @@ def _emit(output, config: ExperimentConfig) -> None:
 
 
 def _converged(cells) -> bool:
-    return all(cell.converged and cell.error is None for cell in cells)
+    return all(cell.error is None for cell in cells)
 
 
 def _cmd_solve(config: ExperimentConfig) -> int:

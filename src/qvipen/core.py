@@ -310,12 +310,10 @@ def _penalized(u, prob: PenalizedProblem):
 
     Active terms (argument strictly positive) add +rho on the (i, l) diagonal
     and -rho at column (j, l); the kink at zero counts as inactive. At rho = 0
-    the residual is F(u) and the coupling None.
+    the residual is F(u) and the coupling adds nothing to the slant.
     """
     v = field_values(u, prob.system.d, prob.system.N)
     f = prob.system.evaluate(v)
-    if prob.rho == 0.0:
-        return f, None
     # entry [i, j, l] = v[j, l] - c[i, j] - v[i, l]; max(-inf, 0) = 0 drops i == j
     args = v[None, :, :] - prob.costs._cost_tensor
     args -= v[:, None, :]

@@ -124,6 +124,10 @@ class ExperimentConfig:
                 )
         if not _finite(self.probe_point):
             raise ValueError(f"probe_point = {self.probe_point!r} is not a finite number")
+        # one number type, whatever the source: a JSON 1000000 prints as 1000000.0
+        object.__setattr__(self, "rho_list", tuple(map(float, self.rho_list)))
+        object.__setattr__(self, "cost_list", tuple(map(float, self.cost_list)))
+        object.__setattr__(self, "probe_point", float(self.probe_point))
         given = [name for name in ("d", "reward_pieces") if getattr(self, name) is not None]
         if self.case == "custom" and len(given) < 2:
             raise ValueError("custom case needs explicit 'd' and 'reward_pieces'")
@@ -191,12 +195,16 @@ class CellRecord:
     increment: float | None
     iterations: int | None
     runtime_s: float | None
-    converged: bool
     # max over nodes of the spread between regimes; tends to 0 as rho grows
     # on a zero-cost row
     regime_gap: float | None = None
     # the cause of a failed cell
     error: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        """Whether the cell's solve converged, that is, recorded no error."""
+        return self.error is None
 
 
 @dataclass
@@ -229,22 +237,18 @@ def run_table(config: ExperimentConfig) -> TableResult:
         costs = SwitchingCostMatrix.uniform(system.d, cost)
         previous = None
         for ri, rho in enumerate(config.rho_list):
+            value = increment = gap = error = None
             try:
                 u, report = solve_penalized(PenalizedProblem(system, costs, rho), root, cfg)
             except (SingularSlant, MaxIterExceeded) as exc:
-                cells.append(CellRecord(config.case, cost, rho, config.probe_point,
-                                        None, None, exc.report.iterations,
-                                        exc.report.elapsed_seconds, False, error=str(exc)))
-                previous = None
-                continue
-            increment = None if previous is None else sup_norm(u - previous)
-            cells.append(CellRecord(
-                config.case, cost, rho, config.probe_point,
-                float(u[0, probe]), increment, report.iterations,
-                report.elapsed_seconds, report.converged,
-                regime_gap=_regime_gap(u),
-            ))
-            solutions[(ci, ri)] = u
+                u, report, error = None, exc.report, str(exc)
+            else:
+                value, gap = float(u[0, probe]), _regime_gap(u)
+                if previous is not None:
+                    increment = sup_norm(u - previous)
+                solutions[(ci, ri)] = u
+            cells.append(CellRecord(config.case, cost, rho, config.probe_point, value, increment,
+                                    report.iterations, report.elapsed_seconds, gap, error))
             previous = u
     return TableResult(config.case, config.probe_point, cells, solutions)
 
@@ -256,7 +260,7 @@ def _blank_or(spec):
 # CellRecord's fields in order, each with its CSV text: a field not named here
 # is a number to 6 significant digits, whatever its Python type
 _CSV_TEXT = {"case": str, "iterations": _blank_or("%d"), "runtime_s": _blank_or("%.4f"),
-             "converged": lambda x: "true" if x else "false", "error": _blank_or("%s")}
+             "error": _blank_or("%s")}
 _COLUMNS = tuple((f.name, _CSV_TEXT.get(f.name, _blank_or("%.6g")))
                  for f in dataclasses.fields(CellRecord))
 
@@ -421,9 +425,9 @@ def _bound_holds(config: ExperimentConfig):
     root, _ = solve_root(system, np.zeros((system.d, system.N)), config.newton)
     costs = SwitchingCostMatrix.uniform(system.d, config.cost_list[0])
     prob = PenalizedProblem(system, costs, config.rho_list[-1])
-    u, report = solve_penalized(prob, root, config.newton)
+    u, _ = solve_penalized(prob, root, config.newton)
     bound = a_priori_bound(system)
-    return (report.converged and sup_norm(u) <= bound + 1e-9,
+    return (sup_norm(u) <= bound + 1e-9,
             f"||u|| = {sup_norm(u):.4f} vs bound {bound:.4f}")
 
 

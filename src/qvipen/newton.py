@@ -100,10 +100,7 @@ class SingularSlant(Exception):
 
 
 class MaxIterExceeded(Exception):
-    def __init__(self, message, iterate, report):
-        super().__init__(message)
-        self.iterate = iterate
-        self.report = report
+    """Newton hit its iteration cap; carries the solve's last iterate and report."""
 
 
 _gbsv = get_lapack_funcs("gbsv", dtype=np.float64)
@@ -203,38 +200,28 @@ def _newton(system: AffineSystem, linearize, initial, cfg: NewtonConfig | None =
     g, keep, coupling = linearize(u)
     increments: list = []
     residuals = [sup_norm(g)]
-    converged = False
     # dict.pop is atomic, so no two solves ever hold one workspace
     workspace = system.__dict__.pop("_workspace", None) or _Workspace(system)
     try:
         for _ in range(cfg.max_iter):
-            try:
-                delta = workspace.step(g, keep, coupling)
-                step = sup_norm(delta)
-                if not math.isfinite(step):
-                    raise SingularSlant("linear solve produced non-finite entries")
-            except SingularSlant as exc:
-                exc.iterate = u
-                exc.report = SolveReport(increments, residuals, time.perf_counter() - start, False)
-                raise
+            delta = workspace.step(g, keep, coupling)
+            step = sup_norm(delta)
+            if not math.isfinite(step):
+                raise SingularSlant("linear solve produced non-finite entries")
             u = u + delta
             g, keep, coupling = linearize(u)
             residuals.append(sup_norm(g))
             increments.append(step / max(sup_norm(u), 1.0))
             if increments[-1] < cfg.tol and residuals[-1] <= cfg.residual_tol:
-                converged = True
-                break
+                return u, SolveReport(increments, residuals, time.perf_counter() - start, True)
+        raise MaxIterExceeded(f"no convergence in {cfg.max_iter} iterations "
+                              f"(residual {residuals[-1]:.3e})")
+    except (SingularSlant, MaxIterExceeded) as exc:
+        exc.iterate = u
+        exc.report = SolveReport(increments, residuals, time.perf_counter() - start, False)
+        raise
     finally:
         system.__dict__["_workspace"] = workspace
-    report = SolveReport(increments, residuals, time.perf_counter() - start, converged)
-    if not converged:
-        raise MaxIterExceeded(
-            f"no convergence in {cfg.max_iter} iterations "
-            f"(residual {residuals[-1]:.3e})",
-            u,
-            report,
-        )
-    return u, report
 
 
 def _min_rows(f: np.ndarray, constraint: np.ndarray, coupling: np.ndarray):

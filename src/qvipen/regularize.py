@@ -167,9 +167,6 @@ def _check_epsilon(epsilon: float) -> None:
 def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray,
                           epsilon: float) -> np.ndarray:
     system = prob.system
-    if prob.rho == 0.0:
-        out, _ = solve_root(system, frozen)
-        return out
     # entry [i, j, l] = frozen[j, l] - c[i, j], -inf at j == i
     switch = frozen[None, :, :] - prob.costs._cost_tensor
     block = _diagonal_block(system.d)

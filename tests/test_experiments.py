@@ -205,16 +205,16 @@ def test_csv_schema(small_table):
     text = write_table(table, fmt="csv")
     lines = text.strip().split("\n")
     assert lines[0] == (
-        "case,c,rho,probe_x,value,increment,iterations,runtime_s,converged,regime_gap,error"
+        "case,c,rho,probe_x,value,increment,iterations,runtime_s,regime_gap,error"
     )
     assert len(lines) == 1 + len(table.cells)
     first = lines[1].split(",")
     assert first[0] == "two-regime"
     assert first[5] == ""  # increment blank on each row's first weight
-    assert first[8] == "true"
     runtime = first[7]
     assert len(runtime.split(".")[1]) == 4
-    assert first[10] == ""  # no error on a converged cell
+    assert first[8] != ""  # a converged cell has a regime gap
+    assert first[9] == ""  # and no error
 
 
 FAILING = {"case": "two-regime", "cost_list": [0.125], "rho_list": [1e3],
@@ -240,7 +240,8 @@ def test_csv_and_json_carry_the_same_fields(small_table):
     # the CSV used to drop the error, so a failed cell's row gave no cause
     _, table = small_table
     failed = run_table(ExperimentConfig.from_mapping(FAILING)).cells
-    pivot = CellRecord("two-regime", 0.5, 1e3, 0.5, None, None, 3, 0.001, False,
+    pivot = CellRecord(case="two-regime", c=0.5, rho=1e3, probe_x=0.5, value=None,
+                       increment=None, iterations=3, runtime_s=0.001,
                        error="factorization failed: zero pivot at regime 0, node 5")
     table = dataclasses.replace(table, cells=table.cells + failed + [pivot])
     rows = list(csv.DictReader(io.StringIO(write_table(table, fmt="csv"))))
@@ -261,6 +262,23 @@ def test_csv_prints_an_integer_weight_as_a_number(tmp_path, capsys):
     assert main(["table", "--config", str(path)]) == 0
     (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
     assert row["rho"] == "1e+06" and row["c"] == "0.5" and row["iterations"] == "6"
+
+
+def test_json_prints_an_integer_weight_as_a_float(tmp_path, capsys):
+    # a JSON config's int 1000000 used to print as 1000000, and --rho 1e6 as
+    # 1000000.0; every weight, cost and probe point is now stored as a float
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"case": "two-regime", "cost_list": [1],
+                                "rho_list": [1000000], "probe_point": 1}))
+    assert main(["solve", "--config", str(path)]) == 0
+    from_config = capsys.readouterr().out
+    payload = json.loads(from_config)
+    assert [type(payload[key]) for key in ("c", "rho", "probe_x")] == [float] * 3
+    assert main(["solve", "--case", "two-regime", "--cost", "1", "--rho", "1e6"]) == 0
+    from_flags = capsys.readouterr().out
+    rho_lines = [[line for line in text.splitlines() if '"rho"' in line]
+                 for text in (from_config, from_flags)]
+    assert rho_lines == [['  "rho": 1000000.0,']] * 2
 
 
 def test_csv_deterministic_except_runtime(small_table):
@@ -596,7 +614,7 @@ def test_cli_solve_reports_probe_value(tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["value"] == pytest.approx(6.849917, abs=1e-3)
-    assert payload["converged"] is True
+    assert "converged" not in payload and payload["error"] is None
 
 
 def test_cli_solve_reports_a_failed_cell(tmp_path, capsys):
@@ -607,7 +625,7 @@ def test_cli_solve_reports_a_failed_cell(tmp_path, capsys):
     }))
     assert main(["solve", "--config", str(config_path)]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["converged"] is False
+    assert "converged" not in payload
     assert payload["value"] is None
     assert payload["error"]
 
@@ -716,7 +734,7 @@ def test_cli_hjb_is_the_zero_cost_row(capsys):
     rc = main(["hjb", "--case", "two-regime", "--rho", "1000,2000", "--format", "csv"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0].endswith(",converged,regime_gap,error")
+    assert lines[0].endswith(",runtime_s,regime_gap,error")
     assert [line.split(",")[1] for line in lines[1:]] == ["0", "0"]
 
 

@@ -144,8 +144,9 @@ def test_huge_cost_removes_penalty_dependence():
 
 
 def test_solve_penalized_at_zero_weight_is_the_root_solve():
-    # at rho = 0 the penalty never evaluates, so the solve reduces to F(u) = 0
-    # even from a start that activates a penalty argument
+    # at rho = 0 the penalty evaluates to zero and adds a zero coupling, so
+    # the solve reduces to F(u) = 0 even from a start that activates a
+    # penalty argument
     system = identity_system(np.zeros((2, 1)))
     costs = SwitchingCostMatrix.uniform(2, 1.0)
     start = np.array([[0.0], [3.0]])

@@ -241,6 +241,15 @@ def test_q_rho_zero_weight_returns_root(two_regime):
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, COST), 0.0)
     out = apply_Q_rho(np.ones((2, 100)), prob)
     assert sup_norm(out - root) <= 1e-9
+    # at rho = 0 both penalized sweeps are the root solve to the bit, also
+    # from a start that activates penalty arguments
+    for d, reward in ((2, RewardFunction.two_regime()), (3, RewardFunction.three_regime())):
+        system = assemble(PdeParams(d=d, reward=reward))
+        prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(d, COST), 0.0)
+        start = np.linspace(-1.0, 1.0, d * 100).reshape(d, 100)
+        expected = solve_root(system, start)[0].tobytes()
+        assert apply_Q_rho(start, prob).tobytes() == expected
+        assert apply_T_rho(start, prob, 1.0).tobytes() == expected
 
 
 def test_q_rho_is_nonexpansive(small_instance):
