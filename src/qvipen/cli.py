@@ -67,9 +67,6 @@ def _load_config(args) -> ExperimentConfig:
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         mapping.update(loaded)
-        if args.command == "hjb" and any(c != 0 for c in mapping.get("cost_list") or ()):
-            raise ValueError(f"hjb runs the cost-0 row only; cost_list must be [0] "
-                             f"or absent, got {mapping['cost_list']!r}")
     if args.case:
         mapping["case"] = args.case
     if args.rho is not None:
@@ -84,7 +81,13 @@ def _load_config(args) -> ExperimentConfig:
         newton = dict(mapping.get("newton", {}))
         newton["tol"] = args.tol
         mapping["newton"] = newton
-    return ExperimentConfig.from_mapping(mapping)
+    config = ExperimentConfig.from_mapping(mapping)
+    # hjb has no --cost flag, so a cost_list here came from the config file
+    if (args.command == "hjb" and mapping.get("cost_list") is not None
+            and any(c != 0 for c in config.cost_list)):
+        raise ValueError(f"hjb runs the cost-0 row only; cost_list must be [0] "
+                         f"or absent, got {list(config.cost_list)!r}")
+    return config
 
 
 def _check_output_path(path: str) -> None:

@@ -335,15 +335,13 @@ def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
     return _penalized(u, prob)[0]
 
 
-def _coupling_blocks(ab: np.ndarray, row: int, system: AffineSystem) -> np.ndarray:
+def _coupling_blocks(ab: np.ndarray, row: int, base: NodeBand) -> np.ndarray:
     """The (d, d, N) view of a Fortran-ordered array ``ab`` that holds a
-    slant of ``system``, in the band storage of ``system.band``, from row
-    ``row`` on: entry [i, j, l] of the view is the slant's entry at row
-    (i, l), column (j, l)."""
-    d, n = system.d, system.N
-    height, item = ab.shape[0], ab.itemsize
+    slant in the band storage of ``base`` from row ``row`` on: entry
+    [i, j, l] of the view is the slant's entry at row (i, l), column (j, l)."""
+    d, height, item = base.d, ab.shape[0], ab.itemsize
     # entry (l*d + i, l*d + j) sits at ab[row + ku + i - j, l*d + j]
-    return np.ndarray((d, d, n), ab.dtype, ab.T, (row + system.band.ku) * item,
+    return np.ndarray((d, d, ab.shape[1] // d), ab.dtype, ab.T, (row + base.ku) * item,
                       (item, (height - 1) * item, d * height * item))
 
 
@@ -372,7 +370,7 @@ def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
     """
     base = system.band
     out = np.empty_like(base.ab, order="F")
-    _write_slant(out, _coupling_blocks(out, 0, system), base, keep, coupling)
+    _write_slant(out, _coupling_blocks(out, 0, base), base, keep, coupling)
     return NodeBand(system.d, base.kl, base.ku, out)
 
 

@@ -101,6 +101,9 @@ class ExperimentConfig:
     reward_pieces: tuple | None = None
 
     def __post_init__(self) -> None:
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string, got "
+                             f"{type(self.output_path).__name__} {self.output_path!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.case not in ("two-regime", "three-regime", "custom"):

@@ -16,18 +16,20 @@ evaluation that is needed anyway. The iteration count is the number of
 updates performed, including the final confirming one. A step with a
 non-finite entry fails as a singular slant does.
 
-Each system holds one workspace, allocated at its first solve: a LAPACK
-band LU array, into which every step writes its slant in place, and a
-node-major right-hand side. A solve borrows it for its duration; a solve
-that finds it taken, nested in or concurrent with another on the same
-system, allocates its own. A slant is factored by LAPACK's band LU driver
-``gbsv``, without iterative refinement: that leaves a backward error near
-roundoff. On these problems Newton is policy iteration, which stops when
-the policy repeats, so a step whose keep and coupling have the bytes of
-those of the slant the array holds is a single ``gbtrs`` back-solve on the
-held factors. The confirming step of a converged solve usually is one, and
-so is the first step of a sweep whose policy is the one the sweep before it
-ended on: 314 of the 645 steps of the ``sweeps`` benchmark op back-solve.
+Every band system is solved as one step on a workspace: a LAPACK band LU
+array, into which the step writes its slant in place, and a node-major
+right-hand side. :func:`linear_solve` takes one step on a fresh workspace.
+Each system holds one, allocated at its first Newton solve; a solve borrows
+it for its duration, and a solve that finds it taken, nested in or
+concurrent with another on the same system, allocates its own. A slant is
+factored by LAPACK's band LU driver ``gbsv``, without iterative refinement:
+that leaves a backward error near roundoff. On these problems Newton is
+policy iteration, which stops when the policy repeats, so a step whose keep
+and coupling have the bytes of those of the slant the array holds is a
+single ``gbtrs`` back-solve on the held factors. The confirming step of a
+converged solve usually is one, and so is the first step of a sweep whose
+policy is the one the sweep before it ended on: 314 of the 645 steps of the
+``sweeps`` benchmark op back-solve.
 """
 from __future__ import annotations
 
@@ -107,87 +109,74 @@ _gbsv = get_lapack_funcs("gbsv", dtype=np.float64)
 _gbtrs = get_lapack_funcs("gbtrs", dtype=np.float64)
 
 
-def _band_solve(lu, kl: int, ku: int, d: int, rhs: np.ndarray, ipiv=None):
-    """``(x, ipiv)``: the solution of a band system with d regimes per node,
-    and the pivots of its factorization, which ``lu`` holds on return.
-
-    Without ``ipiv``, ``lu`` is a LAPACK LU array holding the band in rows
-    kl:, Fortran-ordered float64 so that ``gbsv`` factors it in place; given
-    the ``ipiv`` of the factorization ``lu`` already holds, the solve is one
-    ``gbtrs`` back-solve. ``gbsv`` is ``gbtrf`` then ``gbtrs``, so both give
-    the same x to the bit. ``rhs`` is node-major and may be overwritten. A
-    zero pivot raises SingularSlant naming its regime and node; x is not
-    checked for non-finite entries.
-    """
-    if ipiv is None:
-        _, ipiv, x, info = _gbsv(kl, ku, lu, rhs, overwrite_ab=True, overwrite_b=True)
-        if info > 0:  # U[info-1, info-1] is exactly zero; columns are node-major
-            node, regime = divmod(info - 1, d)
-            raise SingularSlant(f"factorization failed: zero pivot at regime {regime}, node {node}",
-                                regime=regime, node=node)
-    else:
-        x, info = _gbtrs(lu, kl, ku, rhs, ipiv, overwrite_b=True)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK's band solve")
-    return x, ipiv
-
-
 def linear_solve(op: NodeBand, rhs: np.ndarray) -> np.ndarray:
     """Direct solve of op x = rhs; rhs and x are in regime-major order.
 
-    The band is copied into a zeroed LU array with kl spare rows on top and
-    factored by LAPACK ``gbsv`` (band LU with partial pivoting), after
-    permuting rhs to node-major order; the band itself is left untouched.
-    A zero pivot raises SingularSlant naming its regime and node; so does a
-    non-finite x, without them.
+    One step of a fresh :class:`_Workspace` on ``op``: the band is copied
+    into its LU array and factored there, so neither ``op`` nor ``rhs`` is
+    changed. A zero pivot raises SingularSlant naming its regime and node;
+    so does a non-finite x, without them.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    kl, ku = op.kl, op.ku
-    lu = np.zeros((2 * kl + ku + 1, op.ab.shape[1]), order="F")
-    lu[kl:] = op.ab
-    x, _ = _band_solve(lu, kl, ku, op.d, rhs.reshape(op.d, -1).T.flatten())
+    # negation is exact, and the step negates again into its own buffer
+    x = _Workspace(op).step(-np.asarray(rhs, dtype=float).reshape(op.d, -1), None, None)
     if not np.isfinite(x).all():
         raise SingularSlant("linear solve produced non-finite entries")
-    return x.reshape(-1, op.d).T.ravel()
+    return x.ravel()
 
 
 class _Workspace:
-    """The buffers of a system's Newton solves, allocated once.
+    """The buffers of the Newton solves on one band ``base``, allocated once.
 
     ``lu`` is the Fortran-ordered LAPACK LU array, (2kl + ku + 1) x dN for
-    the widths of the system's band ``base``, ``band`` its rows kl: and
-    ``blocks`` their per-node coupling view; ``rhs`` is the node-major
-    right-hand side. ``policy`` holds the bytes of the keep and coupling of
-    the slant ``lu`` holds factored, and ``ipiv`` its pivots, None when it
-    holds no factorization.
+    the widths of ``base``, ``band`` its rows kl: and ``blocks`` their
+    per-node coupling view; ``rhs`` is the node-major right-hand side.
+    ``policy`` holds the bytes of the keep and coupling of the slant ``lu``
+    holds factored, and ``ipiv`` its pivots, None when it holds no
+    factorization. A system keeps one for its Newton solves;
+    :func:`linear_solve` takes one step on a fresh one.
     """
 
     __slots__ = ("base", "lu", "band", "blocks", "rhs", "policy", "ipiv")
 
-    def __init__(self, system: AffineSystem):
-        self.base = system.band
-        kl, ku = self.base.kl, self.base.ku
-        self.lu = np.zeros((2 * kl + ku + 1, system.d * system.N), order="F")
+    def __init__(self, base: NodeBand):
+        self.base = base
+        kl, ku = base.kl, base.ku
+        size = base.ab.shape[1]
+        self.lu = np.zeros((2 * kl + ku + 1, size), order="F")
         self.band = self.lu[kl:]
-        self.blocks = _coupling_blocks(self.lu, kl, system)
-        self.rhs = np.empty((system.N, system.d))
+        self.blocks = _coupling_blocks(self.lu, kl, base)
+        self.rhs = np.empty((size // base.d, base.d))
         self.policy = self.ipiv = None
 
     def step(self, g: np.ndarray, keep, coupling) -> np.ndarray:
         """The Newton step -L^{-1} g, a (d, N) view of ``rhs``, for the slant
         L = diag(keep) A + C, ``keep`` a boolean (d, N) mask and ``coupling``
         a float (d, d, N) block, either None. L is assembled in ``lu`` and
-        factored only when its policy differs from the held one."""
+        factored by ``gbsv`` only when its policy differs from the held one,
+        else back-solved by ``gbtrs`` on the held factors. A zero pivot raises
+        SingularSlant naming its regime and node; the step is not checked for
+        non-finite entries."""
         np.negative(g.T, out=self.rhs)
+        base, rhs = self.base, self.rhs.reshape(-1)
         policy = (None if keep is None else keep.tobytes(),
                   None if coupling is None else coupling.tobytes())
         if self.ipiv is None or policy != self.policy:
             # a factorization that fails is never held
             self.ipiv = None
-            _write_slant(self.band, self.blocks, self.base, keep, coupling)
+            _write_slant(self.band, self.blocks, base, keep, coupling)
             self.policy = policy
-        x, self.ipiv = _band_solve(self.lu, self.base.kl, self.base.ku, self.base.d,
-                                   self.rhs.reshape(-1), self.ipiv)
+            _, ipiv, x, info = _gbsv(base.kl, base.ku, self.lu, rhs,
+                                     overwrite_ab=True, overwrite_b=True)
+            if info > 0:  # U[info-1, info-1] is exactly zero; columns are node-major
+                node, regime = divmod(info - 1, base.d)
+                raise SingularSlant(f"factorization failed: zero pivot at regime {regime}, "
+                                    f"node {node}", regime=regime, node=node)
+        else:
+            ipiv = self.ipiv
+            x, info = _gbtrs(self.lu, base.kl, base.ku, rhs, ipiv, overwrite_b=True)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK's band solve")
+        self.ipiv = ipiv
         return x.reshape(self.rhs.shape).T
 
 
@@ -201,7 +190,7 @@ def _newton(system: AffineSystem, linearize, initial, cfg: NewtonConfig | None =
     increments: list = []
     residuals = [sup_norm(g)]
     # dict.pop is atomic, so no two solves ever hold one workspace
-    workspace = system.__dict__.pop("_workspace", None) or _Workspace(system)
+    workspace = system.__dict__.pop("_workspace", None) or _Workspace(system.band)
     try:
         for _ in range(cfg.max_iter):
             delta = workspace.step(g, keep, coupling)

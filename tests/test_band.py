@@ -302,8 +302,8 @@ def test_band_from_matrix_rejects_a_shape_d_cannot_split():
 
 def test_band_solve_leaves_the_cached_band_intact():
     # coupling only the two components of each node gives kl == ku == 1, the
-    # three-regime mesh kl == ku == 3; LAPACK factors in place when asked to,
-    # and neither cached band may change
+    # three-regime mesh kl == ku == 3; LAPACK factors and solves in place
+    # when asked to, and neither cached band nor right-hand side may change
     d, n = 2, 4
     matrix = 3.0 * np.eye(d * n)
     matrix[np.arange(n), n + np.arange(n)] = matrix[n + np.arange(n), np.arange(n)] = -1.0
@@ -312,8 +312,10 @@ def test_band_solve_leaves_the_cached_band_intact():
     assert (band.kl, band.ku) == (1, 1)
     assert not band.ab.flags.writeable
     before = band.ab.copy()
-    x = linear_solve(band, np.ones(d * n))
+    rhs = np.ones(d * n)
+    x = linear_solve(band, rhs)
     assert np.array_equal(band.ab, before)
+    assert rhs.tobytes() == np.ones(d * n).tobytes()
     assert sup_norm(system.matrix @ x - 1.0) <= 1e-15
 
     mesh = assemble(PdeParams(d=3, reward=RewardFunction.three_regime()))
@@ -322,8 +324,10 @@ def test_band_solve_leaves_the_cached_band_intact():
     assert not band.ab.flags.writeable
     before = band.ab.copy()
     op = mesh.matrix
-    x = linear_solve(band, np.ones(op.shape[0]))
+    rhs = np.ones(op.shape[0])
+    x = linear_solve(band, rhs)
     assert np.array_equal(band.ab, before)
+    assert rhs.tobytes() == np.ones(op.shape[0]).tobytes()
     norm_op = abs(op).sum(axis=1).max()
     assert sup_norm(op @ x - 1.0) <= 1e-14 * (norm_op * sup_norm(x) + 1.0)
 

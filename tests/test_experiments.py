@@ -547,7 +547,8 @@ def test_cli_rejects_invalid_reward_pieces(tmp_path, capsys, pieces, message):
     ("solve", {"case": "custom", "d": 2, "reward_pieces": 3},
      "reward_pieces must be a list, got int 3"),
     ("solve", {"rho_list": "1000"}, "rho_list must be a list, got str '1000'"),
-], ids=["scalar-cost", "scalar-pieces", "string-rho"])
+    ("hjb", {"cost_list": 0.5}, "cost_list must be a list, got float 0.5"),
+], ids=["scalar-cost", "scalar-pieces", "string-rho", "hjb-scalar-cost"])
 def test_cli_rejects_a_list_field_that_is_not_a_list(tmp_path, capsys, command, mapping, message):
     # these failed with "not iterable", and the string was split into
     # characters before a numpy casting error
@@ -568,14 +569,16 @@ def test_cli_rejects_a_list_field_that_is_not_a_list(tmp_path, capsys, command, 
     ({"probe_point": float("nan")}, "probe_point = nan is not a finite number"),
     ({"probe_point": float("inf")}, "probe_point = inf is not a finite number"),
     ({"probe_point": "0.5"}, "probe_point = '0.5' is not a finite number"),
+    ({"output_path": 0}, "output_path must be a string, got int 0"),
+    ({"output_path": 5}, "output_path must be a string, got int 5"),
 ], ids=["string-cost", "null-rho", "bool-rho", "list-newton", "int-newton", "nan-probe",
-        "inf-probe", "string-probe"])
+        "inf-probe", "string-probe", "zero-output-path", "int-output-path"])
 def test_cli_names_the_field_of_a_bad_entry(tmp_path, capsys, mapping, message):
     # each printed a message that named no field: a numpy isfinite casting
     # error, "argument after ** must be a mapping", "'int' object is not
     # iterable", "cannot convert float NaN to integer" or "unsupported operand
-    # type(s) for /"; an infinite probe raised OverflowError (exit 1) and a
-    # bool weight ran as rho = 1
+    # type(s) for /"; an infinite probe raised OverflowError (exit 1), a
+    # bool weight ran as rho = 1, and output_path 0 printed to stdout
     path = tmp_path / "config.json"
     path.write_text(json.dumps(mapping))
     assert main(["solve", "--config", str(path)]) == 2
