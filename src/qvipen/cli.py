@@ -46,41 +46,37 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", "run the oracle-agreement and invariant suites"),
         ("hjb", "run the zero-cost row of the sweep along the weight schedule"),
     ):
-        cmd = sub.add_parser(name, help=help_text)
+        # a flag that is not given sets nothing, so the config file's value stands
+        cmd = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         cmd.add_argument("--config", help="JSON file with experiment settings")
         cmd.add_argument("--case", help="two-regime | three-regime | custom")
-        cmd.add_argument("--out", help="output file path (default: stdout)")
+        cmd.add_argument("--out", dest="output_path", help="output file path (default: stdout)")
         if name in ("table", "hjb"):
             cmd.add_argument("--format", choices=("csv", "json"), help="output format")
-        cmd.add_argument("--rho", type=_float_list, help="comma-separated weights")
+        cmd.add_argument("--rho", dest="rho_list", type=_float_list,
+                         help="comma-separated weights")
         if name != "hjb":  # hjb always runs the cost-0 row
-            cmd.add_argument("--cost", type=_float_list, help="comma-separated costs")
+            cmd.add_argument("--cost", dest="cost_list", type=_float_list,
+                             help="comma-separated costs")
         cmd.add_argument("--tol", type=float, help="Newton increment tolerance")
     return parser
 
 
 def _load_config(args) -> ExperimentConfig:
+    flags = vars(args)
     mapping = {}
-    if args.config:
-        with open(args.config) as handle:
+    if "config" in flags:
+        with open(flags["config"]) as handle:
             loaded = json.load(handle)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         mapping.update(loaded)
-    if args.case:
-        mapping["case"] = args.case
-    if args.rho is not None:
-        mapping["rho_list"] = args.rho
-    if getattr(args, "cost", None) is not None:
-        mapping["cost_list"] = args.cost
-    if getattr(args, "format", None):
-        mapping["format"] = args.format
-    if args.out:
-        mapping["output_path"] = args.out
-    if args.tol is not None:
-        newton = dict(mapping.get("newton", {}))
-        newton["tol"] = args.tol
-        mapping["newton"] = newton
+    mapping.update((key, value) for key, value in flags.items()
+                   if key not in ("command", "config", "tol"))
+    newton = mapping.get("newton")
+    # any other newton is left for from_mapping to reject by name
+    if "tol" in flags and (newton is None or isinstance(newton, dict)):
+        mapping["newton"] = {**(newton or {}), "tol": flags["tol"]}
     config = ExperimentConfig.from_mapping(mapping)
     # hjb has no --cost flag, so a cost_list here came from the config file
     if (args.command == "hjb" and mapping.get("cost_list") is not None
@@ -107,74 +103,50 @@ def _check_output_path(path: str) -> None:
 def _emit(output, config: ExperimentConfig) -> None:
     """Write finished text, or a record (a dataclass or a dict) as JSON."""
     text = output if isinstance(output, str) else _json_text(output)
-    if config.output_path:
+    if config.output_path is not None:
         with open(config.output_path, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _converged(cells) -> bool:
-    return all(cell.error is None for cell in cells)
-
-
-def _cmd_solve(config: ExperimentConfig) -> int:
-    one = dataclasses.replace(config, cost_list=config.cost_list[:1],
-                              rho_list=config.rho_list[:1])
-    cells = run_table(one).cells
-    _emit(cells[0], config)
-    return 0 if _converged(cells) else 1
-
-
-def _cmd_table(config: ExperimentConfig) -> int:
+def _run(command: str, config: ExperimentConfig):
+    """Run one subcommand; return its output and whether it passed."""
+    if command == "verify":
+        summary = verify(config)
+        return summary, summary["passed"]
+    if command == "regions":
+        report = extract_regions(config, config.rho_list[0])
+        # inclusion of the exact regions is the proven property; match is informational
+        return report, all(r.included for r in report.regions)
+    if command == "solve":
+        config = dataclasses.replace(config, cost_list=config.cost_list[:1],
+                                     rho_list=config.rho_list[:1])
+    elif command == "hjb":
+        config = dataclasses.replace(config, cost_list=(0.0,))
     table = run_table(config)
-    _emit(write_table(table, fmt=config.format), config)
-    return 0 if _converged(table.cells) else 1
-
-
-def _cmd_regions(config: ExperimentConfig) -> int:
-    report = extract_regions(config, config.rho_list[0])
-    _emit(report, config)
-    # inclusion of the exact regions is the proven property; match is informational
-    return 0 if all(r.included for r in report.regions) else 1
-
-
-def _cmd_verify(config: ExperimentConfig) -> int:
-    summary = verify(config)
-    _emit(summary, config)
-    return 0 if summary["passed"] else 1
-
-
-def _cmd_hjb(config: ExperimentConfig) -> int:
-    return _cmd_table(dataclasses.replace(config, cost_list=(0.0,)))
-
-
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "table": _cmd_table,
-    "regions": _cmd_regions,
-    "verify": _cmd_verify,
-    "hjb": _cmd_hjb,
-}
+    output = table.cells[0] if command == "solve" else write_table(table, fmt=config.format)
+    return output, all(cell.converged for cell in table.cells)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
         if args.command == "regions":
             _check_region_inputs(config.cost_list[0], config.rho_list[0])
-        if config.output_path:
+        if config.output_path is not None:
             _check_output_path(config.output_path)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"qvipen: configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](config)
+        output, ok = _run(args.command, config)
+        _emit(output, config)
     except Exception as exc:
         print(f"qvipen: {args.command} failed: {exc}", file=sys.stderr)
         return 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -104,6 +104,8 @@ class ExperimentConfig:
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ValueError(f"output_path must be a string, got "
                              f"{type(self.output_path).__name__} {self.output_path!r}")
+        if self.output_path == "":
+            raise ValueError("output_path must name a file, got ''; omit it for stdout")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.case not in ("two-regime", "three-regime", "custom"):

@@ -1,4 +1,5 @@
 """Experiment harness and command line: configs, sweeps, regions, output."""
+import argparse
 import csv
 import dataclasses
 import io
@@ -571,19 +572,78 @@ def test_cli_rejects_a_list_field_that_is_not_a_list(tmp_path, capsys, command, 
     ({"probe_point": "0.5"}, "probe_point = '0.5' is not a finite number"),
     ({"output_path": 0}, "output_path must be a string, got int 0"),
     ({"output_path": 5}, "output_path must be a string, got int 5"),
+    ({"output_path": ""}, "output_path must name a file, got ''"),
 ], ids=["string-cost", "null-rho", "bool-rho", "list-newton", "int-newton", "nan-probe",
-        "inf-probe", "string-probe", "zero-output-path", "int-output-path"])
+        "inf-probe", "string-probe", "zero-output-path", "int-output-path",
+        "empty-output-path"])
 def test_cli_names_the_field_of_a_bad_entry(tmp_path, capsys, mapping, message):
     # each printed a message that named no field: a numpy isfinite casting
     # error, "argument after ** must be a mapping", "'int' object is not
     # iterable", "cannot convert float NaN to integer" or "unsupported operand
     # type(s) for /"; an infinite probe raised OverflowError (exit 1), a
-    # bool weight ran as rho = 1, and output_path 0 printed to stdout
+    # bool weight ran as rho = 1, and output_path 0 or "" printed to stdout
     path = tmp_path / "config.json"
     path.write_text(json.dumps(mapping))
     assert main(["solve", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--out", ""], "output_path must name a file, got ''"),
+    (["--case", ""], "unknown case ''"),
+], ids=["empty-out", "empty-case"])
+def test_cli_rejects_an_empty_flag(monkeypatch, capsys, flags, message):
+    # both were taken as not given: the record went to stdout, or the
+    # two-regime case ran, with exit 0
+    def no_solve(config):
+        raise AssertionError("run_table ran")
+
+    monkeypatch.setattr(cli, "run_table", no_solve)
+    assert main(["solve", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
+@pytest.mark.parametrize("newton, expected", [
+    ({}, {"tol": 1e-9}),
+    ({"newton": None}, {"tol": 1e-9}),
+    ({"newton": {"max_iter": 7, "tol": 1e-3}}, {"max_iter": 7, "tol": 1e-9}),
+    ({"newton": 5}, "newton must be a mapping of max_iter, residual_tol, tol, got int 5"),
+    ({"newton": ["tol"]}, "newton must be a mapping of max_iter, residual_tol, tol, "
+                          "got list ['tol']"),
+], ids=["absent", "null", "mapping", "int", "list"])
+def test_cli_tol_merges_into_the_config_newton(monkeypatch, tmp_path, capsys, newton, expected):
+    # with --tol, an int or list newton failed with "'int' object is not
+    # iterable" or "dictionary update sequence element #0", and null with
+    # "'NoneType' object is not iterable"
+    seen = []
+
+    def record(config):
+        seen.append(config.newton)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(cli, "run_table", record)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(newton))
+    status = main(["solve", "--config", str(path), "--tol", "1e-9"])
+    err = capsys.readouterr().err
+    if isinstance(expected, str):
+        assert status == 2 and not seen
+        assert "configuration error" in err and expected in err
+    else:
+        assert status == 1 and seen == [NewtonConfig(**expected)]
+
+
+def test_cli_flags_are_config_keys():
+    # _load_config passes every given flag but these to ExperimentConfig as is
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for name, command in commands.choices.items():
+        assert command.argument_default is argparse.SUPPRESS, name
+        dests = {a.dest for a in command._actions} - {"help", "command", "config", "tol"}
+        assert dests and dests <= keys, (name, sorted(dests - keys))
 
 
 @pytest.mark.parametrize("newton, message", [
