@@ -10,6 +10,8 @@ operation and solver; :func:`field_values` is the one shape check on input.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,11 @@ def sup_norm(x) -> float:
     """Largest absolute entry of ``x``."""
     a = np.asarray(x, dtype=float)
     return float(np.abs(a).max()) if a.size else 0.0
+
+
+def _finite(x) -> bool:
+    """Whether x is a finite real number; a bool or a string is not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def field_values(u, d: int | None = None, n: int | None = None) -> np.ndarray:
@@ -304,30 +311,36 @@ def qvi_residual(u, system: AffineSystem, costs) -> np.ndarray:
     return np.minimum(system.evaluate(v), v - _obstacles(v, costs)[0])
 
 
-def _penalized(u, prob: PenalizedProblem):
-    """``(residual, coupling)``: the penalized residual at u and the coupling
-    its slant adds to F's, for :func:`slant_band`.
+def _penalized(u, prob: PenalizedProblem, frozen=None, epsilon: float = 0.0):
+    """``(residual, None, coupling)``, the Newton linearization of the
+    penalized residual at u: the coupling is what its slant adds to F's.
 
-    Active terms (argument strictly positive) add +rho on the (i, l) diagonal
-    and -rho at column (j, l); the kink at zero counts as inactive. At rho = 0
-    the residual is F(u) and the coupling adds nothing to the slant.
+    Term [i, j] is rho * pi(w^j - c[i, j] - u^i - epsilon (u^i - w^i)), its
+    first slot w being u, or ``frozen`` in the sweeps Q_rho and T_rho. Active
+    terms (argument strictly positive) add rho (1 + epsilon) on the (i, l)
+    diagonal and, when w is u, -rho at column (j, l); the kink at zero counts
+    as inactive. At rho = 0 the residual is F(u) and the slant is F's.
     """
     v = field_values(u, prob.system.d, prob.system.N)
+    w = v if frozen is None else frozen
     f = prob.system.evaluate(v)
-    # entry [i, j, l] = v[j, l] - c[i, j] - v[i, l]; max(-inf, 0) = 0 drops i == j
-    args = v[None, :, :] - prob.costs._cost_tensor
+    # entry [i, j, l] = w[j, l] - c[i, j] - v[i, l]; max(-inf, 0) = 0 drops i == j
+    args = w[None, :, :] - prob.costs._cost_tensor
     args -= v[:, None, :]
+    if epsilon:
+        args -= epsilon * (v - w)[:, None, :]
     active = args > 0.0
-    # -rho at each active [i, j, l] and rho * count on the diagonal, which
-    # no term is active on; the inactive entries are -0.0, which the slant
-    # adds without changing a bit
+    # -rho at each active [i, j, l] when w is v, inactive ones being -0.0,
+    # which the slant adds without changing a bit; rho (1 + epsilon) * count
+    # on the diagonal, which no term is active on
     d = v.shape[0]
-    coupling = active * -prob.rho
-    np.multiply(active.sum(axis=1), prob.rho, out=coupling.reshape(d * d, -1)[::d + 1])
+    coupling = active * -prob.rho if frozen is None else np.zeros(active.shape)
+    np.multiply(active.sum(axis=1), prob.rho * (1.0 + epsilon),
+                out=coupling.reshape(d * d, -1)[::d + 1])
     penalty = np.maximum(args, 0.0, out=args).sum(axis=1)
     penalty *= prob.rho
     f -= penalty
-    return f, coupling
+    return f, None, coupling
 
 
 def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
@@ -376,5 +389,4 @@ def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
 
 def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:
     """The penalized slant as regime-major CSR."""
-    v = field_values(u, prob.system.d, prob.system.N)
-    return slant_band(prob.system, coupling=_penalized(v, prob)[1]).tocsr()
+    return slant_band(prob.system, *_penalized(u, prob)[1:]).tocsr()

@@ -11,7 +11,6 @@ import dataclasses
 import io
 import json
 import math
-import numbers
 import traceback
 from dataclasses import dataclass, field
 
@@ -22,6 +21,7 @@ from .core import (
     AffineSystem,
     PenalizedProblem,
     SwitchingCostMatrix,
+    _finite,
     _obstacles,
     a_priori_bound,
     sup_norm,
@@ -77,11 +77,6 @@ CASES = {
 }
 
 _NEWTON_KEYS = {f.name for f in dataclasses.fields(NewtonConfig)}
-
-
-def _finite(x) -> bool:
-    """Whether x is a finite real number; a bool or a string is not."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ diag(keep) A + C, in the terms of :func:`qvipen.core.slant_band` (``keep``
 a (d, N) row mask of the system matrix A, None for all rows; ``coupling``
 the (d, d, N) per-node block C, None for none). :func:`_newton` calls it
 once per iterate, so F and the obstacle are evaluated once per iterate.
+:func:`qvipen.core._penalized` is the penalty's, for :func:`solve_penalized`
+and, with its first slot frozen, for the sweeps Q_rho and T_rho.
 
 The iteration is plain undamped Newton on a piecewise-differentiable residual:
 solve L[u_k] delta = -G(u_k), update, repeat. It stops once BOTH the
@@ -48,6 +50,7 @@ from .core import (
     SolveReport,
     _coupling_blocks,
     _diagonal_block,
+    _finite,
     _obstacles,
     _penalized,
     _write_slant,
@@ -78,8 +81,7 @@ class NewtonConfig:
     def __post_init__(self) -> None:
         for name in ("tol", "residual_tol"):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not (math.isfinite(value) and value > 0)):
+            if not (_finite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
@@ -228,12 +230,7 @@ def solve_root(system: AffineSystem, initial, cfg: NewtonConfig | None = None):
 
 def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = None):
     """Solve the penalized equation."""
-
-    def linearize(u):
-        residual, coupling = _penalized(u, prob)
-        return residual, None, coupling
-
-    return _newton(prob.system, linearize, initial, cfg)
+    return _newton(prob.system, lambda u: _penalized(u, prob), initial, cfg)
 
 
 def solve_obstacle(system: AffineSystem, psi, initial):

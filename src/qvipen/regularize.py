@@ -4,9 +4,10 @@ Two outer iterations approximate the switching solution through sequences of
 simpler solves: the iterated-stopping sweep Q freezes the obstacle at the
 previous iterate, and the time-marching sweep T keeps the obstacle live but
 adds a pseudo-time pull toward the previous iterate. Their penalized
-counterparts Q_rho and T_rho freeze the first slot of the penalty argument
-instead. All four converge monotonically from below when started at the root
-of F, which is what makes the error formulas in this module one-sided.
+counterparts Q_rho and T_rho instead freeze the first slot of the penalty
+argument in the Newton linearization :func:`qvipen.core._penalized`. All four
+converge monotonically from below when started at the root of F, which is
+what makes the error formulas in this module one-sided.
 """
 from __future__ import annotations
 
@@ -20,8 +21,9 @@ from .core import (
     AffineSystem,
     PenalizedProblem,
     SwitchingCostMatrix,
-    _diagonal_block,
+    _finite,
     _obstacles,
+    _penalized,
     a_priori_bound,
     as_costs,
     field_values,
@@ -160,36 +162,14 @@ def apply_T(u, system: AffineSystem, costs, epsilon: float) -> np.ndarray:
 
 def _check_epsilon(epsilon: float) -> None:
     # NaN would pass epsilon <= 0 and surface as a non-finite linear solve
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-
-
-def _frozen_penalty_solve(prob: PenalizedProblem, frozen: np.ndarray,
-                          epsilon: float) -> np.ndarray:
-    system = prob.system
-    # entry [i, j, l] = frozen[j, l] - c[i, j], -inf at j == i
-    switch = frozen[None, :, :] - prob.costs._cost_tensor
-    block = _diagonal_block(system.d)
-
-    def linearize(v):
-        args = switch - v[:, None, :]
-        if epsilon:
-            args -= epsilon * (v - frozen)[:, None, :]
-        # each active term depends on v only through -(1+epsilon) * v^i, so
-        # the penalty part of the slant is purely diagonal
-        diagonal = prob.rho * (1.0 + epsilon) * (args > 0.0).sum(axis=1)
-        residual = system.evaluate(v)
-        residual -= prob.rho * np.maximum(args, 0.0, out=args).sum(axis=1)
-        return residual, None, block * diagonal[:, None]
-
-    out, _ = _newton(system, linearize, frozen)
-    return out
+    if not (_finite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
 
 
 def apply_Q_rho(u, prob: PenalizedProblem) -> np.ndarray:
     """One penalized sweep: penalty arguments read their first slot from u."""
     frozen = field_values(u, prob.system.d, prob.system.N)
-    return _frozen_penalty_solve(prob, frozen, 0.0)
+    return _newton(prob.system, lambda v: _penalized(v, prob, frozen), frozen)[0]
 
 
 def apply_T_rho(u, prob: PenalizedProblem, epsilon: float) -> np.ndarray:
@@ -197,7 +177,8 @@ def apply_T_rho(u, prob: PenalizedProblem, epsilon: float) -> np.ndarray:
     picks up an extra -epsilon*(v - u) pull toward the previous iterate."""
     _check_epsilon(epsilon)
     frozen = field_values(u, prob.system.d, prob.system.N)
-    return _frozen_penalty_solve(prob, frozen, float(epsilon))
+    epsilon = float(epsilon)
+    return _newton(prob.system, lambda v: _penalized(v, prob, frozen, epsilon), frozen)[0]
 
 
 def iterate_to_fixed_point(step, start, max_sweeps: int = 200, tol: float = 1e-10):
@@ -331,8 +312,15 @@ def zero_cost_gap_bound(u_c_rho, u_rho, c: float, rho: float, gamma: float) -> f
     u_rho solves the zero-cost penalized problem, u_c_rho the positive-cost
     one at the same weight, both (d, N) fields of one shape; the inequality
     is componentwise with a 1e-8 allowance, and a violation reports its
-    worst location.
+    worst location. A negative or non-finite c or rho, or a gamma that is not
+    positive and finite, is a ValueError naming it.
     """
+    # a NaN bound would pass every gap
+    for name, value in (("c", c), ("rho", rho)):
+        if not (_finite(value) and value >= 0):
+            raise ValueError(f"{name} must be a nonnegative finite number, got {value!r}")
+    if not (_finite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be a positive finite number, got {gamma!r}")
     a = field_values(u_c_rho)
     b = field_values(u_rho, *a.shape)
     gap = b - a

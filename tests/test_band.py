@@ -103,9 +103,9 @@ def _pde_penalized(d):
     return prob, u
 
 
-def _captured_slant(monkeypatch, solve):
-    """The slant, as a function of the iterate, of the problem a solve hands
-    to the Newton loop, captured without solving."""
+def _captured_linearization(monkeypatch, solve):
+    """The linearization a solve hands to the Newton loop, and its system,
+    captured without solving."""
     seen = {}
 
     def fake_newton(system, linearize, initial, cfg=None):
@@ -116,7 +116,13 @@ def _captured_slant(monkeypatch, solve):
         monkeypatch.setattr(module, "_newton", fake_newton)
     solve()
     monkeypatch.undo()
-    system, linearize = seen["problem"]
+    return seen["problem"]
+
+
+def _captured_slant(monkeypatch, solve):
+    """The slant, as a function of the iterate, of the problem a solve hands
+    to the Newton loop, captured without solving."""
+    system, linearize = _captured_linearization(monkeypatch, solve)
     return lambda v: slant_band(system, *linearize(v)[1:])
 
 
@@ -230,6 +236,7 @@ def test_frozen_penalty_slant_matches_definition(system, case, epsilon, monkeypa
     v = {"all": frozen - 1.0, "none": frozen, "ties": frozen}[case]
     rho = 8.0
     ref = _dense_base(system)
+    residual = system.evaluate(v)
     ties = active = 0
     for i in range(d):
         for l in range(n):
@@ -238,6 +245,7 @@ def test_frozen_penalty_slant_matches_definition(system, case, epsilon, monkeypa
                 ties += j != i and arg == 0.0
                 if j != i and arg > 0.0:
                     active += 1
+                    residual[i, l] -= rho * arg
                     ref[i * n + l, i * n + l] += rho * (1.0 + epsilon)
     assert ties > 0 if case == "ties" else active == {"all": d * (d - 1) * n, "none": 0}[case]
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(d, cost), rho)
@@ -245,7 +253,9 @@ def test_frozen_penalty_slant_matches_definition(system, case, epsilon, monkeypa
         sweep = lambda: regularize.apply_T_rho(frozen, prob, epsilon)  # noqa: E731
     else:
         sweep = lambda: regularize.apply_Q_rho(frozen, prob)  # noqa: E731
-    _assert_slant(_captured_slant(monkeypatch, sweep)(v), ref)
+    got = _captured_linearization(monkeypatch, sweep)[1](v)
+    assert np.abs(got[0] - residual).max() <= 1e-12 * np.abs(residual).max()
+    _assert_slant(slant_band(system, *got[1:]), ref)
 
 
 def test_band_solve_backward_error_at_converged_iterate():
@@ -258,7 +268,7 @@ def test_band_solve_backward_error_at_converged_iterate():
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 1 / 64), 32e3)
     u, report = solve_penalized(prob, root)
     assert report.converged
-    band = slant_band(system, coupling=_penalized(u, prob)[1])
+    band = slant_band(system, coupling=_penalized(u, prob)[2])
     op = band.tocsr()
     norm_op = abs(op).sum(axis=1).max()
     rng = np.random.default_rng(71)
@@ -337,7 +347,7 @@ def test_band_solve_is_bitwise_lapack_band_lu(d):
     # scipy's solve_banded, which calls the same gbsv for kl = ku = d > 1, is
     # the reference: the direct call must give the same bytes
     prob, u = _pde_penalized(d)
-    residual, coupling = _penalized(u, prob)
+    residual, _, coupling = _penalized(u, prob)
     band = slant_band(prob.system, coupling=coupling)
     assert band.kl == band.ku == d
     rng = np.random.default_rng(5)

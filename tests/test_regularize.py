@@ -219,11 +219,12 @@ def test_t_rejects_nonpositive_epsilon(two_regime):
         apply_T(root, system, COST, 0.0)
 
 
-@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, 0.0, -1.0, "1", True])
 @pytest.mark.parametrize("sweep", ["T", "T_rho"])
 def test_time_marching_sweeps_name_an_unusable_epsilon(two_regime, sweep, epsilon):
     # NaN passed the epsilon <= 0 test, and NaN or inf then failed as a
-    # SingularSlant "linear solve produced non-finite entries"
+    # SingularSlant "linear solve produced non-finite entries"; a string
+    # failed as a bare TypeError, and True passed as 1
     system, root = two_regime
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, COST), 1e3)
     with pytest.raises(ValueError, match="epsilon must be positive and finite"):
@@ -446,6 +447,23 @@ def test_zero_cost_gap_reports_violation_location():
     with pytest.raises(GapBoundViolation) as info:
         zero_cost_gap_bound(low, big, 0.1, 10.0, 1.0)
     assert (info.value.regime, info.value.node) == (0, 1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("c", np.nan), ("c", np.inf), ("c", -0.1),
+    ("rho", np.nan), ("rho", np.inf), ("rho", -10.0),
+    ("gamma", np.nan), ("gamma", np.inf), ("gamma", -1.0), ("gamma", 0.0),
+])
+def test_zero_cost_gap_bound_names_an_unusable_constant(name, value):
+    # a NaN or infinite bound passed every gap, so the 100 below went
+    # unreported; a negative constant failed as a GapBoundViolation, and
+    # gamma = 0 as a ZeroDivisionError
+    low = np.zeros((2, 3))
+    big = np.zeros((2, 3))
+    big[0, 1] = 100.0
+    constants = {"c": 0.1, "rho": 10.0, "gamma": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        zero_cost_gap_bound(low, big, constants["c"], constants["rho"], constants["gamma"])
 
 
 def test_zero_cost_gap_bound_reads_three_regimes_from_the_fields():
