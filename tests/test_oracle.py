@@ -1,4 +1,6 @@
 """Ground-truth solver behaviors and oracle-vs-oracle agreement."""
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,7 +23,7 @@ from qvipen.oracle import (
     active_set_enumerate,
     pseudo_time_solve,
 )
-from qvipen.oracle import _march_operators
+from qvipen.oracle import _BLOCK, _march_operators
 from qvipen.oracle import _residual as oracle_residual
 from qvipen.testing import random_affine_system
 
@@ -62,10 +64,12 @@ def test_pseudo_time_honors_step_budget():
 @pytest.mark.parametrize("kwargs", [
     {"max_steps": 0}, {"step": 0.0}, {"step": -1.0}, {"step": np.inf}, {"step": np.nan},
     {"max_steps": 1e3}, {"tol": 0.0}, {"tol": -1.0}, {"tol": np.inf}, {"tol": np.nan},
+    {"max_steps": True}, {"tol": True}, {"step": True}, {"tol": "1e-9"},
 ])
 def test_pseudo_time_rejects_an_empty_budget_or_a_bad_step(kwargs):
-    # a NaN or negative tol used to spend the whole step budget, and a float
-    # max_steps failed with a TypeError from range
+    # a NaN or negative tol used to spend the whole step budget, a float
+    # max_steps failed with a TypeError from range, a bool was read as 1 and
+    # a string failed with a TypeError that named no parameter
     (name,) = kwargs
     with pytest.raises(ValueError, match=name):
         pseudo_time_solve(tiny_problem(), **kwargs)
@@ -114,11 +118,13 @@ def test_pseudo_time_divergence_reported():
         pseudo_time_solve(prob, step=1e9, tol=1e-9)
 
 
-def reference_march(prob, step=None, tol=1e-9):
+def reference_march(prob, step=None, tol=1e-9, stop=None):
     """pseudo_time_solve's march written plainly, allocating as it goes.
 
     Returns the solution and the number of residual evaluations before the
-    one that met tol.
+    one that met tol. With ``stop=m`` it returns after the m-th evaluation
+    instead, if that one does not meet tol: the iterate the next evaluation
+    would see, and the m-th residual.
     """
     lift, floor, reduce = _march_operators(prob)
     d, n = prob.system.d, prob.system.N
@@ -133,15 +139,17 @@ def reference_march(prob, step=None, tol=1e-9):
         if res <= tol:
             return u.reshape(d, n), steps
         steps += 1
-        growth = 0 if res <= prev else growth + 1
+        growth = 100 if not np.isfinite(res) else 0 if res <= prev else growth + 1
         if growth >= 100:
             halvings += 1
             assert halvings <= 10
             delta, growth, prev = delta / 2, 0, np.inf
             u[:] = 0.0
-            continue
-        prev = res
-        u -= delta * g
+        else:
+            prev = res
+            u -= delta * g
+        if steps == stop:
+            return u.reshape(d, n), res
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -170,6 +178,55 @@ def test_march_trajectory_matches_the_reference_through_halvings():
     assert np.array_equal(u, expected)
     with pytest.raises(MaxStepsExceeded):
         pseudo_time_solve(tiny_problem(), step=3.0, tol=1e-10, max_steps=steps)
+
+
+def test_march_matches_the_reference_over_hundreds_of_blocks():
+    # a verify-style instance at rho = 1e3 takes about 30k steps
+    rng = np.random.default_rng(2)
+    system = random_affine_system(rng, d=3, n=2, gamma=1.0)
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), 1e3)
+    expected, steps = reference_march(prob)
+    assert steps > 100 * _BLOCK
+    u = pseudo_time_solve(prob, tol=1e-9, max_steps=steps + 1)
+    assert np.array_equal(u, expected)
+    with pytest.raises(MaxStepsExceeded):
+        pseudo_time_solve(prob, tol=1e-9, max_steps=steps)
+
+
+@pytest.mark.parametrize("max_steps", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
+def test_budget_spent_inside_or_at_the_end_of_a_block(max_steps):
+    # the instance needs 310 evaluations; the message carries the residual of
+    # the last one the budget allows
+    rng = np.random.default_rng(0)
+    system = random_affine_system(rng, d=3, n=2)
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), 10.0)
+    _, res = reference_march(prob, stop=max_steps)
+    message = re.escape(f"residual {res:.3e} > 1.000e-09 after {max_steps} steps")
+    with pytest.raises(MaxStepsExceeded, match=message):
+        pseudo_time_solve(prob, tol=1e-9, max_steps=max_steps)
+
+
+def test_restart_inside_a_block_drops_the_rest_of_it():
+    # step 1500 on F(u) = u - b multiplies the error by -1499 per step, so
+    # the iterate overflows and the residual turns NaN at evaluation 98,
+    # inside the second block, and the march restarts from zero there; the
+    # steps that block took past it run on NaN and must leave no trace. Nine
+    # growth halvings follow before the step contracts.
+    b = np.array([[0.0], [2.0]])
+    prob = PenalizedProblem(identity_system(b), SwitchingCostMatrix.uniform(2, 5.0), rho=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        before, _ = reference_march(prob, step=1500.0, stop=97)
+        after, res = reference_march(prob, step=1500.0, stop=98)
+        expected, steps = reference_march(prob, step=1500.0)
+    assert before.any() and not after.any() and not np.isfinite(res)
+    assert 98 % _BLOCK != 0
+    # the evaluation after the restart sees u = 0, so its residual is |b|
+    with pytest.raises(MaxStepsExceeded, match=r"residual 2\.000e\+00 > .* after 99 steps"):
+        pseudo_time_solve(prob, step=1500.0, tol=1e-9, max_steps=99)
+    u = pseudo_time_solve(prob, step=1500.0, tol=1e-9, max_steps=steps + 1)
+    assert np.array_equal(u, expected)
+    with pytest.raises(MaxStepsExceeded):
+        pseudo_time_solve(prob, step=1500.0, tol=1e-9, max_steps=steps)
 
 
 def test_enumerate_tiny_instance():
