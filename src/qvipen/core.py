@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided
 from scipy.sparse import _sparsetools
 
 __all__ = [
@@ -162,24 +163,6 @@ class NodeBand:
         m = sp.dia_matrix((self.ab, self.ku - np.arange(self.kl + self.ku + 1)), shape=(size, size))
         position = _node_major(self.d, size // self.d)
         return m.tocsr()[position][:, position]
-
-
-@functools.lru_cache(maxsize=None)
-def _diagonal_block(d: int) -> np.ndarray:
-    """Read-only eye(d)[:, :, None]: ``_diagonal_block(d) * x[:, None]`` puts
-    x[i, l] at [i, i, l] of a (d, d, N) per-node block."""
-    eye = np.eye(d)[:, :, None]
-    eye.setflags(write=False)
-    return eye
-
-
-@functools.lru_cache(maxsize=16)
-def _row_index(kl: int, ku: int, size: int) -> np.ndarray:
-    """Read-only (kl + ku + 1, size) index r + q into a row mask padded with
-    ku entries on top: band entry [r, q] lies on node-major row q + r - ku."""
-    index = np.arange(kl + ku + 1)[:, None] + np.arange(size)
-    index.setflags(write=False)
-    return index
 
 
 def _node_major(d: int, n: int) -> np.ndarray:
@@ -348,14 +331,15 @@ def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
     return _penalized(u, prob)[0]
 
 
-def _coupling_blocks(ab: np.ndarray, row: int, base: NodeBand) -> np.ndarray:
-    """The (d, d, N) view of a Fortran-ordered array ``ab`` that holds a
-    slant in the band storage of ``base`` from row ``row`` on: entry
-    [i, j, l] of the view is the slant's entry at row (i, l), column (j, l)."""
-    d, height, item = base.d, ab.shape[0], ab.itemsize
-    # entry (l*d + i, l*d + j) sits at ab[row + ku + i - j, l*d + j]
-    return np.ndarray((d, d, ab.shape[1] // d), ab.dtype, ab.T, (row + base.ku) * item,
-                      (item, (height - 1) * item, d * height * item))
+def _coupling_blocks(band: np.ndarray, base: NodeBand) -> np.ndarray:
+    """The (d, d, N) view of ``band``, an array holding a slant in the band
+    storage of ``base``: entry [i, j, l] of the view is the slant's entry at
+    row (i, l), column (j, l). The view is read from ``band``'s own strides,
+    so ``band`` may be a row slice of a taller LU array."""
+    row, col = band.strides
+    # entry (l*d + i, l*d + j) sits at band[ku + i - j, l*d + j]
+    return as_strided(band[base.ku:], (base.d, base.d, band.shape[1] // base.d),
+                      (row, col - row, base.d * col))
 
 
 def _write_slant(out: np.ndarray, blocks: np.ndarray, base: NodeBand,
@@ -363,12 +347,16 @@ def _write_slant(out: np.ndarray, blocks: np.ndarray, base: NodeBand,
     """Write the slant diag(keep) A + C, in the band storage of A's band
     ``base``, over every entry of ``out``; ``blocks`` is the
     :func:`_coupling_blocks` view of ``out``, and ``keep`` and ``coupling``
-    are those of :func:`slant_band`."""
+    are those of :func:`slant_band`. The row mask is read through a strided
+    view, so no index array is built or kept."""
     if keep is None:
         out[...] = base.ab
     else:
+        # padded with ku zeros on top: entry [r, q] of the view is rows[r + q],
+        # the mask of node-major row q + r - ku, which band entry [r, q] lies on
         rows = np.concatenate([np.zeros(base.ku), np.ravel(keep, order="F"), np.zeros(base.kl)])
-        np.multiply(base.ab, rows[_row_index(base.kl, base.ku, base.ab.shape[1])], out=out)
+        np.multiply(base.ab, np.ndarray(base.ab.shape, rows.dtype, rows, 0, 2 * rows.strides),
+                    out=out)
     if coupling is not None:
         blocks += coupling
 
@@ -378,12 +366,13 @@ def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
 
     ``keep`` is a (d, N) mask of the rows of A to keep (all when None), and
     the (d, d, N) array ``coupling`` puts C[i, j, l] at row (i, l), column
-    (j, l), coupling the components of one node. Returns a fresh NodeBand
+    (j, l), coupling the components of one node; it is added through the
+    :func:`_coupling_blocks` view of the new band. Returns a fresh NodeBand
     of A's widths.
     """
     base = system.band
     out = np.empty_like(base.ab, order="F")
-    _write_slant(out, _coupling_blocks(out, 0, base), base, keep, coupling)
+    _write_slant(out, _coupling_blocks(out, base), base, keep, coupling)
     return NodeBand(system.d, base.kl, base.ku, out)
 
 

@@ -49,7 +49,6 @@ from .core import (
     PenalizedProblem,
     SolveReport,
     _coupling_blocks,
-    _diagonal_block,
     _finite,
     _obstacles,
     _penalized,
@@ -146,7 +145,7 @@ class _Workspace:
         size = base.ab.shape[1]
         self.lu = np.zeros((2 * kl + ku + 1, size), order="F")
         self.band = self.lu[kl:]
-        self.blocks = _coupling_blocks(self.lu, kl, base)
+        self.blocks = _coupling_blocks(self.band, base)
         self.rhs = np.empty((size // base.d, base.d))
         self.policy = self.ipiv = None
 
@@ -238,7 +237,7 @@ def solve_obstacle(system: AffineSystem, psi, initial):
     psi = field_values(psi, system.d, system.N)
     if not np.isfinite(psi).all():
         raise ValueError("psi contains non-finite entries")
-    identity = _diagonal_block(system.d)
+    identity = np.eye(system.d)[:, :, None]
     return _newton(system, lambda u: _min_rows(system.evaluate(u), u - psi, identity), initial)
 
 
@@ -252,7 +251,7 @@ def _solve_qvi(system: AffineSystem, costs, initial, epsilon: float = 0.0,
     """
     anchor = field_values(initial, system.d, system.N)
     costs = as_costs(costs, system.d)
-    diagonal = (1.0 + epsilon) * _diagonal_block(system.d)
+    diagonal = (1.0 + epsilon) * np.eye(system.d)[:, :, None]
     targets = np.arange(system.d)[:, None]
 
     def linearize(v):

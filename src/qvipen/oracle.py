@@ -17,7 +17,7 @@ F(u) above the penalty arguments; the penalty rows are clamped at 0, and
 clamp, that fold, delta * G(u) and u - delta * G(u), each writing into
 buffers allocated once per solve, so it makes no temporaries. The march
 runs in blocks of 64 steps, and the bookkeeping (residual sup-norm,
-convergence, growth, restart, budget) runs once per block: one call takes
+convergence, stall, restart, budget) runs once per block: one call takes
 the block's residuals and a plain loop replays the per-step rules in order,
 dropping the steps after a converged or restarted one. The arithmetic, and
 so the trajectory and the number of residual evaluations, is bitwise that
@@ -149,10 +149,10 @@ def pseudo_time_solve(
 
     The default step 0.9 / (max slant diagonal + rho*(d-1)) makes the update a
     contraction on the assembled systems, the penalty max(t, 0) being
-    Lipschitz with constant 1. A non-finite residual, or one that grows for
-    100 steps in a row, halves the step and restarts the march from zero; ten
-    halvings without recovery is a failure. ``max_steps`` counts residual
-    evaluations.
+    Lipschitz with constant 1. A non-finite residual, or one that does not
+    fall for 100 steps in a row, halves the step and restarts the march from
+    zero; ten halvings without recovery is a failure. ``max_steps`` counts
+    residual evaluations.
     """
     if (isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral)
             or max_steps < 1):
@@ -180,7 +180,7 @@ def pseudo_time_solve(
     # a 0-d array multiplies faster than a Python float, with the same product
     delta = np.array(float(step))
     halvings = 0
-    growth = 0
+    stalled = 0
     prev = math.inf
     left = max_steps
     # overflow on a divergent trajectory is an anticipated signal, not an
@@ -201,19 +201,19 @@ def pseudo_time_solve(
                 if res <= tol:
                     return u_rows[s].reshape(d, n).copy()
                 if not math.isfinite(res):
-                    growth = 100
-                elif res > prev:
-                    growth += 1
+                    stalled = 100
+                elif res < prev:
+                    stalled = 0
                 else:
-                    growth = 0
-                if growth >= 100:
+                    stalled += 1
+                if stalled >= 100:
                     halvings += 1
                     if halvings > 10:
                         raise DivergenceDetected(
-                            f"residual still growing after {halvings - 1} step halvings"
+                            f"residual still not falling after {halvings - 1} step halvings"
                         )
                     delta *= 0.5
-                    growth = 0
+                    stalled = 0
                     prev = math.inf
                     u_rows[0][:] = 0.0
                     break

@@ -12,6 +12,7 @@ what makes the error formulas in this module one-sided.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -187,7 +188,13 @@ def iterate_to_fixed_point(step, start, max_sweeps: int = 200, tol: float = 1e-1
     Returns (final field, sweep count, increment history). A componentwise
     decrease beyond 1e-8 raises the NonMonotoneSweep warning: legitimate when
     the start is arbitrary, a solver bug when the start is the root of F.
+    ``max_sweeps`` must be a positive integer and ``tol`` positive and finite.
     """
+    if (isinstance(max_sweeps, bool) or not isinstance(max_sweeps, numbers.Integral)
+            or max_sweeps < 1):
+        raise ValueError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")
+    if not (_finite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     u = field_values(start).copy()
     increments: list = []
     for sweep in range(1, max_sweeps + 1):

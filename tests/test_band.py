@@ -5,7 +5,7 @@ assembled here, entry by entry, from the definition of that slant.
 """
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import block_diag, solve_banded
 
 from qvipen import newton, regularize
 from qvipen.core import (
@@ -13,7 +13,6 @@ from qvipen.core import (
     NodeBand,
     PenalizedProblem,
     SwitchingCostMatrix,
-    _diagonal_block,
     _penalized,
     penalized_residual,
     slant_band,
@@ -310,6 +309,26 @@ def test_band_from_matrix_rejects_a_shape_d_cannot_split():
         NodeBand.from_matrix(np.ones((4, 2)), 2)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_keep_masked_slant_with_unequal_widths(d):
+    # lower-bidiagonal regimes put entries at (l+1, l) only, so the band has
+    # kl = d below the diagonal and ku = d - 1 above: a row mask padded on
+    # the wrong side would mask every row one place off
+    n = 5
+    rng = np.random.default_rng(d)
+    blocks = [np.diag(rng.uniform(2, 3, n)) + np.diag(rng.uniform(-1, 0, n - 1), -1)
+              for _ in range(d)]
+    system = AffineSystem(block_diag(*blocks), np.ones((d, n)), gamma=1.0)
+    assert (system.band.kl, system.band.ku) == (d, d - 1)
+    keep = rng.random((d, n)) < 0.5
+    coupling = rng.normal(size=(d, d, n))
+    expected = keep.ravel()[:, None] * system.matrix.toarray()
+    for i in range(d):
+        for j in range(d):
+            expected[i * n + np.arange(n), j * n + np.arange(n)] += coupling[i, j]
+    assert np.array_equal(slant_band(system, keep, coupling).tocsr().toarray(), expected)
+
+
 def test_band_solve_leaves_the_cached_band_intact():
     # coupling only the two components of each node gives kl == ku == 1, the
     # three-regime mesh kl == ku == 3; LAPACK factors and solves in place
@@ -360,10 +379,10 @@ def test_band_solve_is_bitwise_lapack_band_lu(d):
 def test_hoisted_constants_are_read_only():
     costs = SwitchingCostMatrix.uniform(3, 0.25)
     assert costs._cost_tensor is costs._cost_tensor
-    for constant in (costs._cost_tensor, _diagonal_block(3)):
-        assert not constant.flags.writeable
-        with pytest.raises(ValueError):
-            constant[(0,) * constant.ndim] = 1
+    constant = costs._cost_tensor
+    assert not constant.flags.writeable
+    with pytest.raises(ValueError):
+        constant[0, 0, 0] = 1
 
 
 def test_problems_sharing_a_cost_matrix_match_definition(system, monkeypatch):

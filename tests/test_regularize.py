@@ -180,6 +180,19 @@ def test_fixed_point_stops_at_a_non_finite_sweep():
                                np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("max_sweeps", True),
+    ("max_sweeps", 0),
+    ("max_sweeps", -3),
+    ("max_sweeps", 2.5),
+    ("tol", float("nan")),
+    ("tol", -1.0),
+])
+def test_fixed_point_rejects_a_budget_or_tolerance_it_cannot_use(name, value):
+    with pytest.raises(ValueError, match=name):
+        iterate_to_fixed_point(lambda u: u + 1.0, np.zeros((2, 3)), **{name: value})
+
+
 def test_t_fixed_point_matches_q(two_regime, q_fixed):
     system, root = two_regime
     with warnings.catch_warnings():
