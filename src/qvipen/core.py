@@ -42,9 +42,30 @@ def sup_norm(x) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def _finite(x) -> bool:
-    """Whether x is a finite real number; a bool or a string is not."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+def _number(name: str, value, low: float = -math.inf, high: float = math.inf, *,
+            closed: bool = False, integer: bool = False):
+    """``value`` as a float, or as an int when ``integer``, if it is a finite
+    real number (an integer when asked, never a bool) between low and high,
+    the ends excluded unless ``closed``; otherwise a ValueError naming it.
+    A value that is not an integer where one is asked for is named as such
+    before its range is."""
+    if integer and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        x = int(value) if integer else float(value)
+        if math.isfinite(x) and (low <= x <= high if closed else low < x < high):
+            return x
+    noun = "integer" if integer else "finite number"
+    a = "an" if integer else "a"
+    if high < math.inf:
+        what = f"{a} {noun} in {'[' if closed else '('}{low}, {high}{']' if closed else ')'}"
+    elif low == 0:
+        what = f"a {'nonnegative' if closed else 'positive'} {noun}"
+    elif low > -math.inf:
+        what = f"{a} {noun} {'at least' if closed else 'greater than'} {low}"
+    else:
+        what = f"{a} {noun}"
+    raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def field_values(u, d: int | None = None, n: int | None = None) -> np.ndarray:
@@ -83,8 +104,8 @@ class SwitchingCostMatrix:
 
     @classmethod
     def uniform(cls, d: int, cost: float) -> "SwitchingCostMatrix":
-        """All off-diagonal entries equal to ``cost``."""
-        c = np.full((d, d), float(cost))
+        """All off-diagonal entries equal to ``cost``, a nonnegative finite number."""
+        c = np.full((d, d), _number("cost", cost, 0, closed=True))
         np.fill_diagonal(c, 0.0)
         return cls(c)
 
@@ -121,7 +142,7 @@ def as_costs(costs, d: int) -> SwitchingCostMatrix:
             raise ValueError(f"cost matrix is {costs.d}x{costs.d}, need {d}x{d}")
         return costs
     if np.isscalar(costs):
-        return SwitchingCostMatrix.uniform(d, float(costs))
+        return SwitchingCostMatrix.uniform(d, costs)
     return as_costs(SwitchingCostMatrix(np.asarray(costs)), d)
 
 
@@ -188,8 +209,7 @@ class AffineSystem:
         a = sp.csr_matrix(matrix, dtype=float, copy=True)
         if a.shape != (d * n, d * n):
             raise ValueError(f"matrix shape {a.shape} does not match field size {d * n}")
-        if not (np.isfinite(gamma) and gamma > 0):
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        gamma = _number("gamma", gamma, 0)
         # canonical now: scipy would otherwise sort and merge entries in
         # place later, which the read-only arrays below refuse
         a.sum_duplicates()
@@ -199,7 +219,7 @@ class AffineSystem:
         for array in (a.data, a.indices, a.indptr):
             array.setflags(write=False)
         self.d, self.N = d, n
-        self.gamma = float(gamma)
+        self.gamma = gamma
         self.matrix = a
         self.rhs = b.flatten()
         self.rhs.setflags(write=False)
@@ -233,7 +253,8 @@ class PenalizedProblem:
 
     The penalty is pi(y) = max(y, 0). ``costs`` may be a scalar, a matrix or
     a SwitchingCostMatrix; it is stored as a SwitchingCostMatrix of the
-    system's size.
+    system's size. ``rho`` must be a nonnegative finite number, never a bool,
+    and is stored as a float, so an integer weight solves as its float does.
     """
 
     system: AffineSystem
@@ -241,8 +262,7 @@ class PenalizedProblem:
     rho: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.rho) and self.rho >= 0):
-            raise ValueError(f"penalty weight must be nonnegative, got {self.rho}")
+        object.__setattr__(self, "rho", _number("rho", self.rho, 0, closed=True))
         object.__setattr__(self, "costs", as_costs(self.costs, self.system.d))
 
 

@@ -21,7 +21,7 @@ from .core import (
     AffineSystem,
     PenalizedProblem,
     SwitchingCostMatrix,
-    _finite,
+    _number,
     _obstacles,
     a_priori_bound,
     sup_norm,
@@ -113,21 +113,12 @@ class ExperimentConfig:
             raise ValueError("rho_list must be nonempty")
         if not self.cost_list:
             raise ValueError("cost_list must be nonempty")
-        for k, rho in enumerate(self.rho_list):
-            if not (_finite(rho) and rho > 0):
-                raise ValueError(f"rho_list[{k}] = {rho!r} is not a positive weight")
-        for k, c in enumerate(self.cost_list):
-            if not (_finite(c) and c >= 0):
-                raise ValueError(
-                    f"cost_list[{k}] = {c!r} is invalid: switching costs must be "
-                    "nonnegative numbers"
-                )
-        if not _finite(self.probe_point):
-            raise ValueError(f"probe_point = {self.probe_point!r} is not a finite number")
         # one number type, whatever the source: a JSON 1000000 prints as 1000000.0
-        object.__setattr__(self, "rho_list", tuple(map(float, self.rho_list)))
-        object.__setattr__(self, "cost_list", tuple(map(float, self.cost_list)))
-        object.__setattr__(self, "probe_point", float(self.probe_point))
+        for name, closed in (("rho_list", False), ("cost_list", True)):
+            object.__setattr__(self, name, tuple(
+                _number(f"{name}[{k}]", value, 0, closed=closed)
+                for k, value in enumerate(getattr(self, name))))
+        object.__setattr__(self, "probe_point", _number("probe_point", self.probe_point))
         given = [name for name in ("d", "reward_pieces") if getattr(self, name) is not None]
         if self.case == "custom" and len(given) < 2:
             raise ValueError("custom case needs explicit 'd' and 'reward_pieces'")
@@ -317,11 +308,10 @@ def _binding_sets(u, costs, tol):
 
 
 def _check_region_inputs(cost: float, rho: float) -> None:
-    """Reject a cost and weight :func:`extract_regions` cannot use."""
-    if cost <= 0:
-        raise ValueError(f"region extraction needs a positive switching cost, got {cost}")
-    if rho <= 1.0:
-        raise ValueError(f"rho must exceed 1 for the ln(rho) threshold, got {rho}")
+    """Reject a cost and weight :func:`extract_regions` cannot use: the cost
+    must be positive and rho must exceed 1, for the ln(rho) threshold."""
+    _number("cost", cost, 0)
+    _number("rho", rho, 1)
 
 
 def extract_regions(config: ExperimentConfig, rho: float) -> RegionReport:

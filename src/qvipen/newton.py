@@ -36,7 +36,6 @@ policy is the one the sweep before it ended on: 314 of the 645 steps of the
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -49,7 +48,7 @@ from .core import (
     PenalizedProblem,
     SolveReport,
     _coupling_blocks,
-    _finite,
+    _number,
     _obstacles,
     _penalized,
     _write_slant,
@@ -78,14 +77,9 @@ class NewtonConfig:
     max_iter: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("tol", "residual_tol"):
-            value = getattr(self, name)
-            if not (_finite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        for name in ("tol", "residual_tol", "max_iter"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), 0,
+                                                   integer=name == "max_iter"))
 
 
 _DEFAULT_CONFIG = NewtonConfig()

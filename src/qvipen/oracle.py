@@ -6,7 +6,7 @@ F(u) = A vec(u) - b from one helper, and both build their penalty terms
 rho * max(u^j - c[i, j] - u^i, 0) straight from that definition, as small
 dense operators over the d(d-1) ordered regime pairs. They share no code
 with the residual or slant in `core` that they are checking; from `core`
-they take only the problem type.
+they take only the problem type and the check of their numeric arguments.
 
 The march needs about (max diag + rho(d-1)) / gamma * ln(res0 / tol) steps:
 the step is capped by the largest slant row, and each step shrinks the error
@@ -32,11 +32,10 @@ random instances and 1.5% on the N = 20 two-regime grid.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .core import PenalizedProblem
+from .core import PenalizedProblem, _number
 
 __all__ = [
     "OracleError",
@@ -132,13 +131,6 @@ def _residual(prob: PenalizedProblem, u: np.ndarray) -> np.ndarray:
     return g.reshape(prob.system.d, prob.system.N)
 
 
-def _check_positive(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 def pseudo_time_solve(
     prob: PenalizedProblem,
     step: float | None = None,
@@ -154,12 +146,10 @@ def pseudo_time_solve(
     zero; ten halvings without recovery is a failure. ``max_steps`` counts
     residual evaluations.
     """
-    if (isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral)
-            or max_steps < 1):
-        raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
+    max_steps = _number("max_steps", max_steps, 0, integer=True)
     if step is not None:
-        _check_positive("step", step)
-    _check_positive("tol", tol)
+        step = _number("step", step, 0)
+    tol = _number("tol", tol, 0)
     d, n = prob.system.d, prob.system.N
     size = d * n
     lift, floor, reduce = _march_operators(prob)
@@ -178,7 +168,7 @@ def pseudo_time_solve(
         diag = float(np.abs(lift.diagonal()[:size]).max())
         step = 0.9 / (diag + prob.rho * (d - 1))
     # a 0-d array multiplies faster than a Python float, with the same product
-    delta = np.array(float(step))
+    delta = np.array(step)
     halvings = 0
     stalled = 0
     prev = math.inf

@@ -15,13 +15,12 @@ nonpositive off-diagonals and the assembled map is monotone with constant R.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .core import AffineSystem
+from .core import AffineSystem, _number
 
 __all__ = ["RewardFunction", "PdeParams", "grid", "probe_index", "reward_values", "assemble"]
 
@@ -87,7 +86,9 @@ class RewardFunction:
 
 @dataclass(frozen=True)
 class PdeParams:
-    """Regime count, reward and mesh size; N = 100 is the paper's mesh."""
+    """Regime count, reward and mesh size; N = 100 is the paper's mesh.
+
+    d and N are integers of at least 2, stored as int."""
 
     d: int
     reward: RewardFunction
@@ -95,12 +96,8 @@ class PdeParams:
 
     def __post_init__(self) -> None:
         for name in ("d", "N"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.d < 2:
-            raise ValueError(f"need at least two regimes, got d={self.d}")
-        if self.N < 2:
-            raise ValueError(f"need at least two grid nodes, got N={self.N}")
+            object.__setattr__(self, name, _number(name, getattr(self, name), 2,
+                                                   closed=True, integer=True))
 
     @property
     def h(self) -> float:
@@ -113,7 +110,8 @@ def grid(params: PdeParams) -> np.ndarray:
 
 
 def probe_index(params: PdeParams, x: float) -> int:
-    """Index of the grid node at x; the probe must sit on the mesh."""
+    """Index of the grid node at x, a finite number; the probe must sit on the mesh."""
+    x = _number("x", x)
     l = int(round(x / params.h))
     if not 0 <= l < params.N or abs(l * params.h - x) > 1e-9:
         raise ValueError(f"probe point {x} is not a grid node (h={params.h})")

@@ -12,7 +12,6 @@ what makes the error formulas in this module one-sided.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .core import (
     AffineSystem,
     PenalizedProblem,
     SwitchingCostMatrix,
-    _finite,
+    _number,
     _obstacles,
     _penalized,
     a_priori_bound,
@@ -116,10 +115,8 @@ class ErrorConstants:
         costs = as_costs(costs, system.d)
         if kappa is None:
             kappa = costs.min_cost / 2.0  # any value in (0, c) works; take the midpoint
-        if not 0.0 < kappa < costs.min_cost:
-            raise ValueError(f"kappa must lie in (0, {costs.min_cost}), got {kappa}")
         return cls(
-            kappa=float(kappa),
+            kappa=_number("kappa", kappa, 0, costs.min_cost),
             C=estimate_C(system),
             norm_F0=system.norm_F0,
             gamma=system.gamma,
@@ -136,8 +133,7 @@ def strict_supersolution(system: AffineSystem, costs, kappa: float) -> np.ndarra
     Newton residual test bounds the defect directly.
     """
     costs = as_costs(costs, system.d)
-    if not 0.0 < kappa < costs.min_cost:
-        raise ValueError(f"kappa must lie in (0, {costs.min_cost}), got {kappa}")
+    kappa = _number("kappa", kappa, 0, costs.min_cost)
     shifted = AffineSystem(system.matrix, system.rhs.reshape(system.d, system.N) + kappa,
                            system.gamma)
     root, _ = solve_root(shifted, np.zeros((system.d, system.N)))
@@ -157,14 +153,7 @@ def apply_Q(u, system: AffineSystem, costs) -> np.ndarray:
 def apply_T(u, system: AffineSystem, costs, epsilon: float) -> np.ndarray:
     """One time-marching sweep: the obstacle stays live, the epsilon term
     anchors the solve to the previous iterate."""
-    _check_epsilon(epsilon)
-    return _solve_qvi(system, costs, u, epsilon)[0]
-
-
-def _check_epsilon(epsilon: float) -> None:
-    # NaN would pass epsilon <= 0 and surface as a non-finite linear solve
-    if not (_finite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    return _solve_qvi(system, costs, u, _number("epsilon", epsilon, 0))[0]
 
 
 def apply_Q_rho(u, prob: PenalizedProblem) -> np.ndarray:
@@ -176,9 +165,8 @@ def apply_Q_rho(u, prob: PenalizedProblem) -> np.ndarray:
 def apply_T_rho(u, prob: PenalizedProblem, epsilon: float) -> np.ndarray:
     """The time-marching variant of the penalized sweep: the penalty argument
     picks up an extra -epsilon*(v - u) pull toward the previous iterate."""
-    _check_epsilon(epsilon)
+    epsilon = _number("epsilon", epsilon, 0)
     frozen = field_values(u, prob.system.d, prob.system.N)
-    epsilon = float(epsilon)
     return _newton(prob.system, lambda v: _penalized(v, prob, frozen, epsilon), frozen)[0]
 
 
@@ -188,13 +176,11 @@ def iterate_to_fixed_point(step, start, max_sweeps: int = 200, tol: float = 1e-1
     Returns (final field, sweep count, increment history). A componentwise
     decrease beyond 1e-8 raises the NonMonotoneSweep warning: legitimate when
     the start is arbitrary, a solver bug when the start is the root of F.
-    ``max_sweeps`` must be a positive integer and ``tol`` positive and finite.
+    ``max_sweeps`` must be a positive integer and ``tol`` a positive finite
+    number, neither a bool; anything else is a ValueError naming it.
     """
-    if (isinstance(max_sweeps, bool) or not isinstance(max_sweeps, numbers.Integral)
-            or max_sweeps < 1):
-        raise ValueError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")
-    if not (_finite(tol) and tol > 0):
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    max_sweeps = _number("max_sweeps", max_sweeps, 0, integer=True)
+    tol = _number("tol", tol, 0)
     u = field_values(start).copy()
     increments: list = []
     for sweep in range(1, max_sweeps + 1):
@@ -224,10 +210,8 @@ def phi_minimize(nu: float, a: float, b: float):
     because phi is convex. The result is checked against the closed-form
     upper bound before returning.
     """
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"decay base must lie in (0, 1), got {a}")
-    if not (b > 0.0 and nu > 0.0):
-        raise ValueError(f"nu and b must be positive, got nu={nu}, b={b}")
+    a = _number("a", a, 0, 1)
+    nu, b = _number("nu", nu, 0), _number("b", b, 0)
     log_a = math.log(a)
     ratio = -b / (nu * log_a)
     if ratio >= 1.0:
@@ -255,8 +239,7 @@ def phi_upper_bound(nu: float, a: float, b: float) -> float:
 def penalty_error_bound(constants: ErrorConstants, rho: float) -> float:
     """Rigorous upper bound on ||u - u^rho||, built from the per-sweep drift
     C/rho; zero when costs are so large that the obstacle never binds."""
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise ValueError(f"penalty weight must be positive and finite, got {rho}")
+    rho = _number("rho", rho, 0)
     if constants.min_cost > 2.0 * constants.norm_F0 / constants.gamma:
         return 0.0
     per_sweep = constants.C / rho
@@ -323,11 +306,8 @@ def zero_cost_gap_bound(u_c_rho, u_rho, c: float, rho: float, gamma: float) -> f
     positive and finite, is a ValueError naming it.
     """
     # a NaN bound would pass every gap
-    for name, value in (("c", c), ("rho", rho)):
-        if not (_finite(value) and value >= 0):
-            raise ValueError(f"{name} must be a nonnegative finite number, got {value!r}")
-    if not (_finite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be a positive finite number, got {gamma!r}")
+    c, rho = _number("c", c, 0, closed=True), _number("rho", rho, 0, closed=True)
+    gamma = _number("gamma", gamma, 0)
     a = field_values(u_c_rho)
     b = field_values(u_rho, *a.shape)
     gap = b - a

@@ -16,6 +16,7 @@ from qvipen.core import (
     sup_norm,
 )
 from qvipen.experiments import CASES
+from qvipen.newton import solve_penalized, solve_root
 from qvipen.oracle import active_set_enumerate
 from qvipen.oracle import _residual as oracle_residual
 from qvipen.pde import PdeParams, assemble
@@ -311,3 +312,19 @@ def test_sub_and_supersolutions_compare():
         assert np.all(penalized_residual(sub, prob) <= 1e-9)
         assert np.all(penalized_residual(super_, prob) >= -1e-9)
         assert np.all(sub <= super_ + 1e-8)
+
+
+@pytest.mark.parametrize("rho, same", [(1000, 1000.0), (np.int64(1000), 1000.0), (0, 0.0)],
+                         ids=["int", "int64", "zero"])
+def test_an_integer_weight_solves_as_its_float(rho, same):
+    # the linearization built active * -rho, an integer array for an integer
+    # rho, so writing the float diagonal into it failed every penalized solve
+    system = assemble(PdeParams(d=2, reward=CASES["two-regime"].reward))
+    prob, plain = PenalizedProblem(system, 0.5, rho), PenalizedProblem(system, 0.5, same)
+    start = np.linspace(-1.0, 1.0, 200).reshape(2, 100)
+    assert penalized_residual(start, prob).tobytes() == penalized_residual(start, plain).tobytes()
+    root, _ = solve_root(system, np.zeros((2, 100)))
+    (u, report), (expected, expected_report) = solve_penalized(prob, root), solve_penalized(plain, root)
+    assert u.tobytes() == expected.tobytes()
+    assert report.iterations == expected_report.iterations
+    assert type(prob.rho) is float

@@ -73,7 +73,8 @@ def test_config_rejects_unknown_keys():
 
 
 def test_config_rejects_negative_cost_with_diagnostic():
-    with pytest.raises(ValueError, match="cost_list\\[1\\] = -1.0"):
+    with pytest.raises(ValueError, match="cost_list\\[1\\] must be a nonnegative finite number, "
+                                         "got -1.0"):
         ExperimentConfig.from_mapping({"cost_list": [0.5, -1.0]})
 
 
@@ -497,7 +498,7 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     bad_cost.write_text(json.dumps({"cost_list": [0.5, -1.0]}))
     assert main(["table", "--config", str(bad_cost)]) == 2
     err = capsys.readouterr().err
-    assert "cost_list[1] = -1.0" in err
+    assert "cost_list[1] must be a nonnegative finite number, got -1.0" in err
     bad_key = tmp_path / "key.json"
     bad_key.write_text(json.dumps({"volume": 11}))
     assert main(["table", "--config", str(bad_key)]) == 2
@@ -561,15 +562,15 @@ def test_cli_rejects_a_list_field_that_is_not_a_list(tmp_path, capsys, command, 
 
 
 @pytest.mark.parametrize("mapping, message", [
-    ({"cost_list": [0.5, "0.5"]}, "cost_list[1] = '0.5' is invalid"),
-    ({"rho_list": [None]}, "rho_list[0] = None is not a positive weight"),
-    ({"rho_list": [True]}, "rho_list[0] = True is not a positive weight"),
+    ({"cost_list": [0.5, "0.5"]}, "cost_list[1] must be a nonnegative finite number, got '0.5'"),
+    ({"rho_list": [None]}, "rho_list[0] must be a positive finite number, got None"),
+    ({"rho_list": [True]}, "rho_list[0] must be a positive finite number, got True"),
     ({"newton": ["tol"]}, "newton must be a mapping of max_iter, residual_tol, tol, "
                           "got list ['tol']"),
     ({"newton": 5}, "newton must be a mapping of max_iter, residual_tol, tol, got int 5"),
-    ({"probe_point": float("nan")}, "probe_point = nan is not a finite number"),
-    ({"probe_point": float("inf")}, "probe_point = inf is not a finite number"),
-    ({"probe_point": "0.5"}, "probe_point = '0.5' is not a finite number"),
+    ({"probe_point": float("nan")}, "probe_point must be a finite number, got nan"),
+    ({"probe_point": float("inf")}, "probe_point must be a finite number, got inf"),
+    ({"probe_point": "0.5"}, "probe_point must be a finite number, got '0.5'"),
     ({"output_path": 0}, "output_path must be a string, got int 0"),
     ({"output_path": 5}, "output_path must be a string, got int 5"),
     ({"output_path": ""}, "output_path must name a file, got ''"),
@@ -722,8 +723,8 @@ def test_cli_regions_exit_follows_inclusion_not_match(monkeypatch, capsys, inclu
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--cost", "0"], "positive switching cost, got 0.0"),
-    (["--rho", "1"], "rho must exceed 1"),
+    (["--cost", "0"], "cost must be a positive finite number, got 0.0"),
+    (["--rho", "1"], "rho must be a finite number greater than 1"),
 ], ids=["cost-0", "rho-1"])
 def test_cli_regions_rejects_unusable_inputs_before_solving(monkeypatch, capsys, flags, message):
     # both used to exit 1 with "regions failed"

@@ -1,0 +1,54 @@
+"""Every numeric parameter: a finite real number in its range, never a bool."""
+import math
+import re
+
+import numpy as np
+import pytest
+
+from qvipen import ExperimentConfig, extract_regions
+from qvipen.core import AffineSystem, PenalizedProblem, SwitchingCostMatrix, as_costs
+from qvipen.pde import PdeParams, RewardFunction, assemble, probe_index
+from qvipen.regularize import ErrorConstants, penalty_error_bound, phi_minimize
+
+PARAMS = PdeParams(d=2, reward=RewardFunction.two_regime())
+SYSTEM = assemble(PARAMS)
+CONSTANTS = ErrorConstants.for_system(SYSTEM, 0.5)
+CONFIG = ExperimentConfig(case="two-regime", cost_list=(0.5,), rho_list=(1000.0,))
+
+
+# (parameter, call, rejected value, accepted integer, the value it stands for)
+CASES = [
+    ("gamma", lambda g: AffineSystem(SYSTEM.matrix, SYSTEM.rhs.reshape(2, -1), g).gamma,
+     True, np.int64(1), 1.0),
+    ("rho", lambda r: PenalizedProblem(SYSTEM, 0.5, r).rho, "1", np.int64(1000), 1000.0),
+    ("rho", lambda r: PenalizedProblem(SYSTEM, 0.5, r).rho, None, 1000, 1000.0),
+    ("rho", lambda r: penalty_error_bound(CONSTANTS, r), True, 1000, 1000.0),
+    ("b", lambda b: phi_minimize(1.0, 0.5, b), math.inf, 1, 1.0),
+    ("nu", lambda nu: phi_minimize(nu, 0.5, 1.0), True, np.int64(2), 2.0),
+    ("cost", lambda c: as_costs(c, 2).costs.tobytes(), "0.5", 1, 1.0),
+    ("cost", lambda c: SwitchingCostMatrix.uniform(2, c).costs.tobytes(),
+     True, np.int64(1), 1.0),
+    ("kappa", lambda k: ErrorConstants.for_system(SYSTEM, 2.0, kappa=k), True, 1, 1.0),
+    ("x", lambda x: probe_index(PARAMS, x), math.inf, 1, 1.0),
+    ("x", lambda x: probe_index(PARAMS, x), "0.5", np.int64(1), 1.0),
+    ("x", lambda x: probe_index(PARAMS, x), True, 1, 1.0),
+    ("rho", lambda r: extract_regions(CONFIG, r), math.nan, 1000, 1000.0),
+    ("N", lambda n: PdeParams(d=2, reward=RewardFunction.two_regime(), N=n),
+     50.5, np.int64(50), 50),
+]
+
+
+@pytest.mark.parametrize("name, call, bad, good, same", CASES, ids=[
+    "bool-gamma", "string-rho", "null-rho", "bool-bound-rho", "inf-b", "bool-nu",
+    "string-cost", "bool-uniform-cost", "bool-kappa", "inf-x", "string-x", "bool-x",
+    "nan-regions-rho", "float-N",
+])
+def test_a_number_is_finite_real_and_in_range(name, call, bad, good, same):
+    # each bad value used to be accepted or to fail with an error that named
+    # no parameter: a numpy TypeError, an OverflowError, a bare
+    # AssertionError, or a "penalty weight" in place of rho
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+        call(bad)
+    # an int or numpy integer in range stands for the number it equals
+    result, expected = call(good), call(same)
+    assert type(result) is type(expected) and result == expected

@@ -240,7 +240,7 @@ def test_time_marching_sweeps_name_an_unusable_epsilon(two_regime, sweep, epsilo
     # failed as a bare TypeError, and True passed as 1
     system, root = two_regime
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, COST), 1e3)
-    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+    with pytest.raises(ValueError, match="epsilon must be a positive finite number"):
         if sweep == "T":
             apply_T(root, system, COST, epsilon)
         else:
@@ -395,7 +395,7 @@ def test_penalty_error_bound_dominates_observed(two_regime, penalty_reference, q
     assert bounds[0] >= observed
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     for rho in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="penalty weight must be positive and finite"):
+        with pytest.raises(ValueError, match="rho must be a positive finite number"):
             penalty_error_bound(cons, rho)
 
 
