@@ -104,8 +104,10 @@ class SwitchingCostMatrix:
 
     @classmethod
     def uniform(cls, d: int, cost: float) -> "SwitchingCostMatrix":
-        """All off-diagonal entries equal to ``cost``, a nonnegative finite number."""
-        c = np.full((d, d), _number("cost", cost, 0, closed=True))
+        """All off-diagonal entries equal to ``cost``, a nonnegative finite
+        number, for ``d`` regimes, an integer of at least 2."""
+        c = np.full((_number("d", d, 2, closed=True, integer=True),) * 2,
+                    _number("cost", cost, 0, closed=True))
         np.fill_diagonal(c, 0.0)
         return cls(c)
 
@@ -166,7 +168,8 @@ class NodeBand:
         """A regime-major square matrix, with d regimes, in node-major band
         storage: ``ab`` is Fortran-ordered, the layout of LAPACK's band
         arrays, and both widths are at least d - 1, so that the band also
-        holds every d x d block coupling the components of a node."""
+        holds every d x d block coupling the components of a node. ``ab``
+        is a :func:`_padded_band`, so its transpose is a view."""
         coo = sp.coo_matrix(matrix)
         size = coo.shape[0]
         if coo.shape != (size, size) or size % d:
@@ -174,7 +177,7 @@ class NodeBand:
         position = _node_major(d, size // d)
         p, q = position[coo.row], position[coo.col]
         kl, ku = int((p - q).max(initial=d - 1)), int((q - p).max(initial=d - 1))
-        ab = np.zeros((kl + ku + 1, size), order="F")
+        ab = _padded_band(kl, ku, size)
         np.add.at(ab, (ku + p - q, q), coo.data)
         return cls(d, kl, ku, ab)
 
@@ -351,32 +354,56 @@ def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
     return _penalized(u, prob)[0]
 
 
-def _coupling_blocks(band: np.ndarray, base: NodeBand) -> np.ndarray:
-    """The (d, d, N) view of ``band``, an array holding a slant in the band
-    storage of ``base``: entry [i, j, l] of the view is the slant's entry at
-    row (i, l), column (j, l). The view is read from ``band``'s own strides,
-    so ``band`` may be a row slice of a taller LU array."""
+def _padded_band(kl: int, ku: int, size: int) -> np.ndarray:
+    """A zero Fortran band array for widths kl and ku over ``size``
+    unknowns: the column slice of a buffer with kl zero columns before it
+    and ku after, so that :func:`_transposed` reads it without a copy."""
+    return np.zeros((kl + ku + 1, kl + size + ku), order="F")[:, kl:kl + size]
+
+
+def _transposed(ab: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """The band of the transpose of the matrix that ``ab`` holds with kl
+    diagonals below the main one and ku above, in the storage of widths ku
+    below and kl above: row r is row kl + ku - r of ``ab``, shifted by
+    r - kl columns. A read-only strided view of the buffer around a
+    :func:`_padded_band`, whose zero columns are the entries outside the
+    matrix; any other ``ab`` is first copied into one."""
+    size = ab.shape[1]
+    padded = ab.base
+    if not (isinstance(padded, np.ndarray) and padded.dtype == np.float64
+            and padded.flags.f_contiguous and padded.shape == (kl + ku + 1, kl + size + ku)
+            and padded[:, kl:].ctypes.data == ab.ctypes.data):
+        padded = _padded_band(kl, ku, size).base
+        padded[:, kl:kl + size] = ab
+    row, col = padded.strides
+    # entry [r, q] is padded[kl + ku - r, q + r], which is ab[kl + ku - r, q + r - kl]
+    return as_strided(padded[kl + ku:], ab.shape, (col - row, col), writeable=False)
+
+
+def _coupling_blocks(band: np.ndarray, d: int, ku: int) -> np.ndarray:
+    """The (d, d, N) view of ``band``, an array holding a matrix in band
+    storage with ``ku`` diagonals above the main one: entry [i, j, l] of the
+    view is the matrix's entry at row (i, l), column (j, l). The view is
+    read from ``band``'s own strides, so ``band`` may be a row slice of a
+    taller LU array."""
     row, col = band.strides
     # entry (l*d + i, l*d + j) sits at band[ku + i - j, l*d + j]
-    return as_strided(band[base.ku:], (base.d, base.d, band.shape[1] // base.d),
-                      (row, col - row, base.d * col))
+    return as_strided(band[ku:], (d, d, band.shape[1] // d), (row, col - row, d * col))
 
 
-def _write_slant(out: np.ndarray, blocks: np.ndarray, base: NodeBand,
+def _write_slant(out: np.ndarray, transposed: np.ndarray, blocks: np.ndarray,
                  keep=None, coupling=None) -> None:
-    """Write the slant diag(keep) A + C, in the band storage of A's band
-    ``base``, over every entry of ``out``; ``blocks`` is the
-    :func:`_coupling_blocks` view of ``out``, and ``keep`` and ``coupling``
-    are those of :func:`slant_band`. The row mask is read through a strided
-    view, so no index array is built or kept."""
+    """Write the transpose of the slant diag(keep) A + C, which is
+    A^T diag(keep) + C^T, over every entry of ``out``, an array in the band
+    storage of A^T. ``transposed`` is the :func:`_transposed` band of A, and
+    ``blocks`` the :func:`_coupling_blocks` view of ``out`` with its first
+    two axes swapped, so that entry [i, j, l] is C^T's at row (j, l), column
+    (i, l); ``keep`` and ``coupling`` are those of :func:`slant_band`. In
+    this orientation the row mask of A scales the columns of A^T."""
     if keep is None:
-        out[...] = base.ab
+        out[...] = transposed
     else:
-        # padded with ku zeros on top: entry [r, q] of the view is rows[r + q],
-        # the mask of node-major row q + r - ku, which band entry [r, q] lies on
-        rows = np.concatenate([np.zeros(base.ku), np.ravel(keep, order="F"), np.zeros(base.kl)])
-        np.multiply(base.ab, np.ndarray(base.ab.shape, rows.dtype, rows, 0, 2 * rows.strides),
-                    out=out)
+        np.multiply(transposed, np.ravel(keep, order="F"), out=out)
     if coupling is not None:
         blocks += coupling
 
@@ -386,14 +413,18 @@ def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
 
     ``keep`` is a (d, N) mask of the rows of A to keep (all when None), and
     the (d, d, N) array ``coupling`` puts C[i, j, l] at row (i, l), column
-    (j, l), coupling the components of one node; it is added through the
-    :func:`_coupling_blocks` view of the new band. Returns a fresh NodeBand
-    of A's widths.
+    (j, l), coupling the components of one node. The slant's transpose is
+    written as the Newton steps write it, by :func:`_write_slant`, and
+    transposed back. Returns a fresh NodeBand of A's widths.
     """
     base = system.band
-    out = np.empty_like(base.ab, order="F")
-    _write_slant(out, _coupling_blocks(out, base), base, keep, coupling)
-    return NodeBand(system.d, base.kl, base.ku, out)
+    kl, ku, size = base.kl, base.ku, base.ab.shape[1]
+    transpose = _padded_band(ku, kl, size)
+    _write_slant(transpose, _transposed(base.ab, kl, ku),
+                 _coupling_blocks(transpose, base.d, kl).swapaxes(0, 1), keep, coupling)
+    out = _padded_band(kl, ku, size)
+    out[...] = _transposed(transpose, ku, kl)
+    return NodeBand(base.d, kl, ku, out)
 
 
 def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:

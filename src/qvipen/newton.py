@@ -19,19 +19,30 @@ updates performed, including the final confirming one. A step with a
 non-finite entry fails as a singular slant does.
 
 Every band system is solved as one step on a workspace: a LAPACK band LU
-array, into which the step writes its slant in place, and a node-major
-right-hand side. :func:`linear_solve` takes one step on a fresh workspace.
-Each system holds one, allocated at its first Newton solve; a solve borrows
-it for its duration, and a solve that finds it taken, nested in or
-concurrent with another on the same system, allocates its own. A slant is
-factored by LAPACK's band LU driver ``gbsv``, without iterative refinement:
-that leaves a backward error near roundoff. On these problems Newton is
-policy iteration, which stops when the policy repeats, so a step whose keep
-and coupling have the bytes of those of the slant the array holds is a
-single ``gbtrs`` back-solve on the held factors. The confirming step of a
-converged solve usually is one, and so is the first step of a sweep whose
-policy is the one the sweep before it ended on: 314 of the 645 steps of the
-``sweeps`` benchmark op back-solve.
+array, into which the step writes its slant's transpose in place, and a
+node-major right-hand side. :func:`linear_solve` takes one step on a fresh
+workspace. Each system holds one, allocated at its first Newton solve; a
+solve borrows it for its duration, and a solve that finds it taken, nested
+in or concurrent with another on the same system, allocates its own.
+
+A slant L is factored as its transpose, L^T = P L' U', by LAPACK's band LU
+``gbtrf``, without iterative refinement: that leaves a backward error near
+roundoff. Every slant of these monotone problems is row-diagonally dominant
+with nonpositive off-diagonals (F's rows, the penalty's, and the obstacle
+and QVI rows), so L^T is column-diagonally dominant and Gaussian
+elimination on it interchanges no rows. With P = I, L = U'^T L'^T, and
+L x = b is two BLAS ``tbsv`` triangular band solves on the held factors,
+U'^T first and then L'^T; they replace ``gbtrs``, whose loop over the
+pivots makes a BLAS call per column. A factorization that did interchange
+rows, as one of an arbitrary :class:`AffineSystem` may, is back-solved by
+``gbtrs`` with its pivots instead.
+
+On these problems Newton is policy iteration, which stops when the policy
+repeats, so a step whose keep and coupling have the bytes of those of the
+slant the array holds is a back-solve on the held factors alone. The
+confirming step of a converged solve usually is one, and so is the first
+step of a sweep whose policy is the one the sweep before it ended on: 314
+of the 645 steps of the ``sweeps`` benchmark op back-solve.
 """
 from __future__ import annotations
 
@@ -40,7 +51,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .core import (
     AffineSystem,
@@ -51,6 +62,7 @@ from .core import (
     _number,
     _obstacles,
     _penalized,
+    _transposed,
     _write_slant,
     as_costs,
     field_values,
@@ -100,17 +112,17 @@ class MaxIterExceeded(Exception):
     """Newton hit its iteration cap; carries the solve's last iterate and report."""
 
 
-_gbsv = get_lapack_funcs("gbsv", dtype=np.float64)
-_gbtrs = get_lapack_funcs("gbtrs", dtype=np.float64)
+_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
+_tbsv = get_blas_funcs("tbsv", dtype=np.float64)
 
 
 def linear_solve(op: NodeBand, rhs: np.ndarray) -> np.ndarray:
     """Direct solve of op x = rhs; rhs and x are in regime-major order.
 
-    One step of a fresh :class:`_Workspace` on ``op``: the band is copied
-    into its LU array and factored there, so neither ``op`` nor ``rhs`` is
-    changed. A zero pivot raises SingularSlant naming its regime and node;
-    so does a non-finite x, without them.
+    One step of a fresh :class:`_Workspace` on ``op``: the band's transpose
+    is written into its LU array and factored there, so neither ``op`` nor
+    ``rhs`` is changed. A zero pivot raises SingularSlant naming its regime
+    and node; so does a non-finite x, without them.
     """
     # negation is exact, and the step negates again into its own buffer
     x = _Workspace(op).step(-np.asarray(rhs, dtype=float).reshape(op.d, -1), None, None)
@@ -122,56 +134,73 @@ def linear_solve(op: NodeBand, rhs: np.ndarray) -> np.ndarray:
 class _Workspace:
     """The buffers of the Newton solves on one band ``base``, allocated once.
 
-    ``lu`` is the Fortran-ordered LAPACK LU array, (2kl + ku + 1) x dN for
-    the widths of ``base``, ``band`` its rows kl: and ``blocks`` their
-    per-node coupling view; ``rhs`` is the node-major right-hand side.
-    ``policy`` holds the bytes of the keep and coupling of the slant ``lu``
-    holds factored, and ``ipiv`` its pivots, None when it holds no
-    factorization. A system keeps one for its Newton solves;
-    :func:`linear_solve` takes one step on a fresh one.
+    For A, the matrix of ``base``, with kl diagonals below the main one and
+    ku above, ``lu`` is the Fortran-ordered LAPACK LU array of A^T's widths,
+    (kl + 2ku + 1) x dN. A step writes its slant's transpose into ``band``,
+    the rows ku: of ``lu``, adding the coupling through ``blocks``, their
+    per-node view with its first two axes swapped; ``transposed`` is the
+    band of A^T, a view of A's. ``lower`` is ``lu`` shifted kl + ku
+    elements on, in a buffer that much longer: its rows 1 to ku hold the
+    multipliers of the unit lower factor. ``rhs`` is the node-major
+    right-hand side. ``policy`` holds the bytes of the keep and coupling of
+    the slant ``lu`` holds factored, None when it holds no factorization,
+    and ``ipiv`` its pivots when they interchange rows, else None. A system
+    keeps one for its Newton solves; :func:`linear_solve` takes one step on
+    a fresh one.
     """
 
-    __slots__ = ("base", "lu", "band", "blocks", "rhs", "policy", "ipiv")
+    __slots__ = ("base", "lu", "lower", "band", "blocks", "transposed", "rhs", "unpivoted",
+                 "policy", "ipiv")
 
     def __init__(self, base: NodeBand):
         self.base = base
         kl, ku = base.kl, base.ku
-        size = base.ab.shape[1]
-        self.lu = np.zeros((2 * kl + ku + 1, size), order="F")
-        self.band = self.lu[kl:]
-        self.blocks = _coupling_blocks(self.band, base)
+        rows, size = kl + 2 * ku + 1, base.ab.shape[1]
+        buffer = np.zeros(rows * size + kl + ku)
+        self.lu = buffer[:rows * size].reshape((rows, size), order="F")
+        self.lower = buffer[kl + ku:].reshape((rows, size), order="F")
+        self.band = self.lu[ku:]
+        self.blocks = _coupling_blocks(self.band, base.d, kl).swapaxes(0, 1)
+        self.transposed = _transposed(base.ab, kl, ku)
         self.rhs = np.empty((size // base.d, base.d))
+        # the pivots, 0-based in scipy's wrapper, of a factorization that
+        # interchanges no rows
+        self.unpivoted = np.arange(size, dtype=np.intc)
         self.policy = self.ipiv = None
 
     def step(self, g: np.ndarray, keep, coupling) -> np.ndarray:
         """The Newton step -L^{-1} g, a (d, N) view of ``rhs``, for the slant
         L = diag(keep) A + C, ``keep`` a boolean (d, N) mask and ``coupling``
-        a float (d, d, N) block, either None. L is assembled in ``lu`` and
-        factored by ``gbsv`` only when its policy differs from the held one,
-        else back-solved by ``gbtrs`` on the held factors. A zero pivot raises
-        SingularSlant naming its regime and node; the step is not checked for
-        non-finite entries."""
+        a float (d, d, N) block, either None. L^T is assembled in ``lu`` and
+        factored by ``gbtrf`` only when its policy differs from the held one;
+        then L x = -g is solved on the held factors, by the ``tbsv`` pair or,
+        after row interchanges, by ``gbtrs``. A zero pivot raises
+        SingularSlant naming its regime and node; the step is not checked
+        for non-finite entries."""
         np.negative(g.T, out=self.rhs)
-        base, rhs = self.base, self.rhs.reshape(-1)
+        kl, ku, rhs = self.base.kl, self.base.ku, self.rhs.reshape(-1)
         policy = (None if keep is None else keep.tobytes(),
                   None if coupling is None else coupling.tobytes())
-        if self.ipiv is None or policy != self.policy:
+        if policy != self.policy:
             # a factorization that fails is never held
-            self.ipiv = None
-            _write_slant(self.band, self.blocks, base, keep, coupling)
-            self.policy = policy
-            _, ipiv, x, info = _gbsv(base.kl, base.ku, self.lu, rhs,
-                                     overwrite_ab=True, overwrite_b=True)
+            self.policy = None
+            _write_slant(self.band, self.transposed, self.blocks, keep, coupling)
+            _, ipiv, info = _gbtrf(self.lu, ku, kl, overwrite_ab=True)
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of LAPACK's gbtrf")
             if info > 0:  # U[info-1, info-1] is exactly zero; columns are node-major
-                node, regime = divmod(info - 1, base.d)
+                node, regime = divmod(info - 1, self.base.d)
                 raise SingularSlant(f"factorization failed: zero pivot at regime {regime}, "
                                     f"node {node}", regime=regime, node=node)
+            self.policy = policy
+            self.ipiv = None if np.array_equal(ipiv, self.unpivoted) else ipiv
+        if self.ipiv is None:
+            # L = U'^T L'^T: U'^T y = -g, then L'^T x = y, both in place
+            x = _tbsv(kl + ku, self.lu, rhs, trans=1, overwrite_x=True)
+            x = _tbsv(ku, self.lower, x, lower=1, trans=1, diag=1, overwrite_x=True)
         else:
-            ipiv = self.ipiv
-            x, info = _gbtrs(self.lu, base.kl, base.ku, rhs, ipiv, overwrite_b=True)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK's band solve")
-        self.ipiv = ipiv
+            # the arguments gbtrf accepted, so info is 0
+            x, _ = _gbtrs(self.lu, ku, kl, rhs, self.ipiv, trans=1, overwrite_b=True)
         return x.reshape(self.rhs.shape).T
 
 

@@ -202,6 +202,12 @@ def iterate_to_fixed_point(step, start, max_sweeps: int = 200, tol: float = 1e-1
     return u, len(increments), increments
 
 
+def _phi_arguments(nu, a, b):
+    """``(nu, a, b)`` as floats, nu and b positive and a in (0, 1); anything
+    else is a ValueError naming it."""
+    return _number("nu", nu, 0), _number("a", a, 0, 1), _number("b", b, 0)
+
+
 def phi_minimize(nu: float, a: float, b: float):
     """Exact integer minimizer of phi(n) = nu*a**n + b*n over n >= 0.
 
@@ -210,8 +216,7 @@ def phi_minimize(nu: float, a: float, b: float):
     because phi is convex. The result is checked against the closed-form
     upper bound before returning.
     """
-    a = _number("a", a, 0, 1)
-    nu, b = _number("nu", nu, 0), _number("b", b, 0)
+    nu, a, b = _phi_arguments(nu, a, b)
     log_a = math.log(a)
     ratio = -b / (nu * log_a)
     if ratio >= 1.0:
@@ -228,7 +233,9 @@ def phi_minimize(nu: float, a: float, b: float):
 def phi_upper_bound(nu: float, a: float, b: float) -> float:
     """Closed-form bound on min phi: nu on the flat branch, else phi at one
     past the continuous minimizer (the log argument is -b/(nu*ln a); the sign
-    inside the log matters because ln a < 0)."""
+    inside the log matters because ln a < 0). The arguments are checked as
+    :func:`phi_minimize` checks them."""
+    nu, a, b = _phi_arguments(nu, a, b)
     log_a = math.log(a)
     ratio = -b / (nu * log_a)
     if ratio >= 1.0:

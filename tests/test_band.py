@@ -5,7 +5,7 @@ assembled here, entry by entry, from the definition of that slant.
 """
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, solve_banded
+from scipy.linalg import block_diag, get_blas_funcs, get_lapack_funcs
 
 from qvipen import newton, regularize
 from qvipen.core import (
@@ -359,21 +359,69 @@ def test_band_solve_leaves_the_cached_band_intact():
     assert rhs.tobytes() == np.ones(op.shape[0]).tobytes()
     norm_op = abs(op).sum(axis=1).max()
     assert sup_norm(op @ x - 1.0) <= 1e-14 * (norm_op * sup_norm(x) + 1.0)
+    # a band built by hand, without the zero columns the package stores
+    # around its own, is read through a padded copy and solves the same
+    for ab in (np.asfortranarray(before), before):
+        assert linear_solve(NodeBand(3, 3, 3, ab), rhs).tobytes() == x.tobytes()
+        assert np.array_equal(ab, band.ab)
+
+
+def _transposed_lu(slant, d):
+    """scipy's gbtrf on the band of the transpose of ``slant``, a
+    regime-major sparse matrix, built from the matrix alone."""
+    ref = NodeBand.from_matrix(slant.T, d)
+    ab = np.zeros((2 * ref.kl + ref.ku + 1, ref.ab.shape[1]), order="F")
+    ab[ref.kl:] = ref.ab
+    lu, ipiv, info = get_lapack_funcs("gbtrf", dtype=np.float64)(ab, ref.kl, ref.ku)
+    assert info == 0
+    return ref, lu, ipiv
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_band_solve_is_bitwise_lapack_band_lu(d):
-    # scipy's solve_banded, which calls the same gbsv for kl = ku = d > 1, is
-    # the reference: the direct call must give the same bytes
+    # the reference factors the transpose, rebuilt from the slant's matrix,
+    # with no row interchanges, and solves by the same two tbsv calls: U^T,
+    # then the unit lower factor's transpose
     prob, u = _pde_penalized(d)
     residual, _, coupling = _penalized(u, prob)
     band = slant_band(prob.system, coupling=coupling)
     assert band.kl == band.ku == d
+    ref, lu, ipiv = _transposed_lu(band.tocsr(), d)
+    assert np.array_equal(ipiv, np.arange(ipiv.size))
+    tbsv = get_blas_funcs("tbsv", dtype=np.float64)
     rng = np.random.default_rng(5)
     for rhs in (-residual.ravel(), rng.normal(size=d * prob.system.N)):
         x = linear_solve(band, rhs)
-        node_major = solve_banded((band.kl, band.ku), band.ab, rhs.reshape(d, -1).T.ravel())
+        y = tbsv(ref.kl + ref.ku, lu, rhs.reshape(d, -1).T.ravel(), trans=1)
+        node_major = tbsv(ref.kl, lu[ref.kl + ref.ku:], y, lower=1, trans=1, diag=1)
         assert x.tobytes() == node_major.reshape(-1, d).T.ravel().tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_band_solve_with_row_interchanges_is_gbtrs(d, monkeypatch):
+    # a random band whose off-diagonal entries outweigh its diagonal: its
+    # transpose's factorization interchanges rows, and the solve on its
+    # factors is gbtrs(trans=1) with their pivots
+    n = 40
+    rng = np.random.default_rng(11 + d)
+    blocks = [np.diag(rng.uniform(-1, 1, n)) + np.diag(rng.uniform(1, 4, n - 1), 1)
+              + np.diag(rng.uniform(-4, -1, n - 1), -1) for _ in range(d)]
+    matrix = block_diag(*blocks) + np.kron(rng.uniform(-2, 2, (d, d)), np.eye(n))
+    system = AffineSystem(matrix, np.ones((d, n)), gamma=1.0)
+    ref, lu, ipiv = _transposed_lu(system.matrix, d)
+    assert not np.array_equal(ipiv, np.arange(ipiv.size))
+    gbtrs = get_lapack_funcs("gbtrs", dtype=np.float64)
+    calls = []
+    monkeypatch.setattr(newton, "_gbtrs", lambda *a, **k: calls.append(1) or gbtrs(*a, **k))
+    op = system.matrix
+    norm_op = abs(op).sum(axis=1).max()
+    for rhs in rng.normal(size=(3, d * n)):
+        x = linear_solve(system.band, rhs)
+        node_major, info = gbtrs(lu, ref.kl, ref.ku, rhs.reshape(d, -1).T.ravel(), ipiv, trans=1)
+        assert info == 0
+        assert x.tobytes() == node_major.reshape(-1, d).T.ravel().tobytes()
+        assert sup_norm(op @ x - rhs) <= 1e-14 * (norm_op * sup_norm(x) + sup_norm(rhs))
+    assert len(calls) == 3
 
 
 def test_hoisted_constants_are_read_only():

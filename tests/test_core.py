@@ -51,6 +51,14 @@ def test_cost_matrix():
     assert not SwitchingCostMatrix.uniform(2, 0.0).is_positive
 
 
+@pytest.mark.parametrize("d", [2.5, True, "2", 1])
+def test_uniform_costs_need_an_integer_count_of_at_least_two_regimes(d):
+    # each used to fail with a bare numpy TypeError or, for 1, with no
+    # mention of d
+    with pytest.raises(ValueError, match=r"^d must be an integer"):
+        SwitchingCostMatrix.uniform(d, 1.0)
+
+
 def test_as_costs():
     c = as_costs(0.25, 2)
     assert c.costs[0, 1] == 0.25

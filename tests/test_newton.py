@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qvipen import newton, regularize
+from qvipen import ExperimentConfig, newton, regularize, run_table
 from qvipen.core import (
     AffineSystem,
     NodeBand,
@@ -465,8 +465,8 @@ def _sweep_chain(system, costs, prob, root):
 @pytest.mark.parametrize("case", ["two_regime", "three_regime"])
 def test_newton_solves_equal_a_fresh_factorization_per_step(request, monkeypatch, case, name):
     # held factors are reused only for a slant equal to the one they factor,
-    # within a solve and across the solves on one system, and gbtrs on them
-    # gives the bytes gbsv would
+    # within a solve and across the solves on one system, and a back-solve on
+    # them gives the bytes a fresh factorization ending in the same calls would
     _, system, root = request.getfixturevalue(case)
     costs = SwitchingCostMatrix.uniform(system.d, 1 / 16)
     prob = PenalizedProblem(system, costs, 16e3)
@@ -488,15 +488,30 @@ def test_newton_solves_on_random_instances_equal_a_fresh_factorization_per_step(
 
 
 def _lapack_calls(monkeypatch):
-    """The sequence of band factorizations ("gbsv") and back-solves
-    ("gbtrs") that the Newton drivers make from here on."""
+    """One label per linear solve that the Newton drivers make from here on:
+    "gbtrf" for a step that factors its slant and solves on the new factors,
+    "tbsv" for a back-solve on held factors with no row interchanges, and
+    "gbtrs" for one on factors with some."""
     calls = []
-    for name in ("_gbsv", "_gbtrs"):
-        def counted(*args, real=getattr(newton, name), label=name[1:], **kwargs):
-            calls.append(label)
+    factored = [False]
+
+    def spy(name):
+        real = getattr(newton, name)
+
+        def counted(*args, **kwargs):
+            if name == "_gbtrf":
+                calls.append("gbtrf")
+                factored[0] = True
+            elif not kwargs.get("lower"):  # the first call of a back-solve
+                if not factored[0]:
+                    calls.append(name[1:])
+                factored[0] = False
             return real(*args, **kwargs)
 
         monkeypatch.setattr(newton, name, counted)
+
+    for name in ("_gbtrf", "_tbsv", "_gbtrs"):
+        spy(name)
     return calls
 
 
@@ -505,7 +520,7 @@ def test_root_solve_factors_once(monkeypatch):
     # and so does every step of a later solve on the same system
     system = assemble(PdeParams(d=2, reward=RewardFunction.two_regime()))
     calls = _lapack_calls(monkeypatch)
-    for expected in (["gbsv", "gbtrs"], ["gbtrs", "gbtrs"]):
+    for expected in (["gbtrf", "tbsv"], ["tbsv", "tbsv"]):
         calls.clear()
         _, report = solve_root(system, np.zeros((2, 100)))
         assert report.iterations == 2
@@ -522,7 +537,7 @@ def test_a_converged_solve_back_solves_its_confirming_step(three_regime, monkeyp
     calls = _lapack_calls(monkeypatch)
     NEWTON_SOLVES[name](system, costs, prob, root)
     assert len(calls) >= 2
-    assert calls[0] == "gbsv" and calls[-1] == "gbtrs"
+    assert calls[0] == "gbtrf" and calls[-1] == "tbsv"
 
 
 def test_a_slant_is_factored_again_only_when_it_changes(monkeypatch):
@@ -538,7 +553,31 @@ def test_a_slant_is_factored_again_only_when_it_changes(monkeypatch):
     calls = _lapack_calls(monkeypatch)
     with pytest.raises(MaxIterExceeded):
         newton._newton(system, linearize, np.zeros((2, 2)), NewtonConfig(max_iter=5))
-    assert calls == ["gbsv", "gbsv", "gbtrs", "gbsv", "gbtrs"]
+    assert calls == ["gbtrf", "gbtrf", "tbsv", "gbtrf", "tbsv"]
+
+
+def test_table_and_sweep_factorizations_interchange_no_rows(two_regime, three_regime, monkeypatch):
+    # every slant of these monotone problems is row-diagonally dominant, so
+    # its transpose factors without row interchanges, and every solve on its
+    # factors takes the tbsv pair: both tables at N = 100, and a sweep chain
+    # on each case
+    pivots = []
+    real = newton._gbtrf
+
+    def recorded(*args, **kwargs):
+        lu, ipiv, info = real(*args, **kwargs)
+        pivots.append(np.array_equal(ipiv, np.arange(ipiv.size)))
+        return lu, ipiv, info
+
+    monkeypatch.setattr(newton, "_gbtrf", recorded)
+    for case in ("two-regime", "three-regime"):
+        assert all(cell.converged for cell in run_table(ExperimentConfig(case=case)).cells)
+    tables = len(pivots)
+    for _, system, root in (two_regime, three_regime):
+        costs = SwitchingCostMatrix.uniform(system.d, 1 / 16)
+        _sweep_chain(system, costs, PenalizedProblem(system, costs, 16e3), root)
+    assert tables > 500 and len(pivots) > tables
+    assert all(pivots)
 
 
 def test_a_failed_factorization_is_never_held():

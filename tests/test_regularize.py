@@ -350,6 +350,16 @@ def test_integer_descent_validates_inputs():
             phi_minimize(nu, a, b)
 
 
+def test_integer_descent_bound_validates_inputs():
+    # a bool a used to reach log(1.0) = 0 and raise a ZeroDivisionError
+    with pytest.raises(ValueError, match=r"^a must be a finite number in \(0, 1\), got True$"):
+        phi_upper_bound(1.0, True, 1.0)
+    for nu, a, b in [(1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, 0.5, 0.0), (0.0, 0.5, 1.0),
+                     ("1", 0.5, 1.0)]:
+        with pytest.raises(ValueError):
+            phi_upper_bound(nu, a, b)
+
+
 # ------------------------------------------------------------- error constants
 
 
