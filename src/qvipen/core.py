@@ -168,8 +168,9 @@ class NodeBand:
         """A regime-major square matrix, with d regimes, in node-major band
         storage: ``ab`` is Fortran-ordered, the layout of LAPACK's band
         arrays, and both widths are at least d - 1, so that the band also
-        holds every d x d block coupling the components of a node. ``ab``
-        is a :func:`_padded_band`, so its transpose is a view."""
+        holds every d x d block coupling the components of a node. ``d``
+        must be an integer of at least 1."""
+        d = _number("d", d, 1, closed=True, integer=True)
         coo = sp.coo_matrix(matrix)
         size = coo.shape[0]
         if coo.shape != (size, size) or size % d:
@@ -177,7 +178,7 @@ class NodeBand:
         position = _node_major(d, size // d)
         p, q = position[coo.row], position[coo.col]
         kl, ku = int((p - q).max(initial=d - 1)), int((q - p).max(initial=d - 1))
-        ab = _padded_band(kl, ku, size)
+        ab = np.zeros((kl + ku + 1, size), order="F")
         np.add.at(ab, (ku + p - q, q), coo.data)
         return cls(d, kl, ku, ab)
 
@@ -354,30 +355,17 @@ def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
     return _penalized(u, prob)[0]
 
 
-def _padded_band(kl: int, ku: int, size: int) -> np.ndarray:
-    """A zero Fortran band array for widths kl and ku over ``size``
-    unknowns: the column slice of a buffer with kl zero columns before it
-    and ku after, so that :func:`_transposed` reads it without a copy."""
-    return np.zeros((kl + ku + 1, kl + size + ku), order="F")[:, kl:kl + size]
-
-
-def _transposed(ab: np.ndarray, kl: int, ku: int) -> np.ndarray:
+def _transposed(ab: np.ndarray, kl: int, ku: int, top: int = 0) -> np.ndarray:
     """The band of the transpose of the matrix that ``ab`` holds with kl
     diagonals below the main one and ku above, in the storage of widths ku
-    below and kl above: row r is row kl + ku - r of ``ab``, shifted by
-    r - kl columns. A read-only strided view of the buffer around a
-    :func:`_padded_band`, whose zero columns are the entries outside the
-    matrix; any other ``ab`` is first copied into one."""
-    size = ab.shape[1]
-    padded = ab.base
-    if not (isinstance(padded, np.ndarray) and padded.dtype == np.float64
-            and padded.flags.f_contiguous and padded.shape == (kl + ku + 1, kl + size + ku)
-            and padded[:, kl:].ctypes.data == ab.ctypes.data):
-        padded = _padded_band(kl, ku, size).base
-        padded[:, kl:kl + size] = ab
-    row, col = padded.strides
-    # entry [r, q] is padded[kl + ku - r, q + r], which is ab[kl + ku - r, q + r - kl]
-    return as_strided(padded[kl + ku:], ab.shape, (col - row, col), writeable=False)
+    below and kl above, as a new Fortran array below ``top`` zero rows:
+    row r is row kl + ku - r of ``ab`` shifted by r - kl columns, zeros
+    shifted in."""
+    out = np.zeros((top + kl + ku + 1, ab.shape[1]), order="F")
+    for r in range(kl + ku + 1):
+        lo, hi = max(kl - r, 0), ab.shape[1] + min(kl - r, 0)
+        out[top + r, lo:hi] = ab[kl + ku - r, lo + r - kl:hi + r - kl]
+    return out
 
 
 def _coupling_blocks(band: np.ndarray, d: int, ku: int) -> np.ndarray:
@@ -395,7 +383,7 @@ def _write_slant(out: np.ndarray, transposed: np.ndarray, blocks: np.ndarray,
                  keep=None, coupling=None) -> None:
     """Write the transpose of the slant diag(keep) A + C, which is
     A^T diag(keep) + C^T, over every entry of ``out``, an array in the band
-    storage of A^T. ``transposed`` is the :func:`_transposed` band of A, and
+    storage of A^T. ``transposed`` is A^T's band in ``out``'s layout, and
     ``blocks`` the :func:`_coupling_blocks` view of ``out`` with its first
     two axes swapped, so that entry [i, j, l] is C^T's at row (j, l), column
     (i, l); ``keep`` and ``coupling`` are those of :func:`slant_band`. In
@@ -414,17 +402,14 @@ def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
     ``keep`` is a (d, N) mask of the rows of A to keep (all when None), and
     the (d, d, N) array ``coupling`` puts C[i, j, l] at row (i, l), column
     (j, l), coupling the components of one node. The slant's transpose is
-    written as the Newton steps write it, by :func:`_write_slant`, and
-    transposed back. Returns a fresh NodeBand of A's widths.
+    written as the Newton steps write it, by :func:`_write_slant`, over a
+    :func:`_transposed` A and transposed back: a fresh NodeBand of A's widths.
     """
     base = system.band
-    kl, ku, size = base.kl, base.ku, base.ab.shape[1]
-    transpose = _padded_band(ku, kl, size)
-    _write_slant(transpose, _transposed(base.ab, kl, ku),
-                 _coupling_blocks(transpose, base.d, kl).swapaxes(0, 1), keep, coupling)
-    out = _padded_band(kl, ku, size)
-    out[...] = _transposed(transpose, ku, kl)
-    return NodeBand(base.d, kl, ku, out)
+    transpose = _transposed(base.ab, base.kl, base.ku)
+    blocks = _coupling_blocks(transpose, base.d, base.kl).swapaxes(0, 1)
+    _write_slant(transpose, transpose, blocks, keep, coupling)
+    return NodeBand(base.d, base.kl, base.ku, _transposed(transpose, base.ku, base.kl))
 
 
 def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:

@@ -19,11 +19,12 @@ updates performed, including the final confirming one. A step with a
 non-finite entry fails as a singular slant does.
 
 Every band system is solved as one step on a workspace: a LAPACK band LU
-array, into which the step writes its slant's transpose in place, and a
-node-major right-hand side. :func:`linear_solve` takes one step on a fresh
-workspace. Each system holds one, allocated at its first Newton solve; a
-solve borrows it for its duration, and a solve that finds it taken, nested
-in or concurrent with another on the same system, allocates its own.
+array, a copy of A^T's band in its layout, from which a step writes its
+slant's transpose over the LU array, and a node-major right-hand side.
+:func:`linear_solve` takes one step on a fresh workspace. Each system holds
+one, allocated at its first Newton solve; a solve borrows it for its
+duration, and a solve that finds it taken, nested in or concurrent with
+another on the same system, allocates its own.
 
 A slant L is factored as its transpose, L^T = P L' U', by LAPACK's band LU
 ``gbtrf``, without iterative refinement: that leaves a backward error near
@@ -122,10 +123,14 @@ def linear_solve(op: NodeBand, rhs: np.ndarray) -> np.ndarray:
     One step of a fresh :class:`_Workspace` on ``op``: the band's transpose
     is written into its LU array and factored there, so neither ``op`` nor
     ``rhs`` is changed. A zero pivot raises SingularSlant naming its regime
-    and node; so does a non-finite x, without them.
+    and node; so does a non-finite x, without them. ``rhs`` must hold one
+    entry per unknown of ``op``.
     """
+    b = np.asarray(rhs, dtype=float)
+    if b.size != op.ab.shape[1]:
+        raise ValueError(f"rhs has {b.size} entries for {op.ab.shape[1]} unknowns")
     # negation is exact, and the step negates again into its own buffer
-    x = _Workspace(op).step(-np.asarray(rhs, dtype=float).reshape(op.d, -1), None, None)
+    x = _Workspace(op).step(-b.reshape(op.d, -1), None, None)
     if not np.isfinite(x).all():
         raise SingularSlant("linear solve produced non-finite entries")
     return x.ravel()
@@ -136,20 +141,20 @@ class _Workspace:
 
     For A, the matrix of ``base``, with kl diagonals below the main one and
     ku above, ``lu`` is the Fortran-ordered LAPACK LU array of A^T's widths,
-    (kl + 2ku + 1) x dN. A step writes its slant's transpose into ``band``,
-    the rows ku: of ``lu``, adding the coupling through ``blocks``, their
-    per-node view with its first two axes swapped; ``transposed`` is the
-    band of A^T, a view of A's. ``lower`` is ``lu`` shifted kl + ku
-    elements on, in a buffer that much longer: its rows 1 to ku hold the
-    multipliers of the unit lower factor. ``rhs`` is the node-major
-    right-hand side. ``policy`` holds the bytes of the keep and coupling of
-    the slant ``lu`` holds factored, None when it holds no factorization,
-    and ``ipiv`` its pivots when they interchange rows, else None. A system
-    keeps one for its Newton solves; :func:`linear_solve` takes one step on
-    a fresh one.
+    (kl + 2ku + 1) x dN, and ``transposed`` holds A^T's band in its layout,
+    the ku fill rows zero. A step writes its slant's transpose over ``lu``,
+    adding the coupling through ``blocks``, the per-node view of the rows
+    ku: of ``lu`` with its first two axes swapped. ``lower`` is ``lu``
+    shifted kl + ku elements on, in a buffer that much longer: its rows 1
+    to ku hold the multipliers of the unit lower factor. ``rhs`` is the
+    node-major right-hand side. ``policy`` holds the bytes of the keep and
+    coupling of the slant ``lu`` holds factored, None when it holds no
+    factorization, and ``ipiv`` its pivots when they interchange rows, else
+    None. A system keeps one for its Newton solves; :func:`linear_solve`
+    takes one step on a fresh one.
     """
 
-    __slots__ = ("base", "lu", "lower", "band", "blocks", "transposed", "rhs", "unpivoted",
+    __slots__ = ("base", "lu", "lower", "blocks", "transposed", "rhs", "unpivoted",
                  "policy", "ipiv")
 
     def __init__(self, base: NodeBand):
@@ -159,9 +164,8 @@ class _Workspace:
         buffer = np.zeros(rows * size + kl + ku)
         self.lu = buffer[:rows * size].reshape((rows, size), order="F")
         self.lower = buffer[kl + ku:].reshape((rows, size), order="F")
-        self.band = self.lu[ku:]
-        self.blocks = _coupling_blocks(self.band, base.d, kl).swapaxes(0, 1)
-        self.transposed = _transposed(base.ab, kl, ku)
+        self.blocks = _coupling_blocks(self.lu[ku:], base.d, kl).swapaxes(0, 1)
+        self.transposed = _transposed(base.ab, kl, ku, top=ku)
         self.rhs = np.empty((size // base.d, base.d))
         # the pivots, 0-based in scipy's wrapper, of a factorization that
         # interchanges no rows
@@ -184,7 +188,7 @@ class _Workspace:
         if policy != self.policy:
             # a factorization that fails is never held
             self.policy = None
-            _write_slant(self.band, self.transposed, self.blocks, keep, coupling)
+            _write_slant(self.lu, self.transposed, self.blocks, keep, coupling)
             _, ipiv, info = _gbtrf(self.lu, ku, kl, overwrite_ab=True)
             if info < 0:
                 raise ValueError(f"illegal value in argument {-info} of LAPACK's gbtrf")

@@ -34,9 +34,10 @@ DOMAIN_RIGHT = 2.0  # right end of the domain, where u = 0
 class RewardFunction:
     """Piecewise-linear running reward, zero outside the listed pieces.
 
-    Each piece is (lo, hi, slope, intercept), four finite numbers with
-    lo < hi, and claims the half-open interval (lo, hi]; pieces must not
-    overlap, though one may end where the next begins.
+    Each piece is (lo, hi, slope, intercept), four finite numbers, never a
+    bool or a string, with lo < hi, and claims the half-open interval
+    (lo, hi]; pieces must not overlap, though one may end where the next
+    begins.
     """
 
     pieces: tuple = ()
@@ -45,6 +46,9 @@ class RewardFunction:
         pieces = []
         for k, raw in enumerate(self.pieces):
             try:
+                # float() reads these too, but they are not numbers
+                if any(isinstance(x, (bool, str, bytes)) for x in raw):
+                    raise TypeError(raw)
                 p = tuple(map(float, raw))
                 ok = len(p) == 4 and np.all(np.isfinite(p)) and p[0] < p[1]
             except (TypeError, ValueError):

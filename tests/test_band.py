@@ -14,6 +14,7 @@ from qvipen.core import (
     PenalizedProblem,
     SwitchingCostMatrix,
     _penalized,
+    _transposed,
     penalized_residual,
     slant_band,
     sup_norm,
@@ -307,6 +308,35 @@ def test_band_from_matrix_rejects_a_shape_d_cannot_split():
         NodeBand.from_matrix(np.eye(3), 2)
     with pytest.raises(ValueError):
         NodeBand.from_matrix(np.ones((4, 2)), 2)
+
+
+@pytest.mark.parametrize("d", [0, True, 2.5])
+def test_band_from_matrix_rejects_a_bad_d(d):
+    # 0 divided by zero, True was read as 1 until numpy refused it, and 2.5
+    # was blamed on the matrix's shape
+    with pytest.raises(ValueError, match="d must be an integer"):
+        NodeBand.from_matrix(np.eye(4), d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_transposed_band_is_the_band_of_the_transpose(d):
+    # a random node-major band with more diagonals below than above: its
+    # transpose's band has the widths swapped and is a new array
+    n = 6
+    rng = np.random.default_rng(70 + d)
+    node_major = np.triu(np.tril(rng.normal(size=(d * n, d * n)), d - 1), -2 * d)
+    # regime-major index i*N + l is node-major index l*d + i
+    position = np.arange(d * n).reshape(n, d).T.ravel()
+    matrix = node_major[np.ix_(position, position)]
+    band, ref = NodeBand.from_matrix(matrix, d), NodeBand.from_matrix(matrix.T, d)
+    kl, ku = band.kl, band.ku
+    assert (kl, ku) == (2 * d, d - 1) and (ref.kl, ref.ku) == (ku, kl)
+    transposed = _transposed(band.ab, kl, ku)
+    assert transposed.flags.f_contiguous and not np.shares_memory(transposed, band.ab)
+    assert transposed.tobytes(order="F") == ref.ab.tobytes(order="F")
+    assert _transposed(transposed, ku, kl).tobytes(order="F") == band.ab.tobytes(order="F")
+    top = _transposed(band.ab, kl, ku, top=2)
+    assert not top[:2].any() and top[2:].tobytes(order="F") == ref.ab.tobytes(order="F")
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -535,7 +535,11 @@ def test_cli_rejects_non_integer_sizes_and_custom_only_fields(tmp_path, capsys, 
     ([[0.0, float("nan"), 1, 0]], "reward piece 0 is (0.0, nan, 1.0, 0.0)"),
     ([1], "reward piece 0 is 1:"),
     ([[0, 1, 1, 0], ["a", 1, 1, 0]], "reward piece 1 is ('a', 1, 1, 0)"),
-], ids=["short", "overlapping", "inverted", "nan", "not-a-sequence", "not-a-number"])
+    ([[True, 2, 1, 1]], "reward piece 0 is (True, 2, 1, 1)"),
+    ([["0.5", 1, 1, 0]], "reward piece 0 is ('0.5', 1, 1, 0)"),
+    ([[0, 1, False, 0]], "reward piece 0 is (0, 1, False, 0)"),
+], ids=["short", "overlapping", "inverted", "nan", "not-a-sequence", "not-a-number",
+        "bool-lo", "numeric-string", "bool-slope"])
 def test_cli_rejects_invalid_reward_pieces(tmp_path, capsys, pieces, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"case": "custom", "d": 2, "reward_pieces": pieces}))

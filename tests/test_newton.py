@@ -305,6 +305,15 @@ def test_linear_solve_backward_error(two_regime):
         assert sup_norm(op @ x - rhs) <= 1e-10 * (1.0 + sup_norm(rhs))
 
 
+@pytest.mark.parametrize("length", [2, 6])
+def test_linear_solve_rejects_a_rhs_of_the_wrong_length(length):
+    # a 2-entry rhs used to be broadcast over the node-major buffer, solving
+    # for [1, 1, 2, 2]; a 6-entry one raised numpy's broadcast error
+    op = NodeBand.from_matrix(sp.diags([1.0, 2.0, 4.0, 8.0]), 2)
+    with pytest.raises(ValueError, match="rhs"):
+        linear_solve(op, np.arange(1.0, length + 1.0))
+
+
 def test_linear_solve_singular():
     with pytest.raises(SingularSlant):
         linear_solve(NodeBand.from_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]), 1), np.ones(2))
