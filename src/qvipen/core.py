@@ -82,20 +82,23 @@ def field_values(u, d: int | None = None, n: int | None = None) -> np.ndarray:
 class SwitchingCostMatrix:
     """Pairwise costs c[i, j] >= 0 of switching from regime i to regime j.
 
-    Diagonal entries are meaningless and stored as zero. A uniform scalar cost
-    is the common case; build it with :meth:`uniform`.
+    Each entry is a finite real number, never a bool; the diagonal ones are
+    meaningless and stored as zero. A uniform scalar cost is the common
+    case; build it with :meth:`uniform`.
     """
 
     costs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.array(self.costs, dtype=float)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError(f"cost matrix must be square, got shape {c.shape}")
-        if c.shape[0] < 2:
+        entries = np.array(self.costs, dtype=object)
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise ValueError(f"cost matrix must be square, got shape {entries.shape}")
+        if entries.shape[0] < 2:
             raise ValueError("cost matrix needs at least two regimes")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("cost matrix contains non-finite entries")
+        # each entry as given, before a float cast that reads "0.5" and True
+        for (i, j), x in np.ndenumerate(entries):
+            _number(f"costs[{i}, {j}]", x)
+        c = np.array(self.costs, dtype=float)
         np.fill_diagonal(c, 0.0)
         if np.any(c < 0.0):
             raise ValueError("switching costs must be nonnegative")
@@ -145,7 +148,7 @@ def as_costs(costs, d: int) -> SwitchingCostMatrix:
         return costs
     if np.isscalar(costs):
         return SwitchingCostMatrix.uniform(d, costs)
-    return as_costs(SwitchingCostMatrix(np.asarray(costs)), d)
+    return as_costs(SwitchingCostMatrix(costs), d)
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,15 @@ class NodeBand:
     kl: int
     ku: int
     ab: np.ndarray
+
+    def __post_init__(self) -> None:
+        d = _number("d", self.d, 1, closed=True, integer=True)
+        kl = _number("kl", self.kl, 0, closed=True, integer=True)
+        ku = _number("ku", self.ku, 0, closed=True, integer=True)
+        shape = np.shape(self.ab)
+        if len(shape) != 2 or shape[0] != kl + ku + 1 or shape[1] % d:
+            raise ValueError(f"ab must be 2-D, with kl + ku + 1 = {kl + ku + 1} rows and a "
+                             f"column count that d = {d} divides, got shape {shape}")
 
     @classmethod
     def from_matrix(cls, matrix, d: int) -> "NodeBand":

@@ -1,20 +1,22 @@
 """Slow, simple ground-truth solvers used to cross-check the Newton path.
 
 Two routes: explicit pseudo-time marching, and exhaustive active-set
-enumeration (desk scale only). Both read the dense A and b of the system
-F(u) = A vec(u) - b from one helper, and both build their penalty terms
-rho * max(u^j - c[i, j] - u^i, 0) straight from that definition, as small
-dense operators over the d(d-1) ordered regime pairs. They share no code
-with the residual or slant in `core` that they are checking; from `core`
-they take only the problem type and the check of their numeric arguments.
+enumeration (desk scale only). One pair of small dense operators, K and R,
+built from the definition of the penalized system, serves both and the
+oracle's residual: K = [A | -b; D x I_N | -c] maps y = [vec(u), 1] to F(u)
+above the argument u^j - c[i, j] - u^i of each penalty term, and
+R = [I | -S x I_N] folds the clamped arguments into G(u). The march clamps
+K's penalty rows at 0; the enumeration adds R's column times K's row of
+each term a pattern switches on to [A | -b], and tests the pattern's signs
+with K's penalty rows. They share no code with the residual or slant in
+`core` that they check; from `core` they take only the problem type and
+the check of their numeric arguments.
 
 The march needs about (max diag + rho(d-1)) / gamma * ln(res0 / tol) steps:
 the step is capped by the largest slant row, and each step shrinks the error
 by about gamma times the step. That count is a property of the instance.
-K = [A | -b; D x I_N | -c], built once per solve, maps y = [vec(u), 1] to
-F(u) above the penalty arguments; the penalty rows are clamped at 0, and
-[I | -S x I_N] folds them into G(u). A step is five numpy calls: K y, the
-clamp, that fold, delta * G(u) and u - delta * G(u), each writing into
+K and R are built once per solve, and a step is five numpy calls: K y, the
+clamp, R's fold, delta * G(u) and u - delta * G(u), each writing into
 buffers allocated once per solve, so it makes no temporaries. The march
 runs in blocks of 64 steps, and the bookkeeping (residual sup-norm,
 convergence, stall, restart, budget) runs once per block: one call takes
@@ -75,47 +77,31 @@ class MultiplePatterns(OracleError):
         super().__init__(f"degenerate tie between penalty patterns {self.patterns}")
 
 
-def _pairs(d: int):
-    """Both regimes of each ordered pair (i, j != i), in row-major order."""
-    return np.nonzero(~np.eye(d, dtype=bool))
-
-
-def _affine_operators(system):
-    """(A, b): the dense matrix and the right-hand side of F(u) = A vec(u) - b."""
-    return system.matrix.toarray(), system.rhs
-
-
-def _penalty_operators(prob: PenalizedProblem):
-    """(D, c, S): the penalty is S @ max(D @ u - c, 0), one row of D and c per pair.
-
-    Row k of the (P, d) difference matrix D, for pair (i, j), has +1 at j and
-    -1 at i; c[k] is the cost c[i, j]; the (d, P) scatter S adds rho times
-    term k to regime i.
-    """
-    i, j = _pairs(prob.system.d)
-    k = np.arange(i.size)
-    diff = np.zeros((k.size, prob.system.d))
-    diff[k, j] = 1.0
-    diff[k, i] = -1.0
-    scatter = np.zeros((prob.system.d, k.size))
-    scatter[i, k] = prob.rho
-    return diff, prob.costs.costs[i, j], scatter
-
-
 def _march_operators(prob: PenalizedProblem):
     """(K, floor, R): G(u) = R @ max(K @ [vec(u), 1], floor).
 
     K stacks [A | -b] above [D x I_N | -c], so K @ y holds F(u) and then the
-    penalty argument of each (pair, node). Clamping at ``floor`` (-inf on the
-    F rows, 0 on the penalty rows) gives the penalty pi(t) = max(t, 0), and
-    R = [I | -S x I_N] subtracts rho times each term from its regime's F row.
+    penalty argument of each (pair, node): row dN + t, for t = k*N + l, is
+    pair k at node l. Row k of the (P, d) difference matrix D, for the k-th
+    ordered pair (i, j != i) in row-major order, has +1 at j and -1 at i, and
+    c[k] is the cost c[i, j]. Clamping at ``floor`` (-inf on the F rows, 0 on
+    the penalty rows) gives the penalty pi(t) = max(t, 0), and
+    R = [I | -S x I_N], with the (d, P) scatter S holding rho at (i, k),
+    subtracts rho times each term from its regime's F row.
     """
-    a, b = _affine_operators(prob.system)
-    diff, cost, scatter = _penalty_operators(prob)
-    eye = np.eye(prob.system.N)
+    system = prob.system
+    i, j = np.nonzero(~np.eye(system.d, dtype=bool))
+    k = np.arange(i.size)
+    diff = np.zeros((k.size, system.d))
+    diff[k, j] = 1.0
+    diff[k, i] = -1.0
+    scatter = np.zeros((system.d, k.size))
+    scatter[i, k] = prob.rho
+    a, b = system.matrix.toarray(), system.rhs
+    eye = np.eye(system.N)
     lift = np.block([
         [a, -b[:, None]],
-        [np.kron(diff, eye), -np.repeat(cost, eye.shape[0])[:, None]],
+        [np.kron(diff, eye), -np.repeat(prob.costs.costs[i, j], system.N)[:, None]],
     ])
     floor = np.zeros(lift.shape[0])
     floor[: a.shape[0]] = -np.inf
@@ -223,37 +209,29 @@ def active_set_enumerate(prob: PenalizedProblem) -> np.ndarray:
     bug or a degenerate tie. Patterns are solved in stacked batches; an
     exactly singular pattern matrix is skipped.
     """
-    system = prob.system
-    d, n = system.d, system.N
-    i, j = _pairs(d)
-    bits = i.size * n
+    d, n = prob.system.d, prob.system.N
+    bits = d * (d - 1) * n
+    # checked before K and R, which are dense, are built
     if bits > 16:
         raise ValueError(f"instance has {bits} penalty terms, enumeration caps at 16")
-    # term t = k*n + l is pair k at node l: row (i, l), column (j, l), cost c[i, j]
-    node = np.tile(np.arange(n), i.size)
-    row = np.repeat(i, n) * n + node
-    col = np.repeat(j, n) * n + node
-    cost = np.repeat(prob.costs.costs[i, j], n)
-    t = np.arange(bits)
+    lift, _, reduce = _march_operators(prob)
     size = d * n
-    # an active term t adds rho at (row, row), -rho at (row, col), -rho*c to rhs row
-    lift = np.zeros((bits, size, size))
-    lift[t, row, row] = prob.rho
-    lift[t, row, col] = -prob.rho
-    lift = lift.reshape(bits, size * size)
-    shift = np.zeros((bits, size))
-    shift[t, row] = -prob.rho * cost
-    a, b = _affine_operators(system)
+    # switching term t on adds R's column dN + t times K's row dN + t to
+    # [A | -b]; row t of ``terms`` is that outer product, flattened
+    top, penalty = lift[:size], lift[size:]
+    terms = (reduce[:, size:].T[:, :, None] * penalty[:, None, :]).reshape(bits, -1)
+    t = np.arange(bits)
     hits = []
     for start in range(0, 1 << bits, _CHUNK):
         patterns = np.arange(start, min(start + _CHUNK, 1 << bits))
         on = (patterns[:, None] >> t & 1).astype(float)
-        m = a + (on @ lift).reshape(-1, size, size)
-        rhs = b + on @ shift
+        aug = top + (on @ terms).reshape(-1, size, size + 1)
+        m, rhs = aug[:, :, :size], -aug[:, :, size]
         # a zero LU pivot gives det == 0, the same test that makes gesv raise
         ok = np.linalg.det(m) != 0.0
         u = np.linalg.solve(m[ok], rhs[ok, :, None])[:, :, 0]
-        active = u[:, col] - cost - u[:, row] > 0.0
+        # the penalty arguments, as K's penalty rows give them to the march
+        active = np.hstack([u, np.ones((len(u), 1))]) @ penalty.T > 0.0
         consistent = np.all(active == (on[ok] == 1.0), axis=1)
         hits.extend(zip(patterns[ok][consistent].tolist(), u[consistent]))
     if not hits:

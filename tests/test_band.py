@@ -318,6 +318,32 @@ def test_band_from_matrix_rejects_a_bad_d(d):
         NodeBand.from_matrix(np.eye(4), d)
 
 
+# the band of the 4 x 4 tridiagonal matrix with 3 on the diagonal and -1
+# beside it, one regime: kl = ku = 1
+BAND = np.array([[0.0, -1.0, -1.0, -1.0], [3.0, 3.0, 3.0, 3.0], [-1.0, -1.0, -1.0, 0.0]])
+
+
+@pytest.mark.parametrize("fields, name", [
+    ((1, 1, 1, np.vstack([BAND, np.full((2, 4), 7.0)])), "ab"),
+    ((1, 1, 1, BAND[:2]), "ab"),
+    ((1, -1, 1, BAND), "kl"),
+    ((1, 1, 0.5, BAND), "ku"),
+    ((0, 1, 1, BAND), "d"),
+    ((2, 1, 1, np.ones((3, 5))), "ab"),
+    ((1, 1, 1, BAND[1]), "ab"),
+], ids=["extra-rows", "missing-row", "negative-kl", "fractional-ku", "zero-d", "odd-columns",
+        "one-dimensional"])
+def test_node_band_checks_its_own_fields(fields, name):
+    # a hand-built band was taken as given: two extra rows were dropped and
+    # the solve answered, a missing row raised IndexError, kl = -1 reached
+    # LAPACK as an illegal value, a column count that d does not divide
+    # failed in a reshape, and a 1-D ab raised IndexError in tocsr
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        band = NodeBand(*fields)
+        linear_solve(band, np.ones(4))
+        band.tocsr()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_transposed_band_is_the_band_of_the_transpose(d):
     # a random node-major band with more diagonals below than above: its
@@ -389,8 +415,7 @@ def test_band_solve_leaves_the_cached_band_intact():
     assert rhs.tobytes() == np.ones(op.shape[0]).tobytes()
     norm_op = abs(op).sum(axis=1).max()
     assert sup_norm(op @ x - 1.0) <= 1e-14 * (norm_op * sup_norm(x) + 1.0)
-    # a band built by hand, without the zero columns the package stores
-    # around its own, is read through a padded copy and solves the same
+    # a band built by hand, C- or Fortran-ordered, solves the same
     for ab in (np.asfortranarray(before), before):
         assert linear_solve(NodeBand(3, 3, 3, ab), rhs).tobytes() == x.tobytes()
         assert np.array_equal(ab, band.ab)

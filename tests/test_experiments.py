@@ -594,6 +594,15 @@ def test_cli_names_the_field_of_a_bad_entry(tmp_path, capsys, mapping, message):
     assert "configuration error" in err and message in err
 
 
+def test_cli_table_names_a_string_cost(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"cost_list": ["0.5"]}))
+    assert main(["table", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "cost_list[0] must be a nonnegative finite number, got '0.5'" in err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--out", ""], "output_path must name a file, got ''"),
     (["--case", ""], "unknown case ''"),

@@ -52,3 +52,29 @@ def test_a_number_is_finite_real_and_in_range(name, call, bad, good, same):
     # an int or numpy integer in range stands for the number it equals
     result, expected = call(good), call(same)
     assert type(result) is type(expected) and result == expected
+
+
+@pytest.mark.parametrize("build", [
+    SwitchingCostMatrix, lambda c: as_costs(c, 2), lambda c: PenalizedProblem(SYSTEM, c, 1.0),
+], ids=["matrix", "as-costs", "problem"])
+@pytest.mark.parametrize("costs, entry", [
+    ([[0, "0.5"], ["0.5", 0]], "costs[0, 1]"),
+    (np.array([[False, True], [True, False]]), "costs[0, 0]"),
+    ([[0, True], [True, 0]], "costs[0, 1]"),
+], ids=["string", "bool-array", "bool-entry"])
+def test_a_cost_matrix_entry_is_a_number(build, costs, entry):
+    # numpy's float cast read each as a cost: "0.5" as 0.5 and True as 1
+    with pytest.raises(ValueError, match=f"^{re.escape(entry)} must be a finite number, got "):
+        build(costs)
+
+
+@pytest.mark.parametrize("costs", [
+    [[0, 1], [2, 0]],
+    [[7.0, np.float64(0.1)], [np.int64(3), -7.0]],
+    np.array([[0.0, 0.1], [0.3, 0.0]], dtype=np.float32),
+    np.arange(9).reshape(3, 3),
+], ids=["ints", "numpy-scalars", "float32", "int-array"])
+def test_a_numeric_cost_matrix_keeps_its_float_bits(costs):
+    expected = np.array(costs, dtype=float)
+    np.fill_diagonal(expected, 0.0)
+    assert SwitchingCostMatrix(costs).costs.tobytes() == expected.tobytes()

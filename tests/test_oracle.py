@@ -1,5 +1,6 @@
 """Ground-truth solver behaviors and oracle-vs-oracle agreement."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qvipen.oracle import (
 )
 from qvipen.oracle import _BLOCK, _march_operators
 from qvipen.oracle import _residual as oracle_residual
+from qvipen.pde import PdeParams, RewardFunction, assemble
 from qvipen.testing import random_affine_system
 
 
@@ -267,6 +269,20 @@ def test_enumerate_rejects_oversize():
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), rho=1.0)
     with pytest.raises(ValueError, match="caps"):
         active_set_enumerate(prob)
+
+
+def test_enumerate_rejects_oversize_before_it_allocates():
+    # 1000 penalty terms: K and R would take about 50 MB
+    system = assemble(PdeParams(d=2, reward=RewardFunction.two_regime(), N=500))
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.1), rho=1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="caps"):
+            active_set_enumerate(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_enumerate_exact_tie_at_zero():
