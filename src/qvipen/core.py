@@ -6,6 +6,9 @@ the penalized form, through the penalty terms rho * pi(u^j - c[i, j] - u^i).
 
 Fields are plain (d, N) float arrays, taken and returned as such by every
 operation and solver; :func:`field_values` is the one shape check on input.
+It runs where a field enters the package: the public operations below
+check their field, and the private kernels the Newton loop calls on its own
+iterates (:meth:`AffineSystem._apply`, :func:`_penalized`) check nothing.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ __all__ = [
 def sup_norm(x) -> float:
     """Largest absolute entry of ``x``."""
     a = np.asarray(x, dtype=float)
-    return float(np.abs(a).max()) if a.size else 0.0
+    return float(np.maximum.reduce(np.abs(a), axis=None)) if a.size else 0.0
 
 
 def _number(name: str, value, low: float = -math.inf, high: float = math.inf, *,
@@ -239,14 +242,17 @@ class AffineSystem:
         self.matrix = a
         self.rhs = b.flatten()
         self.rhs.setflags(write=False)
+        self._csr = (d * n, d * n, a.indptr, a.indices, a.data)
 
     def evaluate(self, u) -> np.ndarray:
         """F(u) as a fresh (d, N) array."""
-        v = field_values(u, self.d, self.N)
-        a = self.matrix
-        # the kernel ``a @ x`` ends in, without scipy's dispatch around it
-        out = np.zeros(a.shape[0])
-        _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, v.ravel(), out)
+        return self._apply(field_values(u, self.d, self.N))
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        """F(v) as a fresh (d, N) array, for a (d, N) float array v, unchecked."""
+        # the kernel ``matrix @ x`` ends in, without scipy's dispatch around it
+        out = np.zeros(self.rhs.size)
+        _sparsetools.csr_matvec(*self._csr, v.ravel(), out)
         out -= self.rhs
         return out.reshape(self.d, self.N)
 
@@ -327,22 +333,22 @@ def qvi_residual(u, system: AffineSystem, costs) -> np.ndarray:
             "switching residual needs strictly positive costs; "
             "use the penalized or zero-cost path for c = 0"
         )
-    return np.minimum(system.evaluate(v), v - _obstacles(v, costs)[0])
+    return np.minimum(system._apply(v), v - _obstacles(v, costs)[0])
 
 
-def _penalized(u, prob: PenalizedProblem, frozen=None, epsilon: float = 0.0):
+def _penalized(v: np.ndarray, prob: PenalizedProblem, frozen=None, epsilon: float = 0.0):
     """``(residual, None, coupling)``, the Newton linearization of the
-    penalized residual at u: the coupling is what its slant adds to F's.
+    penalized residual at v, a (d, N) float array that is not checked: the
+    coupling is what its slant adds to F's.
 
-    Term [i, j] is rho * pi(w^j - c[i, j] - u^i - epsilon (u^i - w^i)), its
-    first slot w being u, or ``frozen`` in the sweeps Q_rho and T_rho. Active
+    Term [i, j] is rho * pi(w^j - c[i, j] - v^i - epsilon (v^i - w^i)), its
+    first slot w being v, or ``frozen`` in the sweeps Q_rho and T_rho. Active
     terms (argument strictly positive) add rho (1 + epsilon) on the (i, l)
-    diagonal and, when w is u, -rho at column (j, l); the kink at zero counts
-    as inactive. At rho = 0 the residual is F(u) and the slant is F's.
+    diagonal and, when w is v, -rho at column (j, l); the kink at zero counts
+    as inactive. At rho = 0 the residual is F(v) and the slant is F's.
     """
-    v = field_values(u, prob.system.d, prob.system.N)
     w = v if frozen is None else frozen
-    f = prob.system.evaluate(v)
+    f = prob.system._apply(v)
     # entry [i, j, l] = w[j, l] - c[i, j] - v[i, l]; max(-inf, 0) = 0 drops i == j
     args = w[None, :, :] - prob.costs._cost_tensor
     args -= v[:, None, :]
@@ -354,9 +360,9 @@ def _penalized(u, prob: PenalizedProblem, frozen=None, epsilon: float = 0.0):
     # on the diagonal, which no term is active on
     d = v.shape[0]
     coupling = active * -prob.rho if frozen is None else np.zeros(active.shape)
-    np.multiply(active.sum(axis=1), prob.rho * (1.0 + epsilon),
+    np.multiply(np.add.reduce(active, axis=1), prob.rho * (1.0 + epsilon),
                 out=coupling.reshape(d * d, -1)[::d + 1])
-    penalty = np.maximum(args, 0.0, out=args).sum(axis=1)
+    penalty = np.add.reduce(np.maximum(args, 0.0, out=args), axis=1)
     penalty *= prob.rho
     f -= penalty
     return f, None, coupling
@@ -364,7 +370,7 @@ def _penalized(u, prob: PenalizedProblem, frozen=None, epsilon: float = 0.0):
 
 def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
     """F(u) - rho * sum_{j != i} pi(u^j - c[i, j] - u^i); equals F(u) at rho=0."""
-    return _penalized(u, prob)[0]
+    return _penalized(field_values(u, prob.system.d, prob.system.N), prob)[0]
 
 
 def _transposed(ab: np.ndarray, kl: int, ku: int, top: int = 0) -> np.ndarray:
@@ -391,19 +397,27 @@ def _coupling_blocks(band: np.ndarray, d: int, ku: int) -> np.ndarray:
     return as_strided(band[ku:], (d, d, band.shape[1] // d), (row, col - row, d * col))
 
 
+def _columns(band: np.ndarray) -> np.ndarray:
+    """The (n, 1) view of ``band``, a Fortran-ordered array of n columns,
+    whose element [q, 0] is column q whole, as one void scalar."""
+    return band.T.view(np.dtype((np.void, band.itemsize * band.shape[0])))
+
+
 def _write_slant(out: np.ndarray, transposed: np.ndarray, blocks: np.ndarray,
                  keep=None, coupling=None) -> None:
     """Write the transpose of the slant diag(keep) A + C, which is
-    A^T diag(keep) + C^T, over every entry of ``out``, an array in the band
-    storage of A^T. ``transposed`` is A^T's band in ``out``'s layout, and
-    ``blocks`` the :func:`_coupling_blocks` view of ``out`` with its first
-    two axes swapped, so that entry [i, j, l] is C^T's at row (j, l), column
-    (i, l); ``keep`` and ``coupling`` are those of :func:`slant_band`. In
-    this orientation the row mask of A scales the columns of A^T."""
-    if keep is None:
-        out[...] = transposed
-    else:
-        np.multiply(transposed, np.ravel(keep, order="F"), out=out)
+    A^T diag(keep) + C^T, over every entry of an array in the band storage
+    of A^T, given as its :func:`_columns` view ``out``. ``transposed`` is the
+    same view of A^T's band in that array's layout, and ``blocks`` the
+    :func:`_coupling_blocks` view of the array with its first two axes
+    swapped, so that entry [i, j, l] is C^T's at row (j, l), column (i, l);
+    ``keep`` and ``coupling`` are those of :func:`slant_band`. In this
+    orientation a dropped row of A is a column of A^T, so it is zeroed as
+    one element of ``out``; ``keep.T`` read flat is the mask in the array's
+    node-major column order."""
+    out[...] = transposed
+    if keep is not None:
+        np.putmask(out, ~keep.T, np.zeros((), out.dtype))
     if coupling is not None:
         blocks += coupling
 
@@ -420,10 +434,12 @@ def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
     base = system.band
     transpose = _transposed(base.ab, base.kl, base.ku)
     blocks = _coupling_blocks(transpose, base.d, base.kl).swapaxes(0, 1)
-    _write_slant(transpose, transpose, blocks, keep, coupling)
+    columns = _columns(transpose)
+    _write_slant(columns, columns, blocks, keep, coupling)
     return NodeBand(base.d, base.kl, base.ku, _transposed(transpose, base.ku, base.kl))
 
 
 def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:
     """The penalized slant as regime-major CSR."""
-    return slant_band(prob.system, *_penalized(u, prob)[1:]).tocsr()
+    v = field_values(u, prob.system.d, prob.system.N)
+    return slant_band(prob.system, *_penalized(v, prob)[1:]).tocsr()

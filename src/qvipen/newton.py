@@ -9,6 +9,13 @@ once per iterate, so F and the obstacle are evaluated once per iterate.
 :func:`qvipen.core._penalized` is the penalty's, for :func:`solve_penalized`
 and, with its first slot frozen, for the sweeps Q_rho and T_rho.
 
+Inputs are checked once, where they enter: :func:`_newton` checks the start
+(its shape and finiteness) and each driver its own arguments, such as
+:func:`solve_obstacle`'s psi. Every iterate is then a (d, N) float array the
+loop made itself, so the linearizations evaluate F through the unchecked
+:meth:`qvipen.core.AffineSystem._apply`, and :func:`qvipen.core._penalized`
+checks nothing either.
+
 The iteration is plain undamped Newton on a piecewise-differentiable residual:
 solve L[u_k] delta = -G(u_k), update, repeat. It stops once BOTH the
 relative increment ||delta|| / max(||u||, 1) drops below tol AND the
@@ -42,8 +49,8 @@ On these problems Newton is policy iteration, which stops when the policy
 repeats, so a step whose keep and coupling have the bytes of those of the
 slant the array holds is a back-solve on the held factors alone. The
 confirming step of a converged solve usually is one, and so is the first
-step of a sweep whose policy is the one the sweep before it ended on: 314
-of the 645 steps of the ``sweeps`` benchmark op back-solve.
+step of a sweep whose policy is the one the sweep before it ended on: 315
+of the 630 steps of the ``sweeps`` benchmark op back-solve.
 """
 from __future__ import annotations
 
@@ -59,6 +66,7 @@ from .core import (
     NodeBand,
     PenalizedProblem,
     SolveReport,
+    _columns,
     _coupling_blocks,
     _number,
     _obstacles,
@@ -141,21 +149,23 @@ class _Workspace:
 
     For A, the matrix of ``base``, with kl diagonals below the main one and
     ku above, ``lu`` is the Fortran-ordered LAPACK LU array of A^T's widths,
-    (kl + 2ku + 1) x dN, and ``transposed`` holds A^T's band in its layout,
-    the ku fill rows zero. A step writes its slant's transpose over ``lu``,
-    adding the coupling through ``blocks``, the per-node view of the rows
-    ku: of ``lu`` with its first two axes swapped. ``lower`` is ``lu``
-    shifted kl + ku elements on, in a buffer that much longer: its rows 1
-    to ku hold the multipliers of the unit lower factor. ``rhs`` is the
-    node-major right-hand side. ``policy`` holds the bytes of the keep and
-    coupling of the slant ``lu`` holds factored, None when it holds no
-    factorization, and ``ipiv`` its pivots when they interchange rows, else
-    None. A system keeps one for its Newton solves; :func:`linear_solve`
-    takes one step on a fresh one.
+    (kl + 2ku + 1) x dN, ``columns`` its per-column view from
+    :func:`qvipen.core._columns`, and ``transposed`` the same view of a copy
+    of A^T's band in its layout, the ku fill rows zero. A step writes its
+    slant's transpose over ``lu`` through ``columns``, adding the coupling
+    through ``blocks``, the per-node view of the rows ku: of ``lu`` with its
+    first two axes swapped. ``lower`` is ``lu`` shifted kl + ku elements on,
+    in a buffer that much longer: its rows 1 to ku hold the multipliers of
+    the unit lower factor. ``rhs`` is the node-major right-hand side and ``flat`` its flat view. ``policy`` holds
+    the bytes of the keep and coupling of the slant ``lu`` holds factored,
+    None when it holds no factorization, and ``ipiv`` its pivots when they
+    interchange rows, else None; ``unpivoted`` holds the bytes of the pivots
+    of a factorization that interchanges none. A system keeps one for its
+    Newton solves; :func:`linear_solve` takes one step on a fresh one.
     """
 
-    __slots__ = ("base", "lu", "lower", "blocks", "transposed", "rhs", "unpivoted",
-                 "policy", "ipiv")
+    __slots__ = ("base", "lu", "lower", "columns", "blocks", "transposed", "rhs", "flat",
+                 "unpivoted", "policy", "ipiv")
 
     def __init__(self, base: NodeBand):
         self.base = base
@@ -164,12 +174,14 @@ class _Workspace:
         buffer = np.zeros(rows * size + kl + ku)
         self.lu = buffer[:rows * size].reshape((rows, size), order="F")
         self.lower = buffer[kl + ku:].reshape((rows, size), order="F")
+        self.columns = _columns(self.lu)
         self.blocks = _coupling_blocks(self.lu[ku:], base.d, kl).swapaxes(0, 1)
-        self.transposed = _transposed(base.ab, kl, ku, top=ku)
+        self.transposed = _columns(_transposed(base.ab, kl, ku, top=ku))
         self.rhs = np.empty((size // base.d, base.d))
+        self.flat = self.rhs.reshape(-1)
         # the pivots, 0-based in scipy's wrapper, of a factorization that
         # interchanges no rows
-        self.unpivoted = np.arange(size, dtype=np.intc)
+        self.unpivoted = np.arange(size, dtype=np.intc).tobytes()
         self.policy = self.ipiv = None
 
     def step(self, g: np.ndarray, keep, coupling) -> np.ndarray:
@@ -182,13 +194,13 @@ class _Workspace:
         SingularSlant naming its regime and node; the step is not checked
         for non-finite entries."""
         np.negative(g.T, out=self.rhs)
-        kl, ku, rhs = self.base.kl, self.base.ku, self.rhs.reshape(-1)
+        kl, ku, rhs = self.base.kl, self.base.ku, self.flat
         policy = (None if keep is None else keep.tobytes(),
                   None if coupling is None else coupling.tobytes())
         if policy != self.policy:
             # a factorization that fails is never held
             self.policy = None
-            _write_slant(self.lu, self.transposed, self.blocks, keep, coupling)
+            _write_slant(self.columns, self.transposed, self.blocks, keep, coupling)
             _, ipiv, info = _gbtrf(self.lu, ku, kl, overwrite_ab=True)
             if info < 0:
                 raise ValueError(f"illegal value in argument {-info} of LAPACK's gbtrf")
@@ -197,7 +209,7 @@ class _Workspace:
                 raise SingularSlant(f"factorization failed: zero pivot at regime {regime}, "
                                     f"node {node}", regime=regime, node=node)
             self.policy = policy
-            self.ipiv = None if np.array_equal(ipiv, self.unpivoted) else ipiv
+            self.ipiv = None if ipiv.tobytes() == self.unpivoted else ipiv
         if self.ipiv is None:
             # L = U'^T L'^T: U'^T y = -g, then L'^T x = y, both in place
             x = _tbsv(kl + ku, self.lu, rhs, trans=1, overwrite_x=True)
@@ -251,7 +263,7 @@ def _min_rows(f: np.ndarray, constraint: np.ndarray, coupling: np.ndarray):
 
 def solve_root(system: AffineSystem, initial, cfg: NewtonConfig | None = None):
     """Solve F(u) = 0: one exact step plus a confirming one."""
-    return _newton(system, lambda u: (system.evaluate(u), None, None), initial, cfg)
+    return _newton(system, lambda u: (system._apply(u), None, None), initial, cfg)
 
 
 def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = None):
@@ -265,7 +277,7 @@ def solve_obstacle(system: AffineSystem, psi, initial):
     if not np.isfinite(psi).all():
         raise ValueError("psi contains non-finite entries")
     identity = np.eye(system.d)[:, :, None]
-    return _newton(system, lambda u: _min_rows(system.evaluate(u), u - psi, identity), initial)
+    return _newton(system, lambda u: _min_rows(system._apply(u), u - psi, identity), initial)
 
 
 def _solve_qvi(system: AffineSystem, costs, initial, epsilon: float = 0.0,
@@ -286,6 +298,6 @@ def _solve_qvi(system: AffineSystem, costs, initial, epsilon: float = 0.0,
         constraint = v - obstacle + epsilon * (v - anchor)
         # (1 + eps) on the diagonal and -1 at the regime switched to
         switch = diagonal - (regimes[:, None] == targets)
-        return _min_rows(system.evaluate(v), constraint, switch)
+        return _min_rows(system._apply(v), constraint, switch)
 
     return _newton(system, linearize, anchor, cfg)

@@ -124,20 +124,31 @@ class ErrorConstants:
         )
 
 
+# the penalty weight of the start of the shifted QVI solve in strict_supersolution
+_SUPERSOLUTION_START_RHO = 1e3
+
+
 def strict_supersolution(system: AffineSystem, costs, kappa: float) -> np.ndarray:
     """A field w with min(F_i(w), w^i - M_i w) = kappa in every component.
 
     Solved exactly as the QVI of the original problem with F shifted down by
-    kappa (b raised by kappa) and every cost reduced by kappa, from the
-    shifted root: that QVI's residual is min(F(w), w - M w) - kappa, so the
-    Newton residual test bounds the defect directly.
+    kappa (b raised by kappa) and every cost reduced by kappa: that QVI's
+    residual is min(F(w), w - M w) - kappa, so the Newton residual test
+    bounds the defect directly. Its Newton solve starts from the shifted
+    penalized solution at rho = 1e3, itself solved from the shifted root:
+    from the root alone, policy iteration on the QVI moves its free boundary
+    about one node per iteration and needs hundreds of iterations at
+    N = 1000.
     """
     costs = as_costs(costs, system.d)
     kappa = _number("kappa", kappa, 0, costs.min_cost)
     shifted = AffineSystem(system.matrix, system.rhs.reshape(system.d, system.N) + kappa,
                            system.gamma)
+    shifted_costs = SwitchingCostMatrix(costs.costs - kappa)
     root, _ = solve_root(shifted, np.zeros((system.d, system.N)))
-    w, _ = _solve_qvi(shifted, SwitchingCostMatrix(costs.costs - kappa), root)
+    start, _ = solve_penalized(
+        PenalizedProblem(shifted, shifted_costs, _SUPERSOLUTION_START_RHO), root)
+    w, _ = _solve_qvi(shifted, shifted_costs, start)
     return w
 
 

@@ -140,6 +140,25 @@ def test_evaluate_is_the_sparse_product_to_the_bit():
         assert not np.shares_memory(f, u) and not np.shares_memory(f, system.rhs)
 
 
+# the public operations on a field; the kernels the Newton loop runs on its
+# own iterates check nothing, so these checks guard every outside field
+FIELD_OPERATIONS = {
+    "evaluate": lambda u, prob: prob.system.evaluate(u),
+    "penalized_residual": penalized_residual,
+    "penalized_slant": penalized_slant,
+    "qvi_residual": lambda u, prob: qvi_residual(u, prob.system, prob.costs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_OPERATIONS))
+def test_public_operations_check_the_field_shape(name):
+    prob = PenalizedProblem(identity_system(np.ones((2, 3))), 0.5, 10.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        FIELD_OPERATIONS[name](np.zeros((2, 2)), prob)
+    with pytest.raises(ValueError, match=r"expected a \(d, N\) matrix"):
+        FIELD_OPERATIONS[name](np.zeros(6), prob)
+
+
 @pytest.mark.parametrize("shape", [(5,), (1, 5), (2, 0)])
 def test_affine_system_rejects_a_degenerate_field(shape):
     rhs = np.zeros(shape)

@@ -270,17 +270,18 @@ def test_json_prints_an_integer_weight_as_a_float(tmp_path, capsys):
     # a JSON config's int 1000000 used to print as 1000000, and --rho 1e6 as
     # 1000000.0; every weight, cost and probe point is now stored as a float
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"case": "two-regime", "cost_list": [1],
-                                "rho_list": [1000000], "probe_point": 1}))
-    assert main(["solve", "--config", str(path)]) == 0
-    from_config = capsys.readouterr().out
-    payload = json.loads(from_config)
-    assert [type(payload[key]) for key in ("c", "rho", "probe_x")] == [float] * 3
-    assert main(["solve", "--case", "two-regime", "--cost", "1", "--rho", "1e6"]) == 0
-    from_flags = capsys.readouterr().out
-    rho_lines = [[line for line in text.splitlines() if '"rho"' in line]
-                 for text in (from_config, from_flags)]
-    assert rho_lines == [['  "rho": 1000000.0,']] * 2
+    for mapping, cost in (({"cost_list": [1], "probe_point": 1}, "1"),
+                          ({"cost_list": [0.5]}, "0.5")):
+        path.write_text(json.dumps({"case": "two-regime", "rho_list": [1000000], **mapping}))
+        assert main(["solve", "--config", str(path)]) == 0
+        from_config = capsys.readouterr().out
+        payload = json.loads(from_config)
+        assert [type(payload[key]) for key in ("c", "rho", "probe_x")] == [float] * 3
+        assert main(["solve", "--case", "two-regime", "--cost", cost, "--rho", "1e6"]) == 0
+        from_flags = capsys.readouterr().out
+        rho_lines = [[line for line in text.splitlines() if '"rho"' in line]
+                     for text in (from_config, from_flags)]
+        assert rho_lines == [['  "rho": 1000000.0,']] * 2
 
 
 def test_csv_deterministic_except_runtime(small_table):
@@ -465,6 +466,31 @@ def test_cli_table_runs_small_grid(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 3
     assert lines[1].split(",")[4] == "3.37521"
+
+
+@pytest.mark.parametrize("argv", [
+    ["regions", "--case", "two-regime", "--cost", "0.125", "--rho", "1000"],
+    ["regions", "--case", "three-regime", "--cost", "0.015625", "--rho", "128000"],
+    ["table", "--case", "three-regime", "--cost", "0.25", "--rho", "4000,8000"],
+], ids=["regions-two-regime", "regions-three-regime", "table-three-regime"])
+def test_cli_runs_each_command_to_exit_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
+def test_cli_table_writes_its_failed_cell_to_the_csv(tmp_path, capsys):
+    # the table still writes every cell, the failed one with its error, and
+    # exits 1
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"newton": {"max_iter": 2}}))
+    out = tmp_path / "table.csv"
+    argv = ["table", "--config", str(config_path), "--cost", "0.125", "--rho", "1000",
+            "--format", "csv", "--out", str(out)]
+    assert main(argv) == 1
+    text = out.read_text()
+    assert "no convergence in 2 iterations" in text
+    assert text.splitlines()[0] == ("case,c,rho,probe_x,value,increment,iterations,"
+                                    "runtime_s,regime_gap,error")
 
 
 def test_cli_reads_config_file(tmp_path):

@@ -95,6 +95,16 @@ def test_supersolution_residual_pinned_at_kappa(two_regime, q_fixed):
     assert (w - q_fixed[0]).min() >= -1e-8
 
 
+@pytest.mark.parametrize("n, cost", [(400, 1 / 8), (1000, 1 / 8), (1000, 1 / 2)])
+def test_supersolution_converges_beyond_the_benchmark_mesh(n, cost):
+    # the shifted QVI's Newton from the shifted root used to need 145 to 354
+    # iterations here and raised MaxIterExceeded
+    system = assemble(PdeParams(d=2, reward=RewardFunction.two_regime(), N=n))
+    kappa = cost / 2
+    w = strict_supersolution(system, cost, kappa)
+    assert sup_norm(qvi_residual(w, system, cost) - kappa) <= 1e-10
+
+
 def test_supersolution_rejects_kappa_outside_cost_range(two_regime):
     system, _ = two_regime
     with pytest.raises(ValueError):
