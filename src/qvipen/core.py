@@ -8,7 +8,8 @@ Fields are plain (d, N) float arrays, taken and returned as such by every
 operation and solver; :func:`field_values` is the one shape check on input.
 It runs where a field enters the package: the public operations below
 check their field, and the private kernels the Newton loop calls on its own
-iterates (:meth:`AffineSystem._apply`, :func:`_penalized`) check nothing.
+iterates (:meth:`AffineSystem._apply`, the linearization :func:`_penalized`
+builds, :func:`_sup`) check nothing.
 """
 from __future__ import annotations
 
@@ -42,7 +43,12 @@ __all__ = [
 def sup_norm(x) -> float:
     """Largest absolute entry of ``x``."""
     a = np.asarray(x, dtype=float)
-    return float(np.maximum.reduce(np.abs(a), axis=None)) if a.size else 0.0
+    return _sup(a) if a.size else 0.0
+
+
+def _sup(a: np.ndarray) -> float:
+    """Largest absolute entry of ``a``, a nonempty float array, unchecked."""
+    return float(np.maximum.reduce(np.abs(a), axis=None))
 
 
 def _number(name: str, value, low: float = -math.inf, high: float = math.inf, *,
@@ -144,13 +150,17 @@ class SwitchingCostMatrix:
 
 
 def as_costs(costs, d: int) -> SwitchingCostMatrix:
-    """Coerce a scalar, matrix, or SwitchingCostMatrix to a cost matrix of size d."""
+    """Coerce a scalar, matrix, or SwitchingCostMatrix to a cost matrix of size d.
+
+    A 0-d array is a scalar: its one entry is the uniform cost."""
     if isinstance(costs, SwitchingCostMatrix):
         if costs.d != d:
             raise ValueError(f"cost matrix is {costs.d}x{costs.d}, need {d}x{d}")
         return costs
-    if np.isscalar(costs):
-        return SwitchingCostMatrix.uniform(d, costs)
+    # as SwitchingCostMatrix reads it, so a ragged list still fails there by shape
+    entries = np.array(costs, dtype=object)
+    if entries.ndim == 0:
+        return SwitchingCostMatrix.uniform(d, entries.item())
     return as_costs(SwitchingCostMatrix(costs), d)
 
 
@@ -336,41 +346,55 @@ def qvi_residual(u, system: AffineSystem, costs) -> np.ndarray:
     return np.minimum(system._apply(v), v - _obstacles(v, costs)[0])
 
 
-def _penalized(v: np.ndarray, prob: PenalizedProblem, frozen=None, epsilon: float = 0.0):
-    """``(residual, None, coupling)``, the Newton linearization of the
-    penalized residual at v, a (d, N) float array that is not checked: the
-    coupling is what its slant adds to F's.
+def _penalized(prob: PenalizedProblem, frozen=None, epsilon: float = 0.0):
+    """The Newton linearization of the penalized residual, as a function
+    ``linearize(v) -> (residual, None, coupling)`` of a (d, N) float array v,
+    which it does not check: the coupling is what its slant adds to F's.
 
     Term [i, j] is rho * pi(w^j - c[i, j] - v^i - epsilon (v^i - w^i)), its
     first slot w being v, or ``frozen`` in the sweeps Q_rho and T_rho. Active
     terms (argument strictly positive) add rho (1 + epsilon) on the (i, l)
     diagonal and, when w is v, -rho at column (j, l); the kink at zero counts
     as inactive. At rho = 0 the residual is F(v) and the slant is F's.
+
+    The coupling is one product: a (d^2, d^2) weight matrix, built here once
+    per solve, times the signs of the clamped arguments, which are 1 for an
+    active term and 0 otherwise. Row [i, j] of the weights holds -rho at
+    [i, j] when w is v, and row [i, i] holds rho (1 + epsilon) at every
+    [i, j], j != i. A diagonal entry sums up to d - 1 equal terms, which is
+    exact up to three, so for d <= 4 it has the bits of the active count
+    times rho (1 + epsilon).
     """
-    w = v if frozen is None else frozen
-    f = prob.system._apply(v)
-    # entry [i, j, l] = w[j, l] - c[i, j] - v[i, l]; max(-inf, 0) = 0 drops i == j
-    args = w[None, :, :] - prob.costs._cost_tensor
-    args -= v[:, None, :]
-    if epsilon:
-        args -= epsilon * (v - w)[:, None, :]
-    active = args > 0.0
-    # -rho at each active [i, j, l] when w is v, inactive ones being -0.0,
-    # which the slant adds without changing a bit; rho (1 + epsilon) * count
-    # on the diagonal, which no term is active on
-    d = v.shape[0]
-    coupling = active * -prob.rho if frozen is None else np.zeros(active.shape)
-    np.multiply(np.add.reduce(active, axis=1), prob.rho * (1.0 + epsilon),
-                out=coupling.reshape(d * d, -1)[::d + 1])
-    penalty = np.add.reduce(np.maximum(args, 0.0, out=args), axis=1)
-    penalty *= prob.rho
-    f -= penalty
-    return f, None, coupling
+    d, rho = prob.system.d, prob.rho
+    apply, cost = prob.system._apply, prob.costs._cost_tensor
+    weights = np.zeros((d, d, d, d))
+    i, j = np.nonzero(~np.eye(d, dtype=bool))
+    weights[i, i, i, j] = rho * (1.0 + epsilon)
+    if frozen is None:
+        weights[i, j, i, j] = -rho
+    weights = weights.reshape(d * d, d * d)
+
+    def linearize(v: np.ndarray):
+        w = v if frozen is None else frozen
+        f = apply(v)
+        # entry [i, j, l] = w[j, l] - c[i, j] - v[i, l]; max(-inf, 0) = 0 drops i == j
+        args = w[None, :, :] - cost
+        args -= v[:, None, :]
+        if epsilon:
+            args -= epsilon * (v - w)[:, None, :]
+        np.maximum(args, 0.0, out=args)
+        penalty = np.add.reduce(args, axis=1)
+        penalty *= rho
+        f -= penalty
+        # sign(0) = 0 keeps the kink inactive
+        return f, None, weights.dot(np.sign(args.reshape(d * d, -1))).reshape(args.shape)
+
+    return linearize
 
 
 def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
     """F(u) - rho * sum_{j != i} pi(u^j - c[i, j] - u^i); equals F(u) at rho=0."""
-    return _penalized(field_values(u, prob.system.d, prob.system.N), prob)[0]
+    return _penalized(prob)(field_values(u, prob.system.d, prob.system.N))[0]
 
 
 def _transposed(ab: np.ndarray, kl: int, ku: int, top: int = 0) -> np.ndarray:
@@ -442,4 +466,4 @@ def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
 def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:
     """The penalized slant as regime-major CSR."""
     v = field_values(u, prob.system.d, prob.system.N)
-    return slant_band(prob.system, *_penalized(v, prob)[1:]).tocsr()
+    return slant_band(prob.system, *_penalized(prob)(v)[1:]).tocsr()

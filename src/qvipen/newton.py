@@ -6,15 +6,18 @@ diag(keep) A + C, in the terms of :func:`qvipen.core.slant_band` (``keep``
 a (d, N) row mask of the system matrix A, None for all rows; ``coupling``
 the (d, d, N) per-node block C, None for none). :func:`_newton` calls it
 once per iterate, so F and the obstacle are evaluated once per iterate.
-:func:`qvipen.core._penalized` is the penalty's, for :func:`solve_penalized`
-and, with its first slot frozen, for the sweeps Q_rho and T_rho.
+:func:`qvipen.core._penalized` builds the penalty's, once per solve, for
+:func:`solve_penalized` and, with its first slot frozen, for the sweeps Q_rho
+and T_rho.
 
 Inputs are checked once, where they enter: :func:`_newton` checks the start
 (its shape and finiteness) and each driver its own arguments, such as
 :func:`solve_obstacle`'s psi. Every iterate is then a (d, N) float array the
 loop made itself, so the linearizations evaluate F through the unchecked
-:meth:`qvipen.core.AffineSystem._apply`, and :func:`qvipen.core._penalized`
-checks nothing either.
+:meth:`qvipen.core.AffineSystem._apply`, the penalty's linearization checks
+nothing either, and the loop takes the sup-norms of its step, residual and
+iterate with the unchecked :func:`qvipen.core._sup`, without the public
+:func:`qvipen.core.sup_norm`'s coercion and size check.
 
 The iteration is plain undamped Newton on a piecewise-differentiable residual:
 solve L[u_k] delta = -G(u_k), update, repeat. It stops once BOTH the
@@ -71,11 +74,11 @@ from .core import (
     _number,
     _obstacles,
     _penalized,
+    _sup,
     _transposed,
     _write_slant,
     as_costs,
     field_values,
-    sup_norm,
 )
 
 __all__ = [
@@ -228,19 +231,19 @@ def _newton(system: AffineSystem, linearize, initial, cfg: NewtonConfig | None =
     start = time.perf_counter()
     g, keep, coupling = linearize(u)
     increments: list = []
-    residuals = [sup_norm(g)]
+    residuals = [_sup(g)]
     # dict.pop is atomic, so no two solves ever hold one workspace
     workspace = system.__dict__.pop("_workspace", None) or _Workspace(system.band)
     try:
         for _ in range(cfg.max_iter):
             delta = workspace.step(g, keep, coupling)
-            step = sup_norm(delta)
+            step = _sup(delta)
             if not math.isfinite(step):
                 raise SingularSlant("linear solve produced non-finite entries")
             u = u + delta
             g, keep, coupling = linearize(u)
-            residuals.append(sup_norm(g))
-            increments.append(step / max(sup_norm(u), 1.0))
+            residuals.append(_sup(g))
+            increments.append(step / max(_sup(u), 1.0))
             if increments[-1] < cfg.tol and residuals[-1] <= cfg.residual_tol:
                 return u, SolveReport(increments, residuals, time.perf_counter() - start, True)
         raise MaxIterExceeded(f"no convergence in {cfg.max_iter} iterations "
@@ -268,7 +271,7 @@ def solve_root(system: AffineSystem, initial, cfg: NewtonConfig | None = None):
 
 def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = None):
     """Solve the penalized equation."""
-    return _newton(prob.system, lambda u: _penalized(u, prob), initial, cfg)
+    return _newton(prob.system, _penalized(prob), initial, cfg)
 
 
 def solve_obstacle(system: AffineSystem, psi, initial):

@@ -132,18 +132,23 @@ def assemble(params: PdeParams) -> AffineSystem:
 
     The l=0 row degenerates to R*u_0 - reward(0) because both coefficient
     functions vanish at x=0; the last row absorbs the zero Dirichlet ghost.
+    The matrix is built as CSR directly: row i*N + l holds its lower,
+    diagonal and upper entries at columns i*N + l - 1, i*N + l and
+    i*N + l + 1, the ones outside regime i's block and the zero ones left out.
     """
     x = grid(params)
-    h = params.h
-    blocks = []
-    for i in range(params.d):
-        nu = i / (params.d - 1)
-        a = 0.5 * (SIGMA_VOL * nu * x) ** 2
-        b = (R + nu * (MU_DRIFT - R)) * x
-        diag = 2.0 * a / h**2 + b / h + R
-        lower = -a[1:] / h**2
-        upper = -a[:-1] / h**2 - b[:-1] / h
-        blocks.append(sp.diags([lower, diag, upper], [-1, 0, 1]))
-    matrix = sp.block_diag(blocks, format="csr")
-    rhs = np.tile(reward_values(params), (params.d, 1))
+    h, d, n = params.h, params.d, params.N
+    nu = np.arange(d)[:, None] / (d - 1)
+    a = 0.5 * (SIGMA_VOL * nu * x) ** 2
+    b = (R + nu * (MU_DRIFT - R)) * x
+    entries = np.zeros((d, n, 3))
+    entries[:, 1:, 0] = -a[:, 1:] / h**2
+    entries[:, :, 1] = 2.0 * a / h**2 + b / h + R
+    entries[:, :-1, 2] = -a[:, :-1] / h**2 - b[:, :-1] / h
+    entries = entries.reshape(d * n, 3)
+    columns = np.arange(d * n)[:, None] + np.arange(-1, 2)
+    stored = entries != 0.0
+    indptr = np.append(0, np.cumsum(np.count_nonzero(stored, axis=1)))
+    matrix = sp.csr_matrix((entries[stored], columns[stored], indptr), shape=(d * n, d * n))
+    rhs = np.tile(reward_values(params), (d, 1))
     return AffineSystem(matrix, rhs, gamma=R)

@@ -170,7 +170,7 @@ def apply_T(u, system: AffineSystem, costs, epsilon: float) -> np.ndarray:
 def apply_Q_rho(u, prob: PenalizedProblem) -> np.ndarray:
     """One penalized sweep: penalty arguments read their first slot from u."""
     frozen = field_values(u, prob.system.d, prob.system.N)
-    return _newton(prob.system, lambda v: _penalized(v, prob, frozen), frozen)[0]
+    return _newton(prob.system, _penalized(prob, frozen), frozen)[0]
 
 
 def apply_T_rho(u, prob: PenalizedProblem, epsilon: float) -> np.ndarray:
@@ -178,7 +178,7 @@ def apply_T_rho(u, prob: PenalizedProblem, epsilon: float) -> np.ndarray:
     picks up an extra -epsilon*(v - u) pull toward the previous iterate."""
     epsilon = _number("epsilon", epsilon, 0)
     frozen = field_values(u, prob.system.d, prob.system.N)
-    return _newton(prob.system, lambda v: _penalized(v, prob, frozen, epsilon), frozen)[0]
+    return _newton(prob.system, _penalized(prob, frozen, epsilon), frozen)[0]
 
 
 def iterate_to_fixed_point(step, start, max_sweeps: int = 200, tol: float = 1e-10):

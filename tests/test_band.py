@@ -268,7 +268,7 @@ def test_band_solve_backward_error_at_converged_iterate():
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 1 / 64), 32e3)
     u, report = solve_penalized(prob, root)
     assert report.converged
-    band = slant_band(system, coupling=_penalized(u, prob)[2])
+    band = slant_band(system, coupling=_penalized(prob)(u)[2])
     op = band.tocsr()
     norm_op = abs(op).sum(axis=1).max()
     rng = np.random.default_rng(71)
@@ -438,7 +438,7 @@ def test_band_solve_is_bitwise_lapack_band_lu(d):
     # with no row interchanges, and solves by the same two tbsv calls: U^T,
     # then the unit lower factor's transpose
     prob, u = _pde_penalized(d)
-    residual, _, coupling = _penalized(u, prob)
+    residual, _, coupling = _penalized(prob)(u)
     band = slant_band(prob.system, coupling=coupling)
     assert band.kl == band.ku == d
     ref, lu, ipiv = _transposed_lu(band.tocsr(), d)

@@ -9,6 +9,7 @@ from qvipen.core import (
     SwitchingCostMatrix,
     a_priori_bound,
     _obstacles,
+    _penalized,
     as_costs,
     penalized_residual,
     penalized_slant,
@@ -272,6 +273,56 @@ def test_penalized_residual_matches_loop_oracle():
         u = rng.normal(scale=2.0, size=(d, n))
         assert np.allclose(penalized_residual(u, prob), oracle_residual(prob, u),
                            rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+@pytest.mark.parametrize("frozen", [False, True], ids=["live", "frozen"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_penalty_coupling_is_the_per_term_count(d, frozen, epsilon):
+    # the coupling is one product of a (d^2, d^2) weight matrix with the 0/1
+    # signs of the clamped arguments, so a diagonal entry is a sum of up to
+    # d - 1 copies of c = rho (1 + epsilon) and zeros, in whatever order the
+    # BLAS product takes. c + c = 2c is exact and fl(2c + c) = fl(3c), but
+    # fl(fl(3c) + c) need not be 4c, so the product has the bits of the
+    # count times c, which the loop below takes, only for d <= 4
+    rng = np.random.default_rng(d)
+    n = 30
+    system = random_affine_system(rng, d=d, n=n)
+    costs = 0.25 * rng.integers(0, 3, (d, d))
+    rho = 1e3 / 3.0
+    # quarters on half the nodes, so some arguments sit exactly at the kink
+    v = np.hstack([0.25 * rng.integers(-4, 5, (d, n // 2)), rng.normal(size=(d, n - n // 2))])
+    v[0, 0] = -10.0  # every term of regime 0 at node 0 is active
+    w = np.hstack([0.25 * rng.integers(-4, 5, (d, n // 2)),
+                   rng.normal(size=(d, n - n // 2))]) if frozen else v
+    # and term [0, 1] at node 1 sits there for certain
+    w[1, 1] = costs[0, 1] + v[0, 1] + epsilon * (v[0, 1] - w[0, 1])
+    prob = PenalizedProblem(system, SwitchingCostMatrix(costs), rho)
+    residual, keep, coupling = _penalized(prob, w if frozen else None, epsilon)(v)
+
+    expected = system.evaluate(v)
+    count = np.zeros((d, n), dtype=int)
+    expected_coupling = np.zeros((d, d, n))
+    kinks = 0
+    for i in range(d):
+        for l in range(n):
+            penalty = 0.0
+            for j in range(d):
+                if j == i:
+                    continue
+                arg = w[j, l] - costs[i, j] - v[i, l] - epsilon * (v[i, l] - w[i, l])
+                kinks += arg == 0.0
+                if arg > 0.0:
+                    penalty += arg
+                    count[i, l] += 1
+                    if not frozen:
+                        expected_coupling[i, j, l] = -rho
+            expected[i, l] -= penalty * rho
+            expected_coupling[i, i, l] = count[i, l] * (rho * (1.0 + epsilon))
+    assert kinks > 0 and count.max() == d - 1
+    assert keep is None
+    assert residual.tobytes() == expected.tobytes()
+    assert np.array_equal(coupling, expected_coupling)
 
 
 def test_penalized_slant_inactive_equals_base():

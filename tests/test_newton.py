@@ -166,7 +166,7 @@ def test_newton_globalizes_from_below(three_regime):
     u = root.copy()
     chain = []
     for _ in range(30):
-        g, _, coupling = _penalized(u, prob)
+        g, _, coupling = _penalized(prob)(u)
         delta = linear_solve(slant_band(system, coupling=coupling), -g.ravel()).reshape(u.shape)
         u = u + delta
         chain.append(u.copy())
@@ -296,7 +296,7 @@ def test_linear_solve_backward_error(two_regime):
     _, system, root = two_regime
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.125), rho=32e3)
     u, _ = solve_penalized(prob, root)
-    band = slant_band(system, coupling=_penalized(u, prob)[2])
+    band = slant_band(system, coupling=_penalized(prob)(u)[2])
     op = band.tocsr()
     rng = np.random.default_rng(61)
     for _ in range(5):

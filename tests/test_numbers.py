@@ -78,3 +78,18 @@ def test_a_numeric_cost_matrix_keeps_its_float_bits(costs):
     expected = np.array(costs, dtype=float)
     np.fill_diagonal(expected, 0.0)
     assert SwitchingCostMatrix(costs).costs.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: as_costs(c, 2).costs.tobytes(),
+    lambda c: PenalizedProblem(SYSTEM, c, 1e3).costs.costs.tobytes(),
+    lambda c: ErrorConstants.for_system(SYSTEM, c),
+], ids=["as-costs", "problem", "constants"])
+def test_a_zero_dimensional_cost_is_a_scalar(build):
+    # np.isscalar is False for a 0-d array, which was then read as a matrix
+    # of shape () and rejected as not square
+    assert build(np.array(0.25)) == build(0.25)
+    for bad, shown in ((np.array(True), "True"), (np.array("0.25"), "'0.25'")):
+        with pytest.raises(ValueError, match=f"^cost must be a nonnegative finite number, "
+                                             f"got {re.escape(shown)}$"):
+            build(bad)

@@ -1,9 +1,20 @@
 """Finite-difference assembly of the switching benchmark."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qvipen.core import sup_norm
-from qvipen.pde import R, PdeParams, RewardFunction, assemble, grid, probe_index, reward_values
+from qvipen.pde import (
+    MU_DRIFT,
+    R,
+    SIGMA_VOL,
+    PdeParams,
+    RewardFunction,
+    assemble,
+    grid,
+    probe_index,
+    reward_values,
+)
 from qvipen.testing import monotonicity_slack
 
 
@@ -93,6 +104,28 @@ def test_zero_intensity_regime_is_bidiagonal(two_regime):
     u = np.zeros((2, 100))
     u[0, 0] = reward_values(two_regime)[0] / R
     assert system.evaluate(u)[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 100])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_assembled_csr_is_the_block_diagonal_of_three_diagonals(d, n):
+    # the reference builds each regime's tridiagonal block with sp.diags and
+    # stacks them with sp.block_diag, whose dia -> coo conversion drops the
+    # explicit zeros: regime 0's lower diagonal and every upper entry at x = 0
+    params = PdeParams(d=d, reward=RewardFunction.three_regime(), N=n)
+    x, h = grid(params), params.h
+    blocks = []
+    for i in range(d):
+        nu = i / (d - 1)
+        a = 0.5 * (SIGMA_VOL * nu * x) ** 2
+        b = (R + nu * (MU_DRIFT - R)) * x
+        diagonals = [-a[1:] / h**2, 2.0 * a / h**2 + b / h + R, -a[:-1] / h**2 - b[:-1] / h]
+        blocks.append(sp.diags(diagonals, [-1, 0, 1]))
+    expected = sp.block_diag(blocks, format="csr")
+    matrix = assemble(params).matrix
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(matrix, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_rows_are_monotone(three_regime):
