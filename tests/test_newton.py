@@ -703,14 +703,15 @@ def test_newton_agrees_with_enumeration():
 
 
 def test_newton_agrees_with_marching_on_reduced_grid():
-    # the marching oracle needs about a million steps here; this is the one
-    # deliberately slow cross-check on a real discretization. Its error is
-    # bounded by residual/gamma with gamma = 0.02, so meeting the 1e-7
-    # agreement target requires marching down to 2e-9.
+    # the plain march needed about a million steps here, the accelerated
+    # one about 27k residual evaluations; this is the one cross-check of the
+    # march on a real discretization. Its error is bounded by residual/gamma
+    # with gamma = 0.02, so meeting the 1e-7 agreement target requires
+    # marching down to 2e-9.
     params = PdeParams(d=2, reward=RewardFunction.two_regime(), N=20)
     system = assemble(params)
     root, _ = solve_root(system, np.zeros((2, 20)))
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.125), rho=1e3)
     u, _ = solve_penalized(prob, root)
-    marched = pseudo_time_solve(prob, tol=2e-9)
+    marched = pseudo_time_solve(prob, tol=2e-9, max_steps=50_000)
     assert sup_norm(u - marched) <= 1e-7

@@ -1,6 +1,7 @@
 """Ground-truth solver behaviors and oracle-vs-oracle agreement."""
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qvipen.oracle import (
     active_set_enumerate,
     pseudo_time_solve,
 )
-from qvipen.oracle import _BLOCK, _march_operators
+from qvipen.oracle import _march_operators
 from qvipen.oracle import _residual as oracle_residual
 from qvipen.pde import PdeParams, RewardFunction, assemble
 from qvipen.testing import random_affine_system
@@ -114,14 +115,17 @@ def test_pseudo_time_halves_a_step_that_stalls():
 
 def test_pseudo_time_restart_resets_the_iterate_in_place():
     # step 3 is halved twice before the penalized march contracts; each
-    # restart zeroes the iterate the march updates in place
+    # restart zeroes the iterate and empties the memory, so the march then
+    # runs as a fresh one at step 0.75
     u = pseudo_time_solve(tiny_problem(), step=3.0, tol=1e-10)
     assert np.allclose(u, [[1.0], [2.0]], atol=1e-9)
     assert np.array_equal(u, pseudo_time_solve(tiny_problem(), step=0.75, tol=1e-10))
 
 
 def test_pseudo_time_divergence_reported():
-    # ten halvings of step 1e9 still leave the iteration expansive
+    # ten halvings of step 1e9 still leave the iteration expansive; its
+    # residual never falls, so the memory stays empty and no candidate
+    # extrapolates past the growth that the halving rule must see
     b = np.array([[0.0], [2.0]])
     prob = PenalizedProblem(identity_system(b), SwitchingCostMatrix.uniform(2, 5.0), rho=0.0)
     with pytest.raises(DivergenceDetected):
@@ -129,53 +133,81 @@ def test_pseudo_time_divergence_reported():
 
 
 def reference_march(prob, step=None, tol=1e-9, stop=None):
-    """pseudo_time_solve's march written plainly, allocating as it goes.
+    """pseudo_time_solve's safeguarded march written plainly, allocating as it goes.
 
-    Returns the solution and the number of residual evaluations before the
-    one that met tol. With ``stop=m`` it returns after the m-th evaluation
-    instead, if that one does not meet tol: the iterate the next evaluation
-    would see, and the m-th residual.
+    Returns the solution and the log of its residual evaluations: each
+    entry is the residual sup-norm and whether the march moved to the point
+    (False for a rejected candidate). With ``stop=m`` it returns after the
+    m-th evaluation instead, if that one does not meet tol: the point the
+    next evaluation would see, and the log.
     """
     lift, floor, reduce = _march_operators(prob)
     d, n = prob.system.d, prob.system.N
-    y = np.append(np.zeros(d * n), 1.0)
-    u = y[:-1]
+    size = d * n
     if step is None:
-        step = 0.9 / (np.abs(np.diag(lift)[: d * n]).max() + prob.rho * (d - 1))
-    delta, halvings, growth, prev, steps = step, 0, 0, np.inf, 0
+        step = 0.9 / (np.abs(np.diag(lift)[:size]).max() + prob.rho * (d - 1))
+    delta, halvings, growth = step, 0, 0
+    # the iterate, G at it and its residual; none before the first point
+    u, g, res = None, None, np.inf
+    trial, accelerated = np.zeros(size), False
+    # [u, G(u)] differences of the last three steps that lowered the residual
+    history, log = [], []
     while True:
-        g = reduce @ np.maximum(lift @ y, floor)
-        res = np.abs(g).max()
-        if res <= tol:
-            return u.reshape(d, n), steps
-        steps += 1
-        growth = 100 if not np.isfinite(res) else 0 if res < prev else growth + 1
-        if growth >= 100:
-            halvings += 1
-            assert halvings <= 10
-            delta, growth, prev = delta / 2, 0, np.inf
-            u[:] = 0.0
+        g_trial = reduce @ np.maximum(lift @ np.append(trial, 1.0), floor)
+        res_trial = np.abs(g_trial).max()
+        kept = res_trial < res or not accelerated
+        log.append((res_trial, kept))
+        if res_trial <= tol:
+            return trial.reshape(d, n), log
+        if not kept:
+            history = []
+            trial, accelerated = u - delta * g, False
         else:
-            prev = res
-            u -= delta * g
-        if steps == stop:
-            return u.reshape(d, n), res
+            falls = res_trial < res
+            growth = 100 if not np.isfinite(res_trial) else 0 if falls else growth + 1
+            if growth >= 100:
+                halvings += 1
+                assert halvings <= 10
+                delta, growth = delta / 2, 0
+                u, g, res, history = None, None, np.inf, []
+                trial, accelerated = np.zeros(size), False
+            else:
+                diff = None
+                if falls and u is not None:
+                    diff = np.concatenate([trial - u, g_trial - g])
+                if diff is not None and np.isfinite(diff).all():
+                    history = (history + [diff])[-3:]
+                else:
+                    history = []
+                u, g, res = trial, g_trial, res_trial
+                if history:
+                    diffs = np.array(history)
+                    gamma = np.linalg.lstsq(diffs[:, size:].T, g, rcond=None)[0]
+                    mixed = np.concatenate([u, g]) - gamma @ diffs
+                    trial, accelerated = mixed[:size] - delta * mixed[size:], True
+                else:
+                    trial, accelerated = u - delta * g, False
+        if len(log) == stop:
+            return trial.reshape(d, n), log
 
 
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("step_scale", [0.5, 1.0])
 def test_march_trajectory_matches_the_plain_reference(seed, step_scale):
     # stepping through preallocated buffers changes no rounding: the result
-    # is bitwise the reference's, after the same number of steps. A last-bit
-    # change in a step often washes out of the converged iterate, so several
-    # instances are needed; folding the step into R shows on half of these.
-    # Scale 1 takes the default step, 0.5 passes half of it explicitly
+    # is bitwise the reference's, after the same number of evaluations. A
+    # last-bit change in a step often washes out of the converged iterate,
+    # so several instances are needed; each takes 48-102 evaluations, with
+    # both kept and rejected candidates. Scale 1 takes the default step, 0.5
+    # passes half of it explicitly
     rng = np.random.default_rng(seed)
     system = random_affine_system(rng, d=3, n=2)
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), 10.0)
     step = None if step_scale == 1.0 else step_scale * 0.9 / (
         np.abs(system.matrix.diagonal()).max() + prob.rho * (system.d - 1))
-    expected, steps = reference_march(prob, step=step)
+    expected, log = reference_march(prob, step=step)
+    steps = len(log) - 1
+    assert not all(kept for _, kept in log)
     u = pseudo_time_solve(prob, step=step, tol=1e-9, max_steps=steps + 1)
     assert np.array_equal(u, expected)
     with pytest.raises(MaxStepsExceeded):
@@ -183,7 +215,8 @@ def test_march_trajectory_matches_the_plain_reference(seed, step_scale):
 
 
 def test_march_trajectory_matches_the_reference_through_halvings():
-    expected, steps = reference_march(tiny_problem(), step=3.0, tol=1e-10)
+    expected, log = reference_march(tiny_problem(), step=3.0, tol=1e-10)
+    steps = len(log) - 1
     u = pseudo_time_solve(tiny_problem(), step=3.0, tol=1e-10, max_steps=steps + 1)
     assert np.array_equal(u, expected)
     with pytest.raises(MaxStepsExceeded):
@@ -191,52 +224,145 @@ def test_march_trajectory_matches_the_reference_through_halvings():
 
 
 def test_march_matches_the_reference_over_hundreds_of_blocks():
-    # a verify-style instance at rho = 1e3 takes about 30k steps
+    # a verify-style instance at rho = 1e3, the hard kind: terms sit near
+    # their kink, about half the candidates are rejected, and the memory
+    # restarts thousands of times over 5216 evaluations
     rng = np.random.default_rng(2)
     system = random_affine_system(rng, d=3, n=2, gamma=1.0)
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), 1e3)
-    expected, steps = reference_march(prob)
-    assert steps > 100 * _BLOCK
+    expected, log = reference_march(prob)
+    steps = len(log) - 1
+    assert steps > 5000
+    assert sum(not kept for _, kept in log) > 2000
     u = pseudo_time_solve(prob, tol=1e-9, max_steps=steps + 1)
     assert np.array_equal(u, expected)
     with pytest.raises(MaxStepsExceeded):
         pseudo_time_solve(prob, tol=1e-9, max_steps=steps)
 
 
-@pytest.mark.parametrize("max_steps", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
+@pytest.mark.parametrize("max_steps", [63, 64, 65, 128])
 def test_budget_spent_inside_or_at_the_end_of_a_block(max_steps):
-    # the instance needs 310 evaluations; the message carries the residual of
-    # the last one the budget allows
+    # the instance needs 1239 evaluations; evaluations 63 and 65 are
+    # rejected candidates, 64 and 128 points the march moves to. Every one
+    # counts against the budget, and the message carries the residual of
+    # the last one the budget allows, a rejected candidate's included
     rng = np.random.default_rng(0)
     system = random_affine_system(rng, d=3, n=2)
-    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), 10.0)
-    _, res = reference_march(prob, stop=max_steps)
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), 1e3)
+    _, log = reference_march(prob, stop=max_steps)
+    res, kept = log[-1]
+    assert kept == (max_steps in (64, 128))
     message = re.escape(f"residual {res:.3e} > 1.000e-09 after {max_steps} steps")
     with pytest.raises(MaxStepsExceeded, match=message):
         pseudo_time_solve(prob, tol=1e-9, max_steps=max_steps)
 
 
 def test_restart_inside_a_block_drops_the_rest_of_it():
-    # step 1500 on F(u) = u - b multiplies the error by -1499 per step, so
-    # the iterate overflows and the residual turns NaN at evaluation 98,
-    # inside the second block, and the march restarts from zero there; the
-    # steps that block took past it run on NaN and must leave no trace. Nine
-    # growth halvings follow before the step contracts.
+    # step 1500 on F(u) = u - b multiplies the error by -1499 per step. The
+    # residual grows from the first step, so the memory stays empty and the
+    # march takes plain steps until the iterate overflows and the residual
+    # turns NaN at evaluation 98. The march restarts from zero there, and
+    # the NaN step must leave no trace: nine growth halvings follow before
+    # the step contracts, and only then does the march accelerate.
     b = np.array([[0.0], [2.0]])
     prob = PenalizedProblem(identity_system(b), SwitchingCostMatrix.uniform(2, 5.0), rho=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         before, _ = reference_march(prob, step=1500.0, stop=97)
-        after, res = reference_march(prob, step=1500.0, stop=98)
-        expected, steps = reference_march(prob, step=1500.0)
-    assert before.any() and not after.any() and not np.isfinite(res)
-    assert 98 % _BLOCK != 0
+        after, log = reference_march(prob, step=1500.0, stop=98)
+        expected, full = reference_march(prob, step=1500.0)
+    assert before.any() and not after.any() and not np.isfinite(log[-1][0])
     # the evaluation after the restart sees u = 0, so its residual is |b|
     with pytest.raises(MaxStepsExceeded, match=r"residual 2\.000e\+00 > .* after 99 steps"):
         pseudo_time_solve(prob, step=1500.0, tol=1e-9, max_steps=99)
+    steps = len(full) - 1
     u = pseudo_time_solve(prob, step=1500.0, tol=1e-9, max_steps=steps + 1)
     assert np.array_equal(u, expected)
     with pytest.raises(MaxStepsExceeded):
         pseudo_time_solve(prob, step=1500.0, tol=1e-9, max_steps=steps)
+
+
+def record_fits(monkeypatch):
+    """Make every least-squares fit check that its inputs are finite, and
+    return the list of (columns, rank) of the fits made from then on."""
+    fits = []
+    lstsq = np.linalg.lstsq
+
+    def checked(a, b, rcond):
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+        solution = lstsq(a, b, rcond=rcond)
+        fits.append((a.shape[1], int(solution[2])))
+        return solution
+
+    monkeypatch.setattr(np.linalg, "lstsq", checked)
+    return fits
+
+
+def test_the_fit_never_sees_a_non_finite_value(monkeypatch):
+    # F(u) = Au - b with |b| near the largest float: evaluation 6 lowers the
+    # residual, but G flips sign across it and the difference of the two
+    # residuals overflows, so that step is not remembered; evaluation 7 is
+    # NaN and restarts the march, which then converges. The NaN restart
+    # and the divergent step 1e9 never put a non-finite value into a fit.
+    fits = record_fits(monkeypatch)
+    a = np.array([[1.9778601603692831, -1.6491531198311506],
+                  [1.3722391641009521, 0.6449593561415905]])
+    b = np.array([[5.686934006995462e307], [-2.776003050136637e307]])
+    system = AffineSystem(sp.csr_matrix(a), b, gamma=0.1)
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.0), 0.0)
+    step = 0.9098806333502949
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, log = reference_march(prob, step=step, tol=1e298, stop=7)
+        expected, full = reference_march(prob, step=step, tol=1e298)
+    assert log[5][0] < log[4][0] and not np.isfinite(log[6][0])
+    u = pseudo_time_solve(prob, step=step, tol=1e298, max_steps=len(full))
+    assert np.array_equal(u, expected)
+    assert sup_norm(u - np.linalg.solve(a, b)) <= 1e-9 * sup_norm(b)
+    b = np.array([[0.0], [2.0]])
+    prob = PenalizedProblem(identity_system(b), SwitchingCostMatrix.uniform(2, 5.0), rho=0.0)
+    pseudo_time_solve(prob, step=1500.0, tol=1e-9)
+    with pytest.raises(DivergenceDetected):
+        pseudo_time_solve(prob, step=1e9, tol=1e-9)
+    assert fits
+
+
+def test_a_rank_deficient_history_fits_without_a_warning(monkeypatch):
+    # the tiny instance and rho = 0 on an identity system are solved within
+    # five evaluations, and at rho = 1e3 the tiny instance's last fit holds
+    # three differences in R^2: rank 2, which the minimum-norm fit takes
+    # with no warning and no LinAlgError
+    fits = record_fits(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho, root in ((1.0, 1.0), (1e3, 2e3 / 1001)):
+            u = pseudo_time_solve(tiny_problem(rho), tol=1e-10, max_steps=5)
+            assert np.allclose(u, [[root], [2.0]], atol=1e-9)
+        b = np.random.default_rng(41).uniform(-1.0, 1.0, (2, 3))
+        prob = PenalizedProblem(identity_system(b), SwitchingCostMatrix.uniform(2, 1.0), 0.0)
+        assert sup_norm(pseudo_time_solve(prob, tol=1e-10, max_steps=3) - b) <= 1e-9
+    assert (3, 2) in fits
+
+
+def oracle_pool():
+    """The 72 problems of the benchmark's oracle pool: 12 rounds of a d = 2
+    and a d = 3 verify-style system, each at rho = 0, 1 and 1e3."""
+    for k in range(12):
+        rng = np.random.default_rng([2024, k])
+        for d in (2, 3):
+            n = int(rng.choice([1, 2]))
+            cost = float(rng.choice([0.0, 0.1, 1.0]))
+            system = random_affine_system(rng, d=d, n=n, gamma=1.0)
+            for rho in (0.0, 1.0, 1e3):
+                yield PenalizedProblem(system, SwitchingCostMatrix.uniform(d, cost), rho)
+
+
+def test_acceleration_solves_the_benchmark_pool():
+    # the plain march took 557,835 evaluations on this pool, up to about
+    # 46k on one problem; the accelerated one takes 13,992, at most 2907
+    problems = list(oracle_pool())
+    assert len(problems) == 72
+    for prob in problems:
+        u = pseudo_time_solve(prob, tol=1e-9, max_steps=5000)
+        assert sup_norm(u - active_set_enumerate(prob)) <= 1e-9
 
 
 def test_enumerate_tiny_instance():
