@@ -1,4 +1,5 @@
 """Ground-truth solver behaviors and oracle-vs-oracle agreement."""
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -8,7 +9,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import get_lapack_funcs
 
+from qvipen import oracle
 from qvipen.core import (
     AffineSystem,
     PenalizedProblem,
@@ -25,7 +28,7 @@ from qvipen.oracle import (
     active_set_enumerate,
     pseudo_time_solve,
 )
-from qvipen.oracle import _march_operators
+from qvipen.oracle import _acyclic_patterns, _march_operators
 from qvipen.oracle import _residual as oracle_residual
 from qvipen.pde import PdeParams, RewardFunction, assemble
 from qvipen.testing import random_affine_system
@@ -132,6 +135,22 @@ def test_pseudo_time_divergence_reported():
         pseudo_time_solve(prob, step=1e9, tol=1e-9)
 
 
+def reference_fit(a, b):
+    """np.linalg.lstsq(a, b, rcond=None)[0], as a plain call of scipy's
+    LAPACK gelsd with its own workspace query. The march's fit calls the
+    same LAPACK, so the trajectories can be compared bit for bit even where
+    numpy's and scipy's wheels bundle different LAPACK builds."""
+    m, n = a.shape
+    gelsd, gelsd_lwork = get_lapack_funcs(("gelsd", "gelsd_lwork"), dtype=np.float64)
+    work, iwork, info = gelsd_lwork(m, n, 1)
+    assert info == 0
+    rhs = np.zeros((max(m, n), 1))
+    rhs[:m, 0] = b
+    x, _, _, info = gelsd(a, rhs, int(work), iwork, np.finfo(float).eps * max(m, n))
+    assert info == 0
+    return x[:n, 0]
+
+
 def reference_march(prob, step=None, tol=1e-9, stop=None):
     """pseudo_time_solve's safeguarded march written plainly, allocating as it goes.
 
@@ -182,7 +201,7 @@ def reference_march(prob, step=None, tol=1e-9, stop=None):
                 u, g, res = trial, g_trial, res_trial
                 if history:
                     diffs = np.array(history)
-                    gamma = np.linalg.lstsq(diffs[:, size:].T, g, rcond=None)[0]
+                    gamma = reference_fit(diffs[:, size:].T, g)
                     mixed = np.concatenate([u, g]) - gamma @ diffs
                     trial, accelerated = mixed[:size] - delta * mixed[size:], True
                 else:
@@ -282,18 +301,19 @@ def test_restart_inside_a_block_drops_the_rest_of_it():
 
 
 def record_fits(monkeypatch):
-    """Make every least-squares fit check that its inputs are finite, and
-    return the list of (columns, rank) of the fits made from then on."""
+    """Make every least-squares fit of the march check that its inputs are
+    finite, and return the list of (matrix, right-hand side, solution,
+    rank) of the fits made from then on, copies all."""
     fits = []
-    lstsq = np.linalg.lstsq
+    gelsd = oracle._gelsd
 
-    def checked(a, b, rcond):
+    def checked(a, b, *args):
         assert np.isfinite(a).all() and np.isfinite(b).all()
-        solution = lstsq(a, b, rcond=rcond)
-        fits.append((a.shape[1], int(solution[2])))
+        solution = gelsd(a, b, *args)
+        fits.append((a.copy(), b.copy(), solution[0].copy(), solution[2]))
         return solution
 
-    monkeypatch.setattr(np.linalg, "lstsq", checked)
+    monkeypatch.setattr(oracle, "_gelsd", checked)
     return fits
 
 
@@ -339,7 +359,37 @@ def test_a_rank_deficient_history_fits_without_a_warning(monkeypatch):
         b = np.random.default_rng(41).uniform(-1.0, 1.0, (2, 3))
         prob = PenalizedProblem(identity_system(b), SwitchingCostMatrix.uniform(2, 1.0), 0.0)
         assert sup_norm(pseudo_time_solve(prob, tol=1e-10, max_steps=3) - b) <= 1e-9
-    assert (3, 2) in fits
+    assert (3, 2) in [(a.shape[1], rank) for a, _, _, rank in fits]
+
+
+def test_the_fit_agrees_with_numpy_lstsq(monkeypatch):
+    # the march calls LAPACK's gelsd as np.linalg.lstsq(rcond=None) does,
+    # and over the 2614 fits of a hard instance the two agree to 1e-12
+    # relative per unit of the fit's condition number, which reaches 9e6
+    # here: rounding-level agreement, also where numpy and scipy bundle
+    # different LAPACK builds, since an input perturbation of one ulp moves
+    # the worst fit by about 4e-12 relative
+    fits = record_fits(monkeypatch)
+    rng = np.random.default_rng(2)
+    system = random_affine_system(rng, d=3, n=2, gamma=1.0)
+    pseudo_time_solve(PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), 1e3), tol=1e-9)
+    assert len(fits) > 2000
+    for a, b, x, _ in fits:
+        m, n = a.shape
+        expected = np.linalg.lstsq(a, b[:m, 0], rcond=None)[0]
+        bound = 1e-12 * np.linalg.cond(a) * np.abs(expected).max()
+        assert np.abs(x[:n, 0] - expected).max() <= bound
+
+
+def test_a_fit_whose_svd_fails_raises(monkeypatch):
+    # gelsd's info > 0 says its SVD did not converge; the march raises the
+    # error np.linalg.lstsq raises for it
+    def failing(a, b, *args):
+        return b, np.zeros(min(a.shape)), 0, 1
+
+    monkeypatch.setattr(oracle, "_gelsd", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        pseudo_time_solve(tiny_problem(1e3), tol=1e-10)
 
 
 def oracle_pool():
@@ -451,15 +501,47 @@ def test_enumerate_skips_singular_pattern():
 
 
 def test_enumerate_across_batches_matches_newton():
-    # d=2, n=7: 14 penalty terms, 16384 patterns; the solution's pattern,
-    # 6344, lies past the first batch of 4096
-    rng = np.random.default_rng(59)
-    system = random_affine_system(rng, d=2, n=7)
+    # d=2, n=8: 16 penalty terms, 65536 patterns of which 3^8 = 6561 are
+    # acyclic; the solution's pattern, 41792, is acyclic pattern 5482 and
+    # so lies past the first batch of 4096
+    rng = np.random.default_rng(64)
+    system = random_affine_system(rng, d=2, n=8)
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.1), rho=5.0)
     exact = active_set_enumerate(prob)
-    newton, report = solve_penalized(prob, np.zeros((2, 7)))
+    lift, _, _ = _march_operators(prob)
+    on = lift[16:] @ np.append(exact.ravel(), 1.0) > 0.0
+    pattern = int(on @ (1 << np.arange(16)))
+    assert np.searchsorted(_acyclic_patterns(2, 8), pattern) >= 4096
+    newton, report = solve_penalized(prob, np.zeros((2, 8)))
     assert report.converged
     assert sup_norm(exact - newton) <= 1e-9
+
+
+def has_cycle(pattern, d, n, node):
+    """Whether the terms a pattern switches on at one node form a directed
+    cycle over the regimes, by depth-first search."""
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    edges = {i: [j for k, (a, j) in enumerate(pairs) if a == i and pattern >> (k * n + node) & 1]
+             for i in range(d)}
+    state = [0] * d  # unvisited, on the current path, done
+
+    def visit(v):
+        state[v] = 1
+        for w in edges[v]:
+            if state[w] == 1 or (state[w] == 0 and visit(w)):
+                return True
+        state[v] = 2
+        return False
+
+    return any(state[v] == 0 and visit(v) for v in range(d))
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1)])
+def test_the_enumerated_patterns_are_exactly_the_acyclic_ones(d, n):
+    bits = d * (d - 1) * n
+    expected = [p for p in range(1 << bits)
+                if not any(has_cycle(p, d, n, node) for node in range(n))]
+    assert _acyclic_patterns(d, n).tolist() == expected
 
 
 instances = st.fixed_dictionaries({
@@ -494,6 +576,46 @@ def test_enumerate_matches_newton(case):
     newton, report = solve_penalized(prob, np.zeros((case["d"], case["n"])))
     assert report.converged
     assert sup_norm(exact - newton) <= 1e-9
+
+
+def plain_enumeration(prob):
+    """The patterns, cyclic ones included, whose solution reproduces their
+    own signs, each with its solution: every one of the 2^bits patterns'
+    systems F(u) = rho * sum of its on-terms, solved one by one."""
+    d, n = prob.system.d, prob.system.N
+    a, b = prob.system.matrix.toarray(), prob.system.rhs
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    hits = []
+    for pattern in range(1 << (len(pairs) * n)):
+        m, rhs = a.copy(), b.copy()
+        for (k, (i, j)), node in itertools.product(enumerate(pairs), range(n)):
+            if pattern >> (k * n + node) & 1:
+                # rho * (u^j - c - u^i) moves to the left of row (i, node)
+                m[i * n + node, j * n + node] -= prob.rho
+                m[i * n + node, i * n + node] += prob.rho
+                rhs[i * n + node] -= prob.rho * prob.costs.costs[i, j]
+        try:
+            u = np.linalg.solve(m, rhs).reshape(d, n)
+        except np.linalg.LinAlgError:
+            continue
+        signs = [u[j, node] - prob.costs.costs[i, j] - u[i, node] > 0.0
+                 for (i, j), node in itertools.product(pairs, range(n))]
+        if signs == [bool(pattern >> t & 1) for t in range(len(signs))]:
+            hits.append((pattern, u))
+    return hits
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(instances)
+def test_no_cyclic_pattern_is_consistent(case):
+    # the skipped patterns hold no solution: over all of them, the one
+    # consistent pattern is acyclic and its solution the enumeration's
+    prob, _ = random_problem(case)
+    hits = plain_enumeration(prob)
+    assert len(hits) == 1
+    (pattern, u), = hits
+    assert pattern in _acyclic_patterns(case["d"], case["n"])
+    assert sup_norm(u - active_set_enumerate(prob)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
