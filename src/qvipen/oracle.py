@@ -16,34 +16,43 @@ from `core` they take only the problem type and the check of their numeric
 arguments.
 
 The march is accelerated on its own fixed-point map u -> u - delta * G(u),
-with the same step delta: type-II Anderson acceleration with memory m = 3
+with the same step delta: type-II Anderson acceleration with memory m = 6
 (D. G. Anderson, J. ACM 1965; Walker & Ni, SINUM 2011). From the iterate
 u_k, gamma fits G(u_k) by least squares over the residual differences dG of
 the last m steps, and the candidate is u_k - dU gamma - delta * (G(u_k) -
 dG gamma), dU being the matching iterate differences. The safeguard
-(Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020): the candidate is kept only
-if its residual sup-norm is strictly below the current one; otherwise the
-march takes the plain step u_k - delta * G(u_k) and clears the memory. A
-plain step whose residual does not fall clears it too, so the march only
-extrapolates from a falling history, and a step too long to contract still
-shows as growth to the halving rule. The memory holds only finite
-differences, so no non-finite value reaches the fit, and the fit's
-minimum-norm solution takes a rank-deficient history. The fit is
-np.linalg.lstsq's with rcond=None, made by calling LAPACK's gelsd directly
-with a workspace queried once per solve: 5.1 instead of 11.7 us a fit.
-Each evaluation, a rejected candidate's included, counts against the step
+(Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020): a point is kept only if
+its residual sup-norm is strictly below the current one. A rejected
+candidate is shortened toward the plain step p = u_k - delta * G(u_k): the
+march evaluates p + 0.1 (candidate - p) next, with the memory kept, and if
+that is rejected too, p + 0.01 (candidate - p). After two rejected
+shortenings it takes the plain step and clears the memory. A kept point or
+a restart resets the count. A plain step whose residual does not fall
+clears the memory too, so the march only extrapolates from a falling
+history, and a step too long to contract still shows as growth to the
+halving rule. The memory holds only finite differences, so no non-finite
+value reaches the fit, and the fit's minimum-norm solution takes a
+rank-deficient history. The fit is np.linalg.lstsq's with rcond=None, made
+by calling LAPACK's gelsd directly with a workspace queried once per
+solve: 5.1 instead of 11.7 us a fit. Each evaluation, a rejected
+candidate's and a shortened one's included, counts against the step
 budget. The accelerator reads only the march's own iterates and residuals,
 so the march stays an oracle.
 
-On the 72 verify-style instances of the benchmark's oracle pool at tol 1e-9
-the plain march took 557,835 residual evaluations and this one takes
-13,992: 6 for the median instance and 2907 for the worst (c = 0.1,
-rho = 1e3, where penalty terms sit near their kink and about half the
-candidates are rejected). The march over the pool takes about 0.145 s
-(1.4 s plain, 0.19 s with numpy's lstsq wrapper) and the enumeration about
-23 ms (88 ms over all 2^(d(d-1)N) patterns); numpy 2.4.6, scipy 1.17.1,
-one BLAS thread, 2-core shared host. On the two-regime N = 20 grid at
-rho = 1e3, tol 2e-9, about a million plain steps became 26,749 evaluations.
+Without the shortening, a rejection cleared the memory and the next fit,
+on one difference, jumped across a penalty kink and was rejected in turn:
+the hard problems alternated reject and plain step at the plain rate. On
+the 72 verify-style instances of the benchmark's oracle pool at tol 1e-9
+the plain march took 557,835 residual evaluations, the march that gave up
+on every rejected candidate 13,992, and this one takes 1298: 6 for the
+median instance and 227 for the worst (2907 before, at c = 0.1,
+rho = 1e3). The march over the pool takes about 0.06 s (0.2 s giving up
+at once, 1.4 s plain) and the enumeration about 23 ms (88 ms over all
+2^(d(d-1)N) patterns); numpy 2.4.6, scipy 1.17.1, one BLAS thread, 2-core
+shared host. The N = 20 grids at rho = 1e3, tol 2e-9, are mixed: on the
+three-regime one at c = 1/8 the march takes 10,433 evaluations instead of
+91,223, but on the two-regime one at c = 1/8 29,782 instead of 26,749,
+where about a million plain steps were needed.
 """
 from __future__ import annotations
 
@@ -67,7 +76,11 @@ __all__ = [
 # patterns solved per stacked batch of the enumeration
 _CHUNK = 4096
 # past steps whose differences an accelerated march step fits (Anderson's m)
-_MEMORY = 3
+_MEMORY = 6
+# shortened tries of a rejected candidate before the march takes the plain
+# step, each at this fraction of the last try's extrapolation from it
+_RETRIES = 2
+_SHORTEN = 0.1
 
 # the LAPACK routine behind np.linalg.lstsq, called without its wrapper
 _gelsd, _gelsd_lwork = get_lapack_funcs(("gelsd", "gelsd_lwork"), dtype=np.float64)
@@ -148,12 +161,14 @@ def pseudo_time_solve(
     update a contraction on the assembled systems, the penalty max(t, 0) being
     Lipschitz with constant 1. Each step tries the Anderson candidate fitted
     to the last ``_MEMORY`` steps and keeps it only if its residual sup-norm
-    is strictly below the current one; otherwise it takes the plain step and
-    clears the memory, as does a plain step whose residual does not fall. A
-    non-finite residual, or one that does not fall for 100 steps in a row,
-    halves the step and restarts the march from zero; ten halvings without
-    recovery is a failure. ``max_steps`` counts residual evaluations,
-    rejected candidates included.
+    is strictly below the current one. A rejected candidate is moved to
+    ``_SHORTEN`` of its extrapolation from the plain step and tried again,
+    the memory kept, up to ``_RETRIES`` times; then the march takes the
+    plain step and clears the memory, as it does after a plain step whose
+    residual does not fall. A non-finite residual, or one that does not
+    fall for 100 steps in a row, halves the step and restarts the march from
+    zero; ten halvings without recovery is a failure. ``max_steps`` counts
+    residual evaluations, rejected and shortened candidates included.
     """
     max_steps = _number("max_steps", max_steps, 0, integer=True)
     if step is not None:
@@ -183,6 +198,7 @@ def pseudo_time_solve(
     eps = np.finfo(float).eps
     magnitude = np.empty(size)
     accelerated = False
+    retries = 0
     halvings = 0
     stalled = 0
     evaluations = 0
@@ -204,9 +220,17 @@ def pseudo_time_solve(
             res_point = float(np.maximum.reduce(np.abs(point[size:], out=magnitude)))
             falls = res_point < res
             if accelerated and not falls:
-                # the safeguard: keep the iterate, take the plain step from it
+                if retries < _RETRIES:
+                    # the safeguard shortens the candidate toward the
+                    # plain step, keeping the memory
+                    retries += 1
+                    plain = now[:size] - step * now[size:]
+                    y[:size] = plain + _SHORTEN * (y[:size] - plain)
+                    continue
+                # then it gives up: keep the iterate, take the plain step
                 held = 0
             else:
+                retries = 0
                 if res_point <= tol:
                     return y[:size].reshape(d, n).copy()
                 if not math.isfinite(res_point):

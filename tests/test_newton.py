@@ -704,7 +704,7 @@ def test_newton_agrees_with_enumeration():
 
 def test_newton_agrees_with_marching_on_reduced_grid():
     # the plain march needed about a million steps here, the accelerated
-    # one about 27k residual evaluations; this is the one cross-check of the
+    # one about 30k residual evaluations; this is the one cross-check of the
     # march on a real discretization. Its error is bounded by residual/gamma
     # with gamma = 0.02, so meeting the 1e-7 agreement target requires
     # marching down to 2e-9.

@@ -3,6 +3,7 @@ import itertools
 import re
 import tracemalloc
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def tiny_problem(rho=1.0):
 
 def test_pseudo_time_tiny_instance():
     # hand-solve: regime-0 penalty active, regime-1 inactive, root (1, 2)
-    u = pseudo_time_solve(tiny_problem(), tol=1e-10)
+    u = pseudo_time_solve(tiny_problem(), tol=1e-10, max_steps=100)
     assert np.allclose(u, [[1.0], [2.0]], atol=1e-9)
 
 
@@ -58,7 +59,7 @@ def test_pseudo_time_rho_zero_finds_root():
     rng = np.random.default_rng(41)
     b = rng.uniform(-1.0, 1.0, (2, 3))
     prob = PenalizedProblem(identity_system(b), SwitchingCostMatrix.uniform(2, 1.0), rho=0.0)
-    u = pseudo_time_solve(prob, tol=1e-10)
+    u = pseudo_time_solve(prob, tol=1e-10, max_steps=100)
     assert sup_norm(u - b) <= 1e-9
 
 
@@ -91,7 +92,7 @@ def test_march_carries_a_shift():
     prob = PenalizedProblem(shifted, costs, rho=10.0)
     u = rng.uniform(-2.0, 2.0, (3, 2))
     assert sup_norm(oracle_residual(prob, u) - penalized_residual(u, prob)) <= 1e-12
-    marched = pseudo_time_solve(prob, tol=1e-10)
+    marched = pseudo_time_solve(prob, tol=1e-10, max_steps=1000)
     newton, report = solve_penalized(prob, np.zeros((3, 2)))
     assert report.converged
     assert sup_norm(marched - newton) <= 1e-9
@@ -104,7 +105,7 @@ def test_pseudo_time_halves_oversized_step():
     # residual grows strictly until the step is halved into the stable range
     b = np.array([[0.0], [2.0]])
     prob = PenalizedProblem(identity_system(b), SwitchingCostMatrix.uniform(2, 5.0), rho=0.0)
-    u = pseudo_time_solve(prob, step=3.0, tol=1e-9)
+    u = pseudo_time_solve(prob, step=3.0, tol=1e-9, max_steps=1000)
     assert sup_norm(u - b) <= 1e-8
 
 
@@ -120,9 +121,10 @@ def test_pseudo_time_restart_resets_the_iterate_in_place():
     # step 3 is halved twice before the penalized march contracts; each
     # restart zeroes the iterate and empties the memory, so the march then
     # runs as a fresh one at step 0.75
-    u = pseudo_time_solve(tiny_problem(), step=3.0, tol=1e-10)
+    u = pseudo_time_solve(tiny_problem(), step=3.0, tol=1e-10, max_steps=1000)
     assert np.allclose(u, [[1.0], [2.0]], atol=1e-9)
-    assert np.array_equal(u, pseudo_time_solve(tiny_problem(), step=0.75, tol=1e-10))
+    fresh = pseudo_time_solve(tiny_problem(), step=0.75, tol=1e-10, max_steps=1000)
+    assert np.array_equal(u, fresh)
 
 
 def test_pseudo_time_divergence_reported():
@@ -132,7 +134,7 @@ def test_pseudo_time_divergence_reported():
     b = np.array([[0.0], [2.0]])
     prob = PenalizedProblem(identity_system(b), SwitchingCostMatrix.uniform(2, 5.0), rho=0.0)
     with pytest.raises(DivergenceDetected):
-        pseudo_time_solve(prob, step=1e9, tol=1e-9)
+        pseudo_time_solve(prob, step=1e9, tol=1e-9, max_steps=2000)
 
 
 def reference_fit(a, b):
@@ -151,14 +153,26 @@ def reference_fit(a, b):
     return x[:n, 0]
 
 
-def reference_march(prob, step=None, tol=1e-9, stop=None):
+class Evaluation(NamedTuple):
+    """One residual evaluation of the reference march: the residual
+    sup-norm, whether the march moved to the point (False for a rejected
+    candidate), how many times the point was shortened from a rejected
+    candidate (0 for a fresh candidate or a plain step) and how many
+    differences the candidate was fitted to (0 for a plain step)."""
+    residual: float
+    kept: bool
+    shortened: int
+    memory: int
+
+
+def reference_march(prob, step=None, tol=1e-9, stop=None, cap=10_000):
     """pseudo_time_solve's safeguarded march written plainly, allocating as it goes.
 
-    Returns the solution and the log of its residual evaluations: each
-    entry is the residual sup-norm and whether the march moved to the point
-    (False for a rejected candidate). With ``stop=m`` it returns after the
-    m-th evaluation instead, if that one does not meet tol: the point the
-    next evaluation would see, and the log.
+    Returns the solution and the log of its residual evaluations, one
+    ``Evaluation`` each. With ``stop=m`` it returns after the m-th
+    evaluation instead, if that one does not meet tol: the point the next
+    evaluation would see, and the log. A march that needs more than ``cap``
+    evaluations fails the calling test instead of running on.
     """
     lift, floor, reduce = _march_operators(prob)
     d, n = prob.system.d, prob.system.N
@@ -168,20 +182,27 @@ def reference_march(prob, step=None, tol=1e-9, stop=None):
     delta, halvings, growth = step, 0, 0
     # the iterate, G at it and its residual; none before the first point
     u, g, res = None, None, np.inf
-    trial, accelerated = np.zeros(size), False
-    # [u, G(u)] differences of the last three steps that lowered the residual
+    trial, accelerated, shortened = np.zeros(size), False, 0
+    # [u, G(u)] differences of the last six steps that lowered the residual
     history, log = [], []
     while True:
+        assert len(log) < cap, f"the reference march is not done after {cap} evaluations"
         g_trial = reduce @ np.maximum(lift @ np.append(trial, 1.0), floor)
         res_trial = np.abs(g_trial).max()
-        kept = res_trial < res or not accelerated
-        log.append((res_trial, kept))
+        kept = bool(res_trial < res or not accelerated)
+        log.append(Evaluation(res_trial, kept, shortened, len(history) if accelerated else 0))
         if res_trial <= tol:
             return trial.reshape(d, n), log
         if not kept:
-            history = []
-            trial, accelerated = u - delta * g, False
+            plain = u - delta * g
+            if shortened < 2:
+                # a tenth of the rejected point's extrapolation, memory kept
+                trial, shortened = plain + 0.1 * (trial - plain), shortened + 1
+            else:
+                history = []
+                trial, accelerated, shortened = plain, False, 0
         else:
+            shortened = 0
             falls = res_trial < res
             growth = 100 if not np.isfinite(res_trial) else 0 if falls else growth + 1
             if growth >= 100:
@@ -195,7 +216,7 @@ def reference_march(prob, step=None, tol=1e-9, stop=None):
                 if falls and u is not None:
                     diff = np.concatenate([trial - u, g_trial - g])
                 if diff is not None and np.isfinite(diff).all():
-                    history = (history + [diff])[-3:]
+                    history = (history + [diff])[-6:]
                 else:
                     history = []
                 u, g, res = trial, g_trial, res_trial
@@ -210,15 +231,35 @@ def reference_march(prob, step=None, tol=1e-9, stop=None):
             return trial.reshape(d, n), log
 
 
+def long_march_problem():
+    """A verify-style instance whose march takes 1386 evaluations."""
+    rng = np.random.default_rng(6)
+    system = random_affine_system(rng, d=3, n=2, gamma=1.0)
+    return PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.01), 1e4)
+
+
+def oracle_pool():
+    """The 72 problems of the benchmark's oracle pool: 12 rounds of a d = 2
+    and a d = 3 verify-style system, each at rho = 0, 1 and 1e3."""
+    for k in range(12):
+        rng = np.random.default_rng([2024, k])
+        for d in (2, 3):
+            n = int(rng.choice([1, 2]))
+            cost = float(rng.choice([0.0, 0.1, 1.0]))
+            system = random_affine_system(rng, d=d, n=n, gamma=1.0)
+            for rho in (0.0, 1.0, 1e3):
+                yield PenalizedProblem(system, SwitchingCostMatrix.uniform(d, cost), rho)
+
+
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("step_scale", [0.5, 1.0])
 def test_march_trajectory_matches_the_plain_reference(seed, step_scale):
     # stepping through preallocated buffers changes no rounding: the result
     # is bitwise the reference's, after the same number of evaluations. A
     # last-bit change in a step often washes out of the converged iterate,
-    # so several instances are needed; each takes 48-102 evaluations, with
-    # both kept and rejected candidates. Scale 1 takes the default step, 0.5
-    # passes half of it explicitly
+    # so several instances are needed; each takes 18-66 evaluations, with
+    # kept and rejected candidates and kept shortened ones. Scale 1 takes
+    # the default step, 0.5 passes half of it explicitly
     rng = np.random.default_rng(seed)
     system = random_affine_system(rng, d=3, n=2)
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), 10.0)
@@ -226,7 +267,8 @@ def test_march_trajectory_matches_the_plain_reference(seed, step_scale):
         np.abs(system.matrix.diagonal()).max() + prob.rho * (system.d - 1))
     expected, log = reference_march(prob, step=step)
     steps = len(log) - 1
-    assert not all(kept for _, kept in log)
+    assert not all(e.kept for e in log)
+    assert any(e.kept and e.shortened for e in log)
     u = pseudo_time_solve(prob, step=step, tol=1e-9, max_steps=steps + 1)
     assert np.array_equal(u, expected)
     with pytest.raises(MaxStepsExceeded):
@@ -243,33 +285,53 @@ def test_march_trajectory_matches_the_reference_through_halvings():
 
 
 def test_march_matches_the_reference_over_hundreds_of_blocks():
-    # a verify-style instance at rho = 1e3, the hard kind: terms sit near
-    # their kink, about half the candidates are rejected, and the memory
-    # restarts thousands of times over 5216 evaluations
-    rng = np.random.default_rng(2)
-    system = random_affine_system(rng, d=3, n=2, gamma=1.0)
-    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), 1e3)
+    # a verify-style instance at c = 0.01, rho = 1e4, the hard kind: terms
+    # sit near their kink, 1011 of its 1386 evaluations are rejected, and
+    # the march gives up on a candidate and clears the memory 306 times
+    prob = long_march_problem()
     expected, log = reference_march(prob)
     steps = len(log) - 1
-    assert steps > 5000
-    assert sum(not kept for _, kept in log) > 2000
+    assert steps > 1300
+    assert sum(not e.kept for e in log) > 1000
+    assert sum(not e.kept and e.shortened == 2 for e in log) > 300
     u = pseudo_time_solve(prob, tol=1e-9, max_steps=steps + 1)
     assert np.array_equal(u, expected)
     with pytest.raises(MaxStepsExceeded):
         pseudo_time_solve(prob, tol=1e-9, max_steps=steps)
 
 
+def test_a_kept_shortened_candidate_keeps_the_memory(monkeypatch):
+    # evaluation 57 of the seed-0 rho = 1e3 instance is a candidate fitted
+    # to three differences, and it is rejected; evaluation 58, a tenth of
+    # its extrapolation from the plain step, is kept, and the candidate
+    # after it is fitted to four: the rejection cleared no memory. The
+    # march's own fits see the reference's memory at every candidate
+    fits = record_fits(monkeypatch)
+    rng = np.random.default_rng(0)
+    system = random_affine_system(rng, d=3, n=2)
+    prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), 1e3)
+    expected, log = reference_march(prob)
+    assert (log[56].kept, log[56].shortened, log[56].memory) == (False, 0, 3)
+    assert (log[57].kept, log[57].shortened) == (True, 1)
+    assert (log[58].shortened, log[58].memory) == (0, 4)
+    u = pseudo_time_solve(prob, tol=1e-9, max_steps=len(log))
+    assert np.array_equal(u, expected)
+    memory = [e.memory for e in log if e.memory and not e.shortened]
+    assert [a.shape[1] for a, _, _, _ in fits] == memory
+
+
 @pytest.mark.parametrize("max_steps", [63, 64, 65, 128])
 def test_budget_spent_inside_or_at_the_end_of_a_block(max_steps):
-    # the instance needs 1239 evaluations; evaluations 63 and 65 are
-    # rejected candidates, 64 and 128 points the march moves to. Every one
-    # counts against the budget, and the message carries the residual of
-    # the last one the budget allows, a rejected candidate's included
+    # the instance needs 148 evaluations; evaluations 63 and 65 are
+    # rejected candidates, 64 and 128 shortened ones the march moves to.
+    # Every one counts against the budget, and the message carries the
+    # residual of the last one the budget allows, a rejected candidate's
+    # included
     rng = np.random.default_rng(0)
     system = random_affine_system(rng, d=3, n=2)
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), 1e3)
     _, log = reference_march(prob, stop=max_steps)
-    res, kept = log[-1]
+    res, kept, _, _ = log[-1]
     assert kept == (max_steps in (64, 128))
     message = re.escape(f"residual {res:.3e} > 1.000e-09 after {max_steps} steps")
     with pytest.raises(MaxStepsExceeded, match=message):
@@ -289,7 +351,7 @@ def test_restart_inside_a_block_drops_the_rest_of_it():
         before, _ = reference_march(prob, step=1500.0, stop=97)
         after, log = reference_march(prob, step=1500.0, stop=98)
         expected, full = reference_march(prob, step=1500.0)
-    assert before.any() and not after.any() and not np.isfinite(log[-1][0])
+    assert before.any() and not after.any() and not np.isfinite(log[-1].residual)
     # the evaluation after the restart sees u = 0, so its residual is |b|
     with pytest.raises(MaxStepsExceeded, match=r"residual 2\.000e\+00 > .* after 99 steps"):
         pseudo_time_solve(prob, step=1500.0, tol=1e-9, max_steps=99)
@@ -318,11 +380,13 @@ def record_fits(monkeypatch):
 
 
 def test_the_fit_never_sees_a_non_finite_value(monkeypatch):
-    # F(u) = Au - b with |b| near the largest float: evaluation 6 lowers the
-    # residual, but G flips sign across it and the difference of the two
-    # residuals overflows, so that step is not remembered; evaluation 7 is
-    # NaN and restarts the march, which then converges. The NaN restart
-    # and the divergent step 1e9 never put a non-finite value into a fit.
+    # F(u) = Au - b with |b| near the largest float: evaluations 4 to 6 are
+    # a candidate and its two shortenings, all rejected, so evaluation 7 is
+    # a plain step; evaluation 8 lowers the residual, but G flips sign
+    # across it and the difference of the two residuals overflows, so that
+    # step is not remembered and evaluation 9, a plain step, is NaN and
+    # restarts the march, which then converges. The NaN restart and the
+    # divergent step 1e9 never put a non-finite value into a fit.
     fits = record_fits(monkeypatch)
     a = np.array([[1.9778601603692831, -1.6491531198311506],
                   [1.3722391641009521, 0.6449593561415905]])
@@ -331,17 +395,20 @@ def test_the_fit_never_sees_a_non_finite_value(monkeypatch):
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.0), 0.0)
     step = 0.9098806333502949
     with np.errstate(over="ignore", invalid="ignore"):
-        _, log = reference_march(prob, step=step, tol=1e298, stop=7)
+        _, log = reference_march(prob, step=step, tol=1e298, stop=9)
         expected, full = reference_march(prob, step=step, tol=1e298)
-    assert log[5][0] < log[4][0] and not np.isfinite(log[6][0])
+    assert [e.shortened for e in log[3:7]] == [0, 1, 2, 0] and log[6].memory == 0
+    assert not any(e.kept for e in log[3:6])
+    assert log[7].residual < log[6].residual and log[8].memory == 0
+    assert not np.isfinite(log[8].residual)
     u = pseudo_time_solve(prob, step=step, tol=1e298, max_steps=len(full))
     assert np.array_equal(u, expected)
     assert sup_norm(u - np.linalg.solve(a, b)) <= 1e-9 * sup_norm(b)
     b = np.array([[0.0], [2.0]])
     prob = PenalizedProblem(identity_system(b), SwitchingCostMatrix.uniform(2, 5.0), rho=0.0)
-    pseudo_time_solve(prob, step=1500.0, tol=1e-9)
+    pseudo_time_solve(prob, step=1500.0, tol=1e-9, max_steps=5000)
     with pytest.raises(DivergenceDetected):
-        pseudo_time_solve(prob, step=1e9, tol=1e-9)
+        pseudo_time_solve(prob, step=1e9, tol=1e-9, max_steps=2000)
     assert fits
 
 
@@ -364,16 +431,16 @@ def test_a_rank_deficient_history_fits_without_a_warning(monkeypatch):
 
 def test_the_fit_agrees_with_numpy_lstsq(monkeypatch):
     # the march calls LAPACK's gelsd as np.linalg.lstsq(rcond=None) does,
-    # and over the 2614 fits of a hard instance the two agree to 1e-12
-    # relative per unit of the fit's condition number, which reaches 9e6
-    # here: rounding-level agreement, also where numpy and scipy bundle
-    # different LAPACK builds, since an input perturbation of one ulp moves
-    # the worst fit by about 4e-12 relative
+    # and over the 977 fits of the long march and the benchmark pool the
+    # two agree to 1e-12 relative per unit of the fit's condition number:
+    # rounding-level agreement, also where numpy and scipy bundle different
+    # LAPACK builds. A memory of six nearly parallel differences takes the
+    # condition number to 7e15, where the bound tells little; most fits
+    # are far better conditioned
     fits = record_fits(monkeypatch)
-    rng = np.random.default_rng(2)
-    system = random_affine_system(rng, d=3, n=2, gamma=1.0)
-    pseudo_time_solve(PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), 1e3), tol=1e-9)
-    assert len(fits) > 2000
+    for prob in [long_march_problem(), *oracle_pool()]:
+        pseudo_time_solve(prob, tol=1e-9, max_steps=2000)
+    assert len(fits) > 950
     for a, b, x, _ in fits:
         m, n = a.shape
         expected = np.linalg.lstsq(a, b[:m, 0], rcond=None)[0]
@@ -389,30 +456,25 @@ def test_a_fit_whose_svd_fails_raises(monkeypatch):
 
     monkeypatch.setattr(oracle, "_gelsd", failing)
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-        pseudo_time_solve(tiny_problem(1e3), tol=1e-10)
-
-
-def oracle_pool():
-    """The 72 problems of the benchmark's oracle pool: 12 rounds of a d = 2
-    and a d = 3 verify-style system, each at rho = 0, 1 and 1e3."""
-    for k in range(12):
-        rng = np.random.default_rng([2024, k])
-        for d in (2, 3):
-            n = int(rng.choice([1, 2]))
-            cost = float(rng.choice([0.0, 0.1, 1.0]))
-            system = random_affine_system(rng, d=d, n=n, gamma=1.0)
-            for rho in (0.0, 1.0, 1e3):
-                yield PenalizedProblem(system, SwitchingCostMatrix.uniform(d, cost), rho)
+        pseudo_time_solve(tiny_problem(1e3), tol=1e-10, max_steps=100)
 
 
 def test_acceleration_solves_the_benchmark_pool():
     # the plain march took 557,835 evaluations on this pool, up to about
-    # 46k on one problem; the accelerated one takes 13,992, at most 2907
+    # 46k on one problem, and the accelerated one that gave up on every
+    # rejected candidate 13,992, up to 2907; this one takes 1298, up to
+    # 227. Each problem's budget is the reference's count, at most 300, so
+    # the budgets bound the march's own total
     problems = list(oracle_pool())
     assert len(problems) == 72
+    total = 0
     for prob in problems:
-        u = pseudo_time_solve(prob, tol=1e-9, max_steps=5000)
+        expected, log = reference_march(prob, cap=300)
+        u = pseudo_time_solve(prob, tol=1e-9, max_steps=len(log))
+        assert np.array_equal(u, expected)
         assert sup_norm(u - active_set_enumerate(prob)) <= 1e-9
+        total += len(log)
+    assert total <= 1500
 
 
 def test_enumerate_tiny_instance():
@@ -435,7 +497,7 @@ def test_enumerate_agrees_with_marching():
         prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.1),
                                 rho=float(rng.uniform(0.5, 20.0)))
         exact = active_set_enumerate(prob)
-        marched = pseudo_time_solve(prob, tol=1e-9)
+        marched = pseudo_time_solve(prob, tol=1e-9, max_steps=1000)
         assert sup_norm(exact - marched) <= 1e-8
 
 
