@@ -2,15 +2,19 @@
 
 Two routes: explicit pseudo-time marching, and active-set enumeration of
 the penalty patterns that can reproduce their own signs (desk scale only).
-One pair of small dense operators, K and R, built from the definition of
-the penalized system, serves both and the oracle's residual:
+One pair of small dense operators, K and R, written entry by entry from
+the definition of the penalized system, serves both and the oracle's
+residual:
 K = [A | -b; D x I_N | -c] maps y = [vec(u), 1] to F(u) above the argument
 u^j - c[i, j] - u^i of each penalty term, and R = [I | -S x I_N] folds the
 clamped arguments into G(u). The march clamps K's penalty rows at 0; the
 enumeration adds R's column times K's row of each term a pattern switches
 on to [A | -b], and tests the pattern's signs with K's penalty rows. It
 tries only the patterns whose terms switched on at each node form no
-directed cycle i -> j over the regimes: 625 of the 4096 at d = 3, N = 2.
+directed cycle i -> j over the regimes: 625 of the 4096 at d = 3, N = 2,
+listed once per shape. Each pattern is factored once, in one stacked solve
+per batch; a determinant screen runs only on a batch whose solve met an
+exactly singular pattern.
 They share no code with the residual or slant in `core` that they check;
 from `core` they take only the problem type and the check of their numeric
 arguments.
@@ -46,16 +50,19 @@ the 72 verify-style instances of the benchmark's oracle pool at tol 1e-9
 the plain march took 557,835 residual evaluations, the march that gave up
 on every rejected candidate 13,992, and this one takes 1298: 6 for the
 median instance and 227 for the worst (2907 before, at c = 0.1,
-rho = 1e3). The march over the pool takes about 0.06 s (0.2 s giving up
-at once, 1.4 s plain) and the enumeration about 23 ms (88 ms over all
-2^(d(d-1)N) patterns); numpy 2.4.6, scipy 1.17.1, one BLAS thread, 2-core
-shared host. The N = 20 grids at rho = 1e3, tol 2e-9, are mixed: on the
-three-regime one at c = 1/8 the march takes 10,433 evaluations instead of
-91,223, but on the two-regime one at c = 1/8 29,782 instead of 26,749,
-where about a million plain steps were needed.
+rho = 1e3). The march over the pool takes about 20 ms (0.2 s giving up
+at once, 1.4 s plain) and the enumeration about 10 ms (26 ms with K and R
+built by np.block and np.kron, the patterns listed per call and each
+factored twice, 88 ms over all 2^(d(d-1)N) patterns); numpy 2.4.6, scipy
+1.17.1, one BLAS thread, 2-core shared host. The N = 20 grids at
+rho = 1e3, tol 2e-9, are mixed: on the three-regime one at c = 1/8 the
+march takes 10,433 evaluations instead of 91,223, but on the two-regime
+one at c = 1/8 29,782 instead of 26,749, where about a million plain
+steps were needed.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -108,6 +115,21 @@ class MultiplePatterns(OracleError):
         super().__init__(f"degenerate tie between penalty patterns {self.patterns}")
 
 
+@functools.lru_cache(maxsize=8)
+def _term_indices(d: int, n: int):
+    """(low, high, pair), read-only: for each penalty term t = k*N + l, the
+    columns i*N + l and j*N + l of u^i and u^j at node l, and the flat index
+    i*d + j of its cost, k being the k-th ordered pair (i, j != i) in
+    row-major order. They depend on the shape alone, so each problem of a
+    seen shape reuses them."""
+    i, j = np.nonzero(~np.eye(d, dtype=bool))
+    cols = np.arange(d * n).reshape(d, n)
+    indices = cols[i].ravel(), cols[j].ravel(), np.repeat(i * d + j, n)
+    for index in indices:
+        index.setflags(write=False)
+    return indices
+
+
 def _march_operators(prob: PenalizedProblem):
     """(K, floor, R): G(u) = R @ max(K @ [vec(u), 1], floor).
 
@@ -119,24 +141,27 @@ def _march_operators(prob: PenalizedProblem):
     the penalty rows) gives the penalty pi(t) = max(t, 0), and
     R = [I | -S x I_N], with the (d, P) scatter S holding rho at (i, k),
     subtracts rho times each term from its regime's F row.
+
+    The three are written entry by entry into zeroed arrays: term t's row
+    of K holds -1 at column i*N + l, +1 at j*N + l and -c[k] last, and its
+    column of R holds -rho at row i*N + l.
     """
     system = prob.system
-    i, j = np.nonzero(~np.eye(system.d, dtype=bool))
-    k = np.arange(i.size)
-    diff = np.zeros((k.size, system.d))
-    diff[k, j] = 1.0
-    diff[k, i] = -1.0
-    scatter = np.zeros((system.d, k.size))
-    scatter[i, k] = prob.rho
-    a, b = system.matrix.toarray(), system.rhs
-    eye = np.eye(system.N)
-    lift = np.block([
-        [a, -b[:, None]],
-        [np.kron(diff, eye), -np.repeat(prob.costs.costs[i, j], system.N)[:, None]],
-    ])
-    floor = np.zeros(lift.shape[0])
-    floor[: a.shape[0]] = -np.inf
-    reduce = np.hstack([np.eye(a.shape[0]), -np.kron(scatter, eye)])
+    size = system.d * system.N
+    low, high, pair = _term_indices(system.d, system.N)
+    t = np.arange(low.size)
+    lift = np.zeros((size + t.size, size + 1))
+    lift[:size, :size] = system.matrix.toarray()
+    lift[:size, size] = -system.rhs
+    penalty = lift[size:]
+    penalty[t, high] = 1.0
+    penalty[t, low] = -1.0
+    penalty[:, size] = -prob.costs.costs.ravel()[pair]
+    floor = np.zeros(size + t.size)
+    floor[:size] = -np.inf
+    reduce = np.zeros((size, size + t.size))
+    np.fill_diagonal(reduce, 1.0)
+    reduce[low, size + t] = -prob.rho
     return lift, floor, reduce
 
 
@@ -281,9 +306,12 @@ def pseudo_time_solve(
                 y[:size] = now[:size] - step * now[size:]
 
 
+@functools.lru_cache(maxsize=None)
 def _acyclic_patterns(d: int, n: int) -> np.ndarray:
     """The sorted patterns whose on-terms form no directed cycle i -> j over
-    the d regimes at any node, term t = k*N + l being pair k at node l."""
+    the d regimes at any node, term t = k*N + l being pair k at node l.
+    Read-only, and computed once per shape: the enumeration's cap of 16
+    terms leaves eleven shapes, with at most 3^8 = 6561 patterns."""
     i, j = np.nonzero(~np.eye(d, dtype=bool))
     masks = np.arange(1 << i.size)
     on = masks[:, None] >> np.arange(i.size) & 1
@@ -296,7 +324,9 @@ def _acyclic_patterns(d: int, n: int) -> np.ndarray:
     patterns = np.zeros(1, dtype=np.int64)
     for node in range(n):
         patterns = np.add.outer(patterns, spread << node).ravel()
-    return np.sort(patterns)
+    patterns.sort()
+    patterns.setflags(write=False)
+    return patterns
 
 
 def active_set_enumerate(prob: PenalizedProblem) -> np.ndarray:
@@ -309,8 +339,11 @@ def active_set_enumerate(prob: PenalizedProblem) -> np.ndarray:
     i -> j over the regimes at some node are skipped, for none can be
     accepted: costs are nonnegative and every rounding in K's penalty rows
     is monotone, so an on-term's positive computed argument gives
-    u^j > u^i, which a cycle contradicts. Patterns are solved in stacked
-    batches; an exactly singular pattern matrix is skipped.
+    u^j > u^i, which a cycle contradicts. Each batch of patterns is one
+    stacked solve, which factors each pattern matrix once. A batch holding
+    an exactly singular pattern matrix makes that solve raise; only then is
+    the batch screened by det != 0, which finds the same zero pivot, and its
+    other patterns solved.
     """
     d, n = prob.system.d, prob.system.N
     bits = d * (d - 1) * n
@@ -330,14 +363,20 @@ def active_set_enumerate(prob: PenalizedProblem) -> np.ndarray:
         patterns = acyclic[start:start + _CHUNK]
         on = (patterns[:, None] >> t & 1).astype(float)
         aug = top + (on @ terms).reshape(-1, size, size + 1)
-        m, rhs = aug[:, :, :size], -aug[:, :, size]
-        # a zero LU pivot gives det == 0, the same test that makes gesv raise
-        ok = np.linalg.det(m) != 0.0
-        u = np.linalg.solve(m[ok], rhs[ok, :, None])[:, :, 0]
+        m, rhs = aug[:, :, :size], -aug[:, :, size:]
+        try:
+            u = np.linalg.solve(m, rhs)[:, :, 0]
+        except np.linalg.LinAlgError:
+            # a zero LU pivot gives det == 0, the same test that makes gesv
+            # raise; each matrix is factored alone, so a pattern's bits do
+            # not depend on the batch it is solved in
+            ok = np.linalg.det(m) != 0.0
+            patterns, on = patterns[ok], on[ok]
+            u = np.linalg.solve(m[ok], rhs[ok])[:, :, 0]
         # the penalty arguments, as K's penalty rows give them to the march
         active = np.hstack([u, np.ones((len(u), 1))]) @ penalty.T > 0.0
-        consistent = np.all(active == (on[ok] == 1.0), axis=1)
-        hits.extend(zip(patterns[ok][consistent].tolist(), u[consistent]))
+        consistent = np.all(active == (on == 1.0), axis=1)
+        hits.extend(zip(patterns[consistent].tolist(), u[consistent]))
     if not hits:
         raise NoConsistentPattern("no penalty pattern reproduces its own signs")
     if len(hits) > 1:

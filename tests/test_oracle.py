@@ -100,6 +100,65 @@ def test_march_carries_a_shift():
     assert sup_norm(marched - unshifted) > 1e-3
 
 
+def defined_operators(prob):
+    """K, floor and R of the march as their definition states them: blocks
+    around the Kronecker products of the (P, d) difference matrix D and the
+    (d, P) scatter S with I_N."""
+    system = prob.system
+    i, j = np.nonzero(~np.eye(system.d, dtype=bool))
+    k = np.arange(i.size)
+    diff = np.zeros((k.size, system.d))
+    diff[k, j] = 1.0
+    diff[k, i] = -1.0
+    scatter = np.zeros((system.d, k.size))
+    scatter[i, k] = prob.rho
+    a, b = system.matrix.toarray(), system.rhs
+    eye = np.eye(system.N)
+    lift = np.block([
+        [a, -b[:, None]],
+        [np.kron(diff, eye), -np.repeat(prob.costs.costs[i, j], system.N)[:, None]],
+    ])
+    floor = np.zeros(lift.shape[0])
+    floor[: a.shape[0]] = -np.inf
+    reduce = np.hstack([np.eye(a.shape[0]), -np.kron(scatter, eye)])
+    return lift, floor, reduce
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("rho", [0.0, 1.0, 1e3])
+def test_march_operators_match_their_definition(d, n, rho):
+    # the index writes give the definition's values, the sign of a zero
+    # aside (np.array_equal counts -0.0 equal to 0.0), in C order, which
+    # the bits of the march's matrix-vector products depend on
+    rng = np.random.default_rng([d, n])
+    system = random_affine_system(rng, d=d, n=n)
+    varied = rng.uniform(0.0, 2.0, (d, d))
+    for costs in (SwitchingCostMatrix.uniform(d, 0.1), SwitchingCostMatrix(varied)):
+        prob = PenalizedProblem(system, costs, rho)
+        for built, defined in zip(_march_operators(prob), defined_operators(prob)):
+            assert np.array_equal(built, defined)
+            assert built.flags.c_contiguous
+
+
+def test_the_sign_of_a_zero_in_the_operators_reaches_no_result(monkeypatch):
+    # the definition writes -0.0 where the index writes leave +0.0; on the
+    # benchmark pool the march, the enumeration and the residual return the
+    # same bytes from either
+    problems = list(oracle_pool())
+    u = np.linspace(-1.0, 1.0, 6)
+
+    def results():
+        return [(pseudo_time_solve(prob, tol=1e-9, max_steps=300).tobytes(),
+                 active_set_enumerate(prob).tobytes(),
+                 oracle_residual(prob, u[:prob.system.d * prob.system.N]).tobytes())
+                for prob in problems]
+
+    built = results()
+    monkeypatch.setattr(oracle, "_march_operators", defined_operators)
+    assert results() == built
+
+
 def test_pseudo_time_halves_oversized_step():
     # step 3 on F(u) = u - b scales the error by -2 every step, so the
     # residual grows strictly until the step is halved into the stable range
@@ -446,6 +505,11 @@ def test_the_fit_agrees_with_numpy_lstsq(monkeypatch):
         expected = np.linalg.lstsq(a, b[:m, 0], rcond=None)[0]
         bound = 1e-12 * np.linalg.cond(a) * np.abs(expected).max()
         assert np.abs(x[:n, 0] - expected).max() <= bound
+        # the least-squares residual itself is well conditioned, so it is
+        # checked against numpy's with no condition number in the bound
+        g = b[:m, 0]
+        residual = np.linalg.norm(a @ x[:n, 0] - g)
+        assert abs(residual - np.linalg.norm(a @ expected - g)) <= 1e-12 * np.linalg.norm(g)
 
 
 def test_a_fit_whose_svd_fails_raises(monkeypatch):
@@ -560,6 +624,44 @@ def test_enumerate_skips_singular_pattern():
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 1.0), rho=2.0)
     u = active_set_enumerate(prob)
     assert np.array_equal(u, np.zeros((2, 1)))
+
+
+def counted_linalg(monkeypatch):
+    """Make np.linalg.det and np.linalg.solve record their calls: the number
+    of det calls and the batch size of each solve."""
+    calls = {"det": 0, "solve": []}
+    det, solve = np.linalg.det, np.linalg.solve
+
+    def counted_det(a):
+        calls["det"] += 1
+        return det(a)
+
+    def counted_solve(a, b):
+        calls["solve"].append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "det", counted_det)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    return calls
+
+
+def test_enumeration_factors_each_pattern_once(monkeypatch):
+    # with no singular pattern in a batch, one stacked solve factors each
+    # pattern once and nothing screens it: the 625 acyclic patterns of a
+    # d = 3, N = 2 pool problem are one batch, and the 6561 of d = 2, N = 8
+    # two. A singular pattern makes the solve raise; only then does det
+    # screen the batch, and the rest is solved again
+    calls = counted_linalg(monkeypatch)
+    prob = next(p for p in oracle_pool() if (p.system.d, p.system.N, p.rho) == (3, 2, 1e3))
+    active_set_enumerate(prob)
+    assert calls == {"det": 0, "solve": [625]}
+    system = random_affine_system(np.random.default_rng(64), d=2, n=8)
+    active_set_enumerate(PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.1), 5.0))
+    assert calls == {"det": 0, "solve": [625, 4096, 2465]}
+    system = AffineSystem(sp.csr_matrix(np.diag([-2.0, 1.0])), np.zeros((2, 1)), gamma=1.0)
+    u = active_set_enumerate(PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 1.0), 2.0))
+    assert np.array_equal(u, np.zeros((2, 1)))
+    assert calls == {"det": 1, "solve": [625, 4096, 2465, 3, 2]}
 
 
 def test_enumerate_across_batches_matches_newton():
