@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import as_strided
 from scipy.sparse import _sparsetools
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "qvi_residual",
     "penalized_residual",
     "penalized_slant",
-    "slant_band",
     "field_values",
     "as_costs",
 ]
@@ -397,73 +395,8 @@ def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
     return _penalized(prob)(field_values(u, prob.system.d, prob.system.N))[0]
 
 
-def _transposed(ab: np.ndarray, kl: int, ku: int, top: int = 0) -> np.ndarray:
-    """The band of the transpose of the matrix that ``ab`` holds with kl
-    diagonals below the main one and ku above, in the storage of widths ku
-    below and kl above, as a new Fortran array below ``top`` zero rows:
-    row r is row kl + ku - r of ``ab`` shifted by r - kl columns, zeros
-    shifted in."""
-    out = np.zeros((top + kl + ku + 1, ab.shape[1]), order="F")
-    for r in range(kl + ku + 1):
-        lo, hi = max(kl - r, 0), ab.shape[1] + min(kl - r, 0)
-        out[top + r, lo:hi] = ab[kl + ku - r, lo + r - kl:hi + r - kl]
-    return out
-
-
-def _coupling_blocks(band: np.ndarray, d: int, ku: int) -> np.ndarray:
-    """The (d, d, N) view of ``band``, an array holding a matrix in band
-    storage with ``ku`` diagonals above the main one: entry [i, j, l] of the
-    view is the matrix's entry at row (i, l), column (j, l). The view is
-    read from ``band``'s own strides, so ``band`` may be a row slice of a
-    taller LU array."""
-    row, col = band.strides
-    # entry (l*d + i, l*d + j) sits at band[ku + i - j, l*d + j]
-    return as_strided(band[ku:], (d, d, band.shape[1] // d), (row, col - row, d * col))
-
-
-def _columns(band: np.ndarray) -> np.ndarray:
-    """The (n, 1) view of ``band``, a Fortran-ordered array of n columns,
-    whose element [q, 0] is column q whole, as one void scalar."""
-    return band.T.view(np.dtype((np.void, band.itemsize * band.shape[0])))
-
-
-def _write_slant(out: np.ndarray, transposed: np.ndarray, blocks: np.ndarray,
-                 keep=None, coupling=None) -> None:
-    """Write the transpose of the slant diag(keep) A + C, which is
-    A^T diag(keep) + C^T, over every entry of an array in the band storage
-    of A^T, given as its :func:`_columns` view ``out``. ``transposed`` is the
-    same view of A^T's band in that array's layout, and ``blocks`` the
-    :func:`_coupling_blocks` view of the array with its first two axes
-    swapped, so that entry [i, j, l] is C^T's at row (j, l), column (i, l);
-    ``keep`` and ``coupling`` are those of :func:`slant_band`. In this
-    orientation a dropped row of A is a column of A^T, so it is zeroed as
-    one element of ``out``; ``keep.T`` read flat is the mask in the array's
-    node-major column order."""
-    out[...] = transposed
-    if keep is not None:
-        np.putmask(out, ~keep.T, np.zeros((), out.dtype))
-    if coupling is not None:
-        blocks += coupling
-
-
-def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
-    """The slant diag(keep) A + C, where A is the system's band.
-
-    ``keep`` is a (d, N) mask of the rows of A to keep (all when None), and
-    the (d, d, N) array ``coupling`` puts C[i, j, l] at row (i, l), column
-    (j, l), coupling the components of one node. The slant's transpose is
-    written as the Newton steps write it, by :func:`_write_slant`, over a
-    :func:`_transposed` A and transposed back: a fresh NodeBand of A's widths.
-    """
-    base = system.band
-    transpose = _transposed(base.ab, base.kl, base.ku)
-    blocks = _coupling_blocks(transpose, base.d, base.kl).swapaxes(0, 1)
-    columns = _columns(transpose)
-    _write_slant(columns, columns, blocks, keep, coupling)
-    return NodeBand(base.d, base.kl, base.ku, _transposed(transpose, base.ku, base.kl))
-
-
 def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:
     """The penalized slant as regime-major CSR."""
+    from .newton import slant_band  # newton imports this module
     v = field_values(u, prob.system.d, prob.system.N)
     return slant_band(prob.system, *_penalized(prob)(v)[1:]).tocsr()

@@ -2,9 +2,9 @@
 
 Every Newton problem is one function ``linearize(u) -> (G(u), keep,
 coupling)``: the residual at u and the slant of G at the same point,
-diag(keep) A + C, in the terms of :func:`qvipen.core.slant_band` (``keep``
-a (d, N) row mask of the system matrix A, None for all rows; ``coupling``
-the (d, d, N) per-node block C, None for none). :func:`_newton` calls it
+diag(keep) A + C, in the terms of :func:`slant_band` (``keep`` a (d, N)
+row mask of the system matrix A, None for all rows; ``coupling`` the
+(d, d, N) per-node block C, None for none). :func:`_newton` calls it
 once per iterate, so F and the obstacle are evaluated once per iterate.
 :func:`qvipen.core._penalized` builds the penalty's, once per solve, for
 :func:`solve_penalized` and, with its first slot frozen, for the sweeps Q_rho
@@ -31,10 +31,11 @@ non-finite entry fails as a singular slant does.
 Every band system is solved as one step on a workspace: a LAPACK band LU
 array, a copy of A^T's band in its layout, from which a step writes its
 slant's transpose over the LU array, and a node-major right-hand side.
-:func:`linear_solve` takes one step on a fresh workspace. Each system holds
-one, allocated at its first Newton solve; a solve borrows it for its
-duration, and a solve that finds it taken, nested in or concurrent with
-another on the same system, allocates its own.
+The band layout lives in :class:`_Workspace` alone: :func:`linear_solve`
+takes one step on a fresh workspace, and :func:`slant_band` writes its
+slant on one. Each system holds one, allocated at its first Newton solve; a
+solve borrows it for its duration, and a solve that finds it taken, nested
+in or concurrent with another on the same system, allocates its own.
 
 A slant L is factored as its transpose, L^T = P L' U', by LAPACK's band LU
 ``gbtrf``, without iterative refinement: that leaves a backward error near
@@ -62,6 +63,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .core import (
@@ -69,14 +71,10 @@ from .core import (
     NodeBand,
     PenalizedProblem,
     SolveReport,
-    _columns,
-    _coupling_blocks,
     _number,
     _obstacles,
     _penalized,
     _sup,
-    _transposed,
-    _write_slant,
     as_costs,
     field_values,
 )
@@ -86,6 +84,7 @@ __all__ = [
     "SingularSlant",
     "MaxIterExceeded",
     "linear_solve",
+    "slant_band",
     "solve_root",
     "solve_penalized",
     "solve_obstacle",
@@ -147,24 +146,39 @@ def linear_solve(op: NodeBand, rhs: np.ndarray) -> np.ndarray:
     return x.ravel()
 
 
+def _transposed(ab: np.ndarray, kl: int, ku: int, top: int = 0) -> np.ndarray:
+    """The band of the transpose of the matrix that ``ab`` holds with kl
+    diagonals below the main one and ku above, in the storage of widths ku
+    below and kl above, as a new Fortran array below ``top`` zero rows:
+    row r is row kl + ku - r of ``ab`` shifted by r - kl columns, zeros
+    shifted in."""
+    out = np.zeros((top + kl + ku + 1, ab.shape[1]), order="F")
+    for r in range(kl + ku + 1):
+        lo, hi = max(kl - r, 0), ab.shape[1] + min(kl - r, 0)
+        out[top + r, lo:hi] = ab[kl + ku - r, lo + r - kl:hi + r - kl]
+    return out
+
+
 class _Workspace:
     """The buffers of the Newton solves on one band ``base``, allocated once.
 
     For A, the matrix of ``base``, with kl diagonals below the main one and
     ku above, ``lu`` is the Fortran-ordered LAPACK LU array of A^T's widths,
-    (kl + 2ku + 1) x dN, ``columns`` its per-column view from
-    :func:`qvipen.core._columns`, and ``transposed`` the same view of a copy
-    of A^T's band in its layout, the ku fill rows zero. A step writes its
-    slant's transpose over ``lu`` through ``columns``, adding the coupling
-    through ``blocks``, the per-node view of the rows ku: of ``lu`` with its
-    first two axes swapped. ``lower`` is ``lu`` shifted kl + ku elements on,
-    in a buffer that much longer: its rows 1 to ku hold the multipliers of
-    the unit lower factor. ``rhs`` is the node-major right-hand side and ``flat`` its flat view. ``policy`` holds
-    the bytes of the keep and coupling of the slant ``lu`` holds factored,
-    None when it holds no factorization, and ``ipiv`` its pivots when they
-    interchange rows, else None; ``unpivoted`` holds the bytes of the pivots
-    of a factorization that interchanges none. A system keeps one for its
-    Newton solves; :func:`linear_solve` takes one step on a fresh one.
+    (kl + 2ku + 1) x dN, its ku fill rows on top. ``columns`` is its
+    per-column view, whose element [q, 0] is column q whole as one void
+    scalar, and ``transposed`` the same view of a copy of A^T's band in its
+    layout, the fill rows zero. ``blocks`` is the per-node view of ``lu``:
+    entry [i, j, l] is L^T's at row (j, l), column (i, l), which is where
+    :meth:`write` adds C[i, j, l]. ``lower`` is ``lu`` shifted kl + ku
+    elements on, in a buffer that much longer: its rows 1 to ku hold the
+    multipliers of the unit lower factor. ``rhs`` is the node-major
+    right-hand side and ``flat`` its flat view. ``policy`` holds the bytes
+    of the keep and coupling of the slant ``lu`` holds factored, None when
+    it holds no factorization, and ``ipiv`` its pivots when they interchange
+    rows, else None; ``unpivoted`` holds the bytes of the pivots of a
+    factorization that interchanges none. A system keeps one for its Newton
+    solves; :func:`linear_solve` takes one step on a fresh one, and
+    :func:`slant_band` writes one slant on a fresh one.
     """
 
     __slots__ = ("base", "lu", "lower", "columns", "blocks", "transposed", "rhs", "flat",
@@ -172,20 +186,36 @@ class _Workspace:
 
     def __init__(self, base: NodeBand):
         self.base = base
-        kl, ku = base.kl, base.ku
+        d, kl, ku = base.d, base.kl, base.ku
         rows, size = kl + 2 * ku + 1, base.ab.shape[1]
         buffer = np.zeros(rows * size + kl + ku)
         self.lu = buffer[:rows * size].reshape((rows, size), order="F")
         self.lower = buffer[kl + ku:].reshape((rows, size), order="F")
-        self.columns = _columns(self.lu)
-        self.blocks = _coupling_blocks(self.lu[ku:], base.d, kl).swapaxes(0, 1)
-        self.transposed = _columns(_transposed(base.ab, kl, ku, top=ku))
-        self.rhs = np.empty((size // base.d, base.d))
+        column = np.dtype((np.void, self.lu.itemsize * rows))
+        self.columns = self.lu.T.view(column)
+        self.transposed = _transposed(base.ab, kl, ku, top=ku).T.view(column)
+        row, col = self.lu.strides
+        # L^T's entry (l*d + j, l*d + i) sits at lu[ku + kl + j - i, l*d + i]
+        self.blocks = as_strided(self.lu[ku + kl:], (d, d, size // d), (col - row, row, d * col))
+        self.rhs = np.empty((size // d, d))
         self.flat = self.rhs.reshape(-1)
         # the pivots, 0-based in scipy's wrapper, of a factorization that
         # interchanges no rows
         self.unpivoted = np.arange(size, dtype=np.intc).tobytes()
         self.policy = self.ipiv = None
+
+    def write(self, keep, coupling) -> None:
+        """Write the transpose of the slant L = diag(keep) A + C, which is
+        A^T diag(keep) + C^T, over every entry of ``lu``; ``keep`` and
+        ``coupling`` are those of :func:`slant_band`. In this orientation a
+        dropped row of A is a column of A^T, so it is zeroed as one element
+        of ``columns``; ``keep.T`` read flat is the mask in ``lu``'s
+        node-major column order."""
+        self.columns[...] = self.transposed
+        if keep is not None:
+            np.putmask(self.columns, ~keep.T, np.zeros((), self.columns.dtype))
+        if coupling is not None:
+            self.blocks += coupling
 
     def step(self, g: np.ndarray, keep, coupling) -> np.ndarray:
         """The Newton step -L^{-1} g, a (d, N) view of ``rhs``, for the slant
@@ -203,7 +233,7 @@ class _Workspace:
         if policy != self.policy:
             # a factorization that fails is never held
             self.policy = None
-            _write_slant(self.columns, self.transposed, self.blocks, keep, coupling)
+            self.write(keep, coupling)
             _, ipiv, info = _gbtrf(self.lu, ku, kl, overwrite_ab=True)
             if info < 0:
                 raise ValueError(f"illegal value in argument {-info} of LAPACK's gbtrf")
@@ -221,6 +251,20 @@ class _Workspace:
             # the arguments gbtrf accepted, so info is 0
             x, _ = _gbtrs(self.lu, ku, kl, rhs, self.ipiv, trans=1, overwrite_b=True)
         return x.reshape(self.rhs.shape).T
+
+
+def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
+    """The slant diag(keep) A + C, where A is the system's band.
+
+    ``keep`` is a (d, N) mask of the rows of A to keep (all when None), and
+    the (d, d, N) array ``coupling`` puts C[i, j, l] at row (i, l), column
+    (j, l), coupling the components of one node. The slant's transpose is
+    written as a Newton step writes it, on a fresh :class:`_Workspace`, and
+    transposed back: a fresh NodeBand of A's widths.
+    """
+    base, workspace = system.band, _Workspace(system.band)
+    workspace.write(keep, coupling)
+    return NodeBand(base.d, base.kl, base.ku, _transposed(workspace.lu[base.ku:], base.ku, base.kl))
 
 
 def _newton(system: AffineSystem, linearize, initial, cfg: NewtonConfig | None = None):

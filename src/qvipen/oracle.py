@@ -15,9 +15,9 @@ directed cycle i -> j over the regimes: 625 of the 4096 at d = 3, N = 2,
 listed once per shape. Each pattern is factored once, in one stacked solve
 per batch; a determinant screen runs only on a batch whose solve met an
 exactly singular pattern.
-They share no code with the residual or slant in `core` that they check;
-from `core` they take only the problem type and the check of their numeric
-arguments.
+They share no code with the residual in `core` or the slant in `newton`
+that they check; from `core` they take only the problem type and the check
+of their numeric arguments.
 
 The march is accelerated on its own fixed-point map u -> u - delta * G(u),
 with the same step delta: type-II Anderson acceleration with memory m = 6
@@ -42,23 +42,6 @@ solve: 5.1 instead of 11.7 us a fit. Each evaluation, a rejected
 candidate's and a shortened one's included, counts against the step
 budget. The accelerator reads only the march's own iterates and residuals,
 so the march stays an oracle.
-
-Without the shortening, a rejection cleared the memory and the next fit,
-on one difference, jumped across a penalty kink and was rejected in turn:
-the hard problems alternated reject and plain step at the plain rate. On
-the 72 verify-style instances of the benchmark's oracle pool at tol 1e-9
-the plain march took 557,835 residual evaluations, the march that gave up
-on every rejected candidate 13,992, and this one takes 1298: 6 for the
-median instance and 227 for the worst (2907 before, at c = 0.1,
-rho = 1e3). The march over the pool takes about 20 ms (0.2 s giving up
-at once, 1.4 s plain) and the enumeration about 10 ms (26 ms with K and R
-built by np.block and np.kron, the patterns listed per call and each
-factored twice, 88 ms over all 2^(d(d-1)N) patterns); numpy 2.4.6, scipy
-1.17.1, one BLAS thread, 2-core shared host. The N = 20 grids at
-rho = 1e3, tol 2e-9, are mixed: on the three-regime one at c = 1/8 the
-march takes 10,433 evaluations instead of 91,223, but on the two-regime
-one at c = 1/8 29,782 instead of 26,749, where about a million plain
-steps were needed.
 """
 from __future__ import annotations
 

@@ -290,12 +290,12 @@ def hjb_limit_solve(system: AffineSystem, rho_schedule,
 
     All regimes collapse onto one value vector in the limit; each schedule
     entry is solved from the root of F so the reports match standalone runs.
+    Each entry must be a positive finite number, never a bool or a string;
+    a ValueError names the first that is not.
     """
-    schedule = [float(r) for r in rho_schedule]
+    schedule = [_number(f"rho_schedule[{k}]", r, 0) for k, r in enumerate(rho_schedule)]
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("rho schedule must be nonempty and strictly increasing")
-    if any(r <= 0 for r in schedule):
-        raise ValueError("rho schedule entries must be positive")
     costs = SwitchingCostMatrix.uniform(system.d, 0.0)
     root, _ = solve_root(system, np.zeros((system.d, system.N)), cfg)
     stages = []

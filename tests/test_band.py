@@ -14,14 +14,14 @@ from qvipen.core import (
     PenalizedProblem,
     SwitchingCostMatrix,
     _penalized,
-    _transposed,
     penalized_residual,
-    slant_band,
     sup_norm,
 )
 from qvipen.newton import (
     SingularSlant,
+    _transposed,
     linear_solve,
+    slant_band,
     solve_obstacle,
     solve_penalized,
     solve_root,

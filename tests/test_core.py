@@ -49,6 +49,8 @@ def test_cost_matrix():
         SwitchingCostMatrix([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         SwitchingCostMatrix(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="needs at least two regimes"):
+        SwitchingCostMatrix([[0.0]])
     assert not SwitchingCostMatrix.uniform(2, 0.0).is_positive
 
 

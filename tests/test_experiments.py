@@ -529,10 +529,18 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     bad_key.write_text(json.dumps({"volume": 11}))
     assert main(["table", "--config", str(bad_key)]) == 2
     assert "volume" in capsys.readouterr().err
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text(json.dumps([0.5]))
+    assert main(["table", "--config", str(not_an_object)]) == 2
+    assert "config file must hold a JSON object" in capsys.readouterr().err
     with pytest.raises(SystemExit) as usage:
         main(["table", "--case", "two-regime", "--threads", "1"])
     assert usage.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as usage:
+        main(["table", "--rho", "1,x"])
+    assert usage.value.code == 2
+    assert "expected comma-separated numbers, got '1,x'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mapping, message", [
@@ -593,6 +601,7 @@ def test_cli_rejects_a_list_field_that_is_not_a_list(tmp_path, capsys, command, 
 
 @pytest.mark.parametrize("mapping, message", [
     ({"cost_list": [0.5, "0.5"]}, "cost_list[1] must be a nonnegative finite number, got '0.5'"),
+    ({"cost_list": []}, "cost_list must be nonempty"),
     ({"rho_list": [None]}, "rho_list[0] must be a positive finite number, got None"),
     ({"rho_list": [True]}, "rho_list[0] must be a positive finite number, got True"),
     ({"newton": ["tol"]}, "newton must be a mapping of max_iter, residual_tol, tol, "
@@ -604,8 +613,8 @@ def test_cli_rejects_a_list_field_that_is_not_a_list(tmp_path, capsys, command, 
     ({"output_path": 0}, "output_path must be a string, got int 0"),
     ({"output_path": 5}, "output_path must be a string, got int 5"),
     ({"output_path": ""}, "output_path must name a file, got ''"),
-], ids=["string-cost", "null-rho", "bool-rho", "list-newton", "int-newton", "nan-probe",
-        "inf-probe", "string-probe", "zero-output-path", "int-output-path",
+], ids=["string-cost", "empty-cost", "null-rho", "bool-rho", "list-newton", "int-newton",
+        "nan-probe", "inf-probe", "string-probe", "zero-output-path", "int-output-path",
         "empty-output-path"])
 def test_cli_names_the_field_of_a_bad_entry(tmp_path, capsys, mapping, message):
     # each printed a message that named no field: a numpy isfinite casting

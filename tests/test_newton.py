@@ -16,7 +16,6 @@ from qvipen.core import (
     _penalized,
     penalized_residual,
     qvi_residual,
-    slant_band,
     sup_norm,
 )
 from qvipen.newton import (
@@ -26,6 +25,7 @@ from qvipen.newton import (
     _min_rows,
     _solve_qvi,
     linear_solve,
+    slant_band,
     solve_obstacle,
     solve_penalized,
     solve_root,

@@ -343,10 +343,11 @@ def test_march_trajectory_matches_the_reference_through_halvings():
         pseudo_time_solve(tiny_problem(), step=3.0, tol=1e-10, max_steps=steps)
 
 
-def test_march_matches_the_reference_over_hundreds_of_blocks():
-    # a verify-style instance at c = 0.01, rho = 1e4, the hard kind: terms
-    # sit near their kink, 1011 of its 1386 evaluations are rejected, and
-    # the march gives up on a candidate and clears the memory 306 times
+def test_long_march_matches_the_reference_through_a_thousand_rejections():
+    # the march stays bitwise the reference's over a long, hard march: a
+    # verify-style instance at c = 0.01, rho = 1e4, whose terms sit near
+    # their kink, so 1011 of its 1386 evaluations are rejected and the
+    # march gives up on a candidate and clears the memory 306 times
     prob = long_march_problem()
     expected, log = reference_march(prob)
     steps = len(log) - 1
@@ -380,12 +381,12 @@ def test_a_kept_shortened_candidate_keeps_the_memory(monkeypatch):
 
 
 @pytest.mark.parametrize("max_steps", [63, 64, 65, 128])
-def test_budget_spent_inside_or_at_the_end_of_a_block(max_steps):
-    # the instance needs 148 evaluations; evaluations 63 and 65 are
-    # rejected candidates, 64 and 128 shortened ones the march moves to.
-    # Every one counts against the budget, and the message carries the
-    # residual of the last one the budget allows, a rejected candidate's
-    # included
+def test_budget_counts_rejected_and_shortened_candidates(max_steps):
+    # every evaluation counts against the budget, whatever becomes of its
+    # candidate: the instance needs 148 evaluations, of which 63 and 65 are
+    # rejected candidates and 64 and 128 shortened ones the march moves to.
+    # The message carries the residual of the last evaluation the budget
+    # allows, a rejected candidate's included
     rng = np.random.default_rng(0)
     system = random_affine_system(rng, d=3, n=2)
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 0.1), 1e3)
@@ -397,7 +398,7 @@ def test_budget_spent_inside_or_at_the_end_of_a_block(max_steps):
         pseudo_time_solve(prob, tol=1e-9, max_steps=max_steps)
 
 
-def test_restart_inside_a_block_drops_the_rest_of_it():
+def test_restart_after_a_nan_residual_leaves_no_trace():
     # step 1500 on F(u) = u - b multiplies the error by -1499 per step. The
     # residual grows from the first step, so the memory stays empty and the
     # march takes plain steps until the iterate overflows and the residual

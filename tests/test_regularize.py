@@ -1,4 +1,5 @@
 """Regularization sweeps, error constants, and the zero-cost limit."""
+import re
 import warnings
 
 import numpy as np
@@ -452,6 +453,10 @@ def test_hjb_validates_schedule(two_regime):
     system, _ = two_regime
     for bad in ([], [1e3, 1e3], [2e3, 1e3], [-1.0, 1e3]):
         with pytest.raises(ValueError):
+            hjb_limit_solve(system, bad)
+    # each entry as given, before a float cast that reads True and "2000"
+    for bad, entry in (([True, 2e3], "rho_schedule[0]"), ([1.0, "2000"], "rho_schedule[1]")):
+        with pytest.raises(ValueError, match=re.escape(entry)):
             hjb_limit_solve(system, bad)
 
 
