@@ -391,9 +391,8 @@ def _solver_agreement(config: ExperimentConfig):
         prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(d, cost), rho)
         u_newton, _ = solve_penalized(prob, np.zeros((d, n)), config.newton)
         u_march = pseudo_time_solve(prob, tol=1e-9)
-        worst = max(worst, sup_norm(u_newton - u_march))
-        if (d - 1) * d * n <= 16:
-            worst = max(worst, sup_norm(u_newton - active_set_enumerate(prob)))
+        u_enum = active_set_enumerate(prob)
+        worst = max(worst, sup_norm(u_newton - u_march), sup_norm(u_newton - u_enum))
     return worst <= 1e-6, f"max pairwise gap {worst:.2e} over 15 instances"
 
 

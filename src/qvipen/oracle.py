@@ -19,29 +19,8 @@ They share no code with the residual in `core` or the slant in `newton`
 that they check; from `core` they take only the problem type and the check
 of their numeric arguments.
 
-The march is accelerated on its own fixed-point map u -> u - delta * G(u),
-with the same step delta: type-II Anderson acceleration with memory m = 6
-(D. G. Anderson, J. ACM 1965; Walker & Ni, SINUM 2011). From the iterate
-u_k, gamma fits G(u_k) by least squares over the residual differences dG of
-the last m steps, and the candidate is u_k - dU gamma - delta * (G(u_k) -
-dG gamma), dU being the matching iterate differences. The safeguard
-(Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020): a point is kept only if
-its residual sup-norm is strictly below the current one. A rejected
-candidate is shortened toward the plain step p = u_k - delta * G(u_k): the
-march evaluates p + 0.1 (candidate - p) next, with the memory kept, and if
-that is rejected too, p + 0.01 (candidate - p). After two rejected
-shortenings it takes the plain step and clears the memory. A kept point or
-a restart resets the count. A plain step whose residual does not fall
-clears the memory too, so the march only extrapolates from a falling
-history, and a step too long to contract still shows as growth to the
-halving rule. The memory holds only finite differences, so no non-finite
-value reaches the fit, and the fit's minimum-norm solution takes a
-rank-deficient history. The fit is np.linalg.lstsq's with rcond=None, made
-by calling LAPACK's gelsd directly with a workspace queried once per
-solve: 5.1 instead of 11.7 us a fit. Each evaluation, a rejected
-candidate's and a shortened one's included, counts against the step
-budget. The accelerator reads only the march's own iterates and residuals,
-so the march stays an oracle.
+The march, type-II Anderson acceleration under a safeguard, is described
+in `pseudo_time_solve`.
 """
 from __future__ import annotations
 
@@ -167,16 +146,32 @@ def pseudo_time_solve(
 
     The default step 0.9 / (max slant diagonal + rho*(d-1)) makes the plain
     update a contraction on the assembled systems, the penalty max(t, 0) being
-    Lipschitz with constant 1. Each step tries the Anderson candidate fitted
-    to the last ``_MEMORY`` steps and keeps it only if its residual sup-norm
-    is strictly below the current one. A rejected candidate is moved to
-    ``_SHORTEN`` of its extrapolation from the plain step and tried again,
-    the memory kept, up to ``_RETRIES`` times; then the march takes the
-    plain step and clears the memory, as it does after a plain step whose
-    residual does not fall. A non-finite residual, or one that does not
-    fall for 100 steps in a row, halves the step and restarts the march from
-    zero; ten halvings without recovery is a failure. ``max_steps`` counts
-    residual evaluations, rejected and shortened candidates included.
+    Lipschitz with constant 1.
+
+    The march is accelerated on its own map u -> u - step * G(u): type-II
+    Anderson acceleration with memory m = ``_MEMORY`` (D. G. Anderson, J. ACM
+    1965; Walker & Ni, SINUM 2011). From the iterate u_k, gamma fits G(u_k) by
+    least squares over the residual differences dG of the last m steps that
+    lowered the residual, and the candidate is u_k - dU gamma - step *
+    (G(u_k) - dG gamma), dU being the matching iterate differences. The fit
+    is np.linalg.lstsq's with rcond=None, made by calling LAPACK's gelsd
+    directly with a workspace queried once per solve. The memory holds only
+    finite differences, so no non-finite value reaches the fit, and the fit's
+    minimum-norm solution takes a rank-deficient memory.
+
+    The safeguard (Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020) keeps a
+    point only if its residual sup-norm is strictly below the current one. A
+    rejected candidate is moved to ``_SHORTEN`` of its extrapolation from the
+    plain step p = u_k - step * G(u_k) and tried again, the memory kept, up to
+    ``_RETRIES`` times; then the march takes p and clears the memory. A plain
+    step whose residual does not fall clears the memory too, so the march
+    only extrapolates from a falling history, and a step too long to contract
+    still shows as growth. A non-finite residual, or one that does not fall
+    for 100 steps in a row, halves the step and restarts the march from zero;
+    ten halvings without recovery is a failure. ``max_steps`` counts residual
+    evaluations, rejected and shortened candidates included. The accelerator
+    reads only the march's own iterates and residuals, so the march stays an
+    oracle.
     """
     max_steps = _number("max_steps", max_steps, 0, integer=True)
     if step is not None:
@@ -189,65 +184,44 @@ def pseudo_time_solve(
         # the first d*n entries of K's diagonal are A's
         diag = float(np.abs(lift.diagonal()[:size]).max())
         step = 0.9 / (diag + prob.rho * (d - 1))
-    # y = [vec(u), 1] is K's input at the point evaluated next; an iterate
-    # is held as its state [vec(u), G(u)], and row k of ``past`` is the
-    # k-th oldest of the last ``held`` steps' state differences
-    y = np.zeros(size + 1)
-    y[-1] = 1.0
-    z = np.empty(lift.shape[0])
-    now, point = np.zeros(2 * size), np.zeros(2 * size)
-    past = np.empty((_MEMORY, 2 * size))
-    held = 0
-    # the fit's LAPACK workspace, queried for the widest history, and its
-    # right-hand side, zero below the d*n rows of G(u)
+    # the fit's LAPACK workspace, queried for the widest memory
     work, iwork, _ = _gelsd_lwork(size, _MEMORY, 1)
     work = int(work)
-    rhs = np.zeros((max(size, _MEMORY), 1))
     eps = np.finfo(float).eps
-    magnitude = np.empty(size)
-    accelerated = False
-    retries = 0
-    halvings = 0
-    stalled = 0
-    evaluations = 0
-    # an iterate's residual is finite, a non-finite one restarting the
-    # march, so res is inf exactly when the march has no iterate yet
-    res = math.inf
+    # K's input [vec(u), 1] at the point evaluated next
+    y = np.zeros(size + 1)
+    y[-1] = 1.0
+    # the iterate's state [vec(u), G(u)] and residual sup-norm: an iterate's
+    # residual is finite, a non-finite one restarting the march, so res is
+    # inf exactly when the march has no iterate yet
+    state, res = None, math.inf
+    # the state differences of the last steps that lowered the residual
+    memory = []
+    retries, halvings, stalled = 0, 0, 0
     # overflow on a divergent trajectory, or on a wild candidate, is an
     # anticipated signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            if evaluations == max_steps:
-                raise MaxStepsExceeded(
-                    f"residual {res_point:.3e} > {tol:.3e} after {max_steps} steps"
-                )
-            evaluations += 1
-            lift.dot(y, out=z)
-            np.maximum(z, floor, out=z)
-            reduce.dot(z, out=point[size:])
-            res_point = float(np.maximum.reduce(np.abs(point[size:], out=magnitude)))
+        for _ in range(max_steps):
+            g = reduce.dot(np.maximum(lift.dot(y), floor))
+            res_point = float(np.maximum.reduce(np.abs(g)))
             falls = res_point < res
-            if accelerated and not falls:
+            # a point evaluated with a nonempty memory is a fitted candidate
+            if memory and not falls:
                 if retries < _RETRIES:
-                    # the safeguard shortens the candidate toward the
-                    # plain step, keeping the memory
+                    # the safeguard shortens the candidate toward the plain
+                    # step, keeping the memory
                     retries += 1
-                    plain = now[:size] - step * now[size:]
+                    plain = state[:size] - step * state[size:]
                     y[:size] = plain + _SHORTEN * (y[:size] - plain)
                     continue
                 # then it gives up: keep the iterate, take the plain step
-                held = 0
+                memory = []
             else:
                 retries = 0
                 if res_point <= tol:
                     return y[:size].reshape(d, n).copy()
-                if not math.isfinite(res_point):
-                    stalled = 100
-                elif falls:
-                    stalled = 0
-                else:
-                    stalled += 1
-                if stalled >= 100:
+                stalled = 0 if falls else stalled + 1
+                if stalled >= 100 or not math.isfinite(res_point):
                     halvings += 1
                     if halvings > 10:
                         raise DivergenceDetected(
@@ -255,38 +229,34 @@ def pseudo_time_solve(
                         )
                     step *= 0.5
                     stalled = 0
-                    # no iterate, so the next point starts an empty memory
-                    res = math.inf
+                    state, res = None, math.inf
                     y[:size] = 0.0
                     continue
-                point[:size] = y[:size]
-                if falls and res < math.inf:
-                    # the memory takes a step that lowered the residual,
-                    # if the step's difference is finite
-                    if held == _MEMORY:
-                        past[:-1] = past[1:]
-                        held -= 1
-                    np.subtract(point, now, out=past[held])
-                    held = held + 1 if np.logical_and.reduce(np.isfinite(past[held])) else 0
+                point = np.concatenate((y[:size], g))
+                if falls and state is not None:
+                    # the memory takes a step that lowered the residual, if
+                    # the step's difference is finite
+                    diff = point - state
+                    memory = (memory + [diff])[-_MEMORY:] if np.isfinite(diff).all() else []
                 else:
-                    held = 0
-                now, point = point, now
-                res = res_point
-            accelerated = held > 0
-            if accelerated:
+                    memory = []
+                state, res = point, res_point
+            if memory:
                 # type II: gamma fits G(u) by the memory's residual
-                # differences, and the candidate mixes the states by it.
-                # The fit is np.linalg.lstsq's, rcond=None included
-                rhs[:size, 0] = now[size:]
-                rows = max(size, held)
-                x, _, _, info = _gelsd(past[:held, size:].T, rhs[:rows], work, iwork, eps * rows)
+                # differences, and the candidate mixes the states by it
+                past = np.array(memory)
+                # gelsd's right-hand side has a row per row or column of the fit
+                rows = max(size, len(memory))
+                rhs = np.zeros((rows, 1))
+                rhs[:size, 0] = state[size:]
+                x, _, _, info = _gelsd(past[:, size:].T, rhs, work, iwork, eps * rows)
                 if info > 0:
                     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-                gamma = x[:held, 0]
-                mixed = now - gamma @ past[:held]
+                mixed = state - x[:len(memory), 0] @ past
                 y[:size] = mixed[:size] - step * mixed[size:]
             else:
-                y[:size] = now[:size] - step * now[size:]
+                y[:size] = state[:size] - step * state[size:]
+    raise MaxStepsExceeded(f"residual {res_point:.3e} > {tol:.3e} after {max_steps} steps")
 
 
 @functools.lru_cache(maxsize=None)

@@ -195,7 +195,7 @@ def iterate_to_fixed_point(step, start, max_sweeps: int = 200, tol: float = 1e-1
     u = field_values(start).copy()
     increments: list = []
     for sweep in range(1, max_sweeps + 1):
-        nxt = field_values(step(u))
+        nxt = field_values(step(u), *u.shape)
         if not np.all(np.isfinite(nxt)):
             raise ValueError(f"sweep {sweep} returned non-finite entries")
         diff = nxt - u

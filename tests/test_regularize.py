@@ -185,10 +185,16 @@ def test_q_error_formula_dominates_observed_gap(two_regime, penalty_reference):
 # ------------------------------------------------------------ obstacle sweeps T
 
 
-def test_fixed_point_stops_at_a_non_finite_sweep():
-    with pytest.raises(ValueError, match="sweep 2 returned non-finite"):
-        iterate_to_fixed_point(lambda u: u + 1.0 if u.max() < 1.0 else u * np.nan,
-                               np.zeros((2, 3)))
+@pytest.mark.parametrize("step, message", [
+    (lambda u: u + 1.0 if u.max() < 1.0 else u * np.nan, "sweep 2 returned non-finite"),
+    # the (2, 1) output used to broadcast against the (2, 3) start and be
+    # returned after two sweeps
+    (lambda u: u[:, :1] + 1.0 if u.shape[1] > 1 else u,
+     r"dimension mismatch: expected \(2, 3\), got \(2, 1\)"),
+], ids=["non-finite", "shape-change"])
+def test_fixed_point_stops_at_a_sweep_it_cannot_use(step, message):
+    with pytest.raises(ValueError, match=message):
+        iterate_to_fixed_point(step, np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("name, value", [
