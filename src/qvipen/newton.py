@@ -20,8 +20,8 @@ iterate with the unchecked :func:`qvipen.core._sup`, without the public
 :func:`qvipen.core.sup_norm`'s coercion and size check.
 
 The iteration is plain undamped Newton on a piecewise-differentiable residual:
-solve L[u_k] delta = -G(u_k), update, repeat. It stops once BOTH the
-relative increment ||delta|| / max(||u||, 1) drops below tol AND the
+solve L[u_k] x = G(u_k), set u_{k+1} = u_k - x, repeat. It stops once
+BOTH the relative increment ||x|| / max(||u||, 1) drops below tol AND the
 residual sup-norm is at or below residual_tol; the increment rule alone can
 declare victory on a stagnating iteration, and the residual check costs one
 evaluation that is needed anyway. The iteration count is the number of
@@ -134,13 +134,14 @@ def linear_solve(op: NodeBand, rhs: np.ndarray) -> np.ndarray:
     is written into its LU array and factored there, so neither ``op`` nor
     ``rhs`` is changed. A zero pivot raises SingularSlant naming its regime
     and node; so does a non-finite x, without them. ``rhs`` must hold one
-    entry per unknown of ``op``.
+    finite entry per unknown of ``op``.
     """
     b = np.asarray(rhs, dtype=float)
     if b.size != op.ab.shape[1]:
         raise ValueError(f"rhs has {b.size} entries for {op.ab.shape[1]} unknowns")
-    # negation is exact, and the step negates again into its own buffer
-    x = _Workspace(op).step(-b.reshape(op.d, -1), None, None)
+    if not np.isfinite(b).all():
+        raise ValueError("rhs contains non-finite entries")
+    x = _Workspace(op).step(b.reshape(op.d, -1), None, None)
     if not np.isfinite(x).all():
         raise SingularSlant("linear solve produced non-finite entries")
     return x.ravel()
@@ -218,15 +219,15 @@ class _Workspace:
             self.blocks += coupling
 
     def step(self, g: np.ndarray, keep, coupling) -> np.ndarray:
-        """The Newton step -L^{-1} g, a (d, N) view of ``rhs``, for the slant
-        L = diag(keep) A + C, ``keep`` a boolean (d, N) mask and ``coupling``
-        a float (d, d, N) block, either None. L^T is assembled in ``lu`` and
-        factored by ``gbtrf`` only when its policy differs from the held one;
-        then L x = -g is solved on the held factors, by the ``tbsv`` pair or,
-        after row interchanges, by ``gbtrs``. A zero pivot raises
-        SingularSlant naming its regime and node; the step is not checked
-        for non-finite entries."""
-        np.negative(g.T, out=self.rhs)
+        """L^{-1} g, the Newton step to subtract, a (d, N) view of ``rhs``,
+        for the slant L = diag(keep) A + C, ``keep`` a boolean (d, N) mask
+        and ``coupling`` a float (d, d, N) block, either None. L^T is
+        assembled in ``lu`` and factored by ``gbtrf`` only when its policy
+        differs from the held one; then L x = g is solved on the held
+        factors, by the ``tbsv`` pair or, after row interchanges, by
+        ``gbtrs``. A zero pivot raises SingularSlant naming its regime and
+        node; the step is not checked for non-finite entries."""
+        self.rhs[...] = g.T
         kl, ku, rhs = self.base.kl, self.base.ku, self.flat
         policy = (None if keep is None else keep.tobytes(),
                   None if coupling is None else coupling.tobytes())
@@ -244,7 +245,7 @@ class _Workspace:
             self.policy = policy
             self.ipiv = None if ipiv.tobytes() == self.unpivoted else ipiv
         if self.ipiv is None:
-            # L = U'^T L'^T: U'^T y = -g, then L'^T x = y, both in place
+            # L = U'^T L'^T: U'^T y = g, then L'^T x = y, both in place
             x = _tbsv(kl + ku, self.lu, rhs, trans=1, overwrite_x=True)
             x = _tbsv(ku, self.lower, x, lower=1, trans=1, diag=1, overwrite_x=True)
         else:
@@ -280,11 +281,11 @@ def _newton(system: AffineSystem, linearize, initial, cfg: NewtonConfig | None =
     workspace = system.__dict__.pop("_workspace", None) or _Workspace(system.band)
     try:
         for _ in range(cfg.max_iter):
-            delta = workspace.step(g, keep, coupling)
-            step = _sup(delta)
+            x = workspace.step(g, keep, coupling)
+            step = _sup(x)
             if not math.isfinite(step):
                 raise SingularSlant("linear solve produced non-finite entries")
-            u = u + delta
+            u = u - x
             g, keep, coupling = linearize(u)
             residuals.append(_sup(g))
             increments.append(step / max(_sup(u), 1.0))

@@ -12,9 +12,9 @@ enumeration adds R's column times K's row of each term a pattern switches
 on to [A | -b], and tests the pattern's signs with K's penalty rows. It
 tries only the patterns whose terms switched on at each node form no
 directed cycle i -> j over the regimes: 625 of the 4096 at d = 3, N = 2,
-listed once per shape. Each pattern is factored once, in one stacked solve
-per batch; a determinant screen runs only on a batch whose solve met an
-exactly singular pattern.
+listed once per shape. Each pattern is factored once, in one stacked solve;
+a determinant screen runs only when that solve met an exactly singular
+pattern.
 They share no code with the residual in `core` or the slant in `newton`
 that they check; from `core` they take only the problem type and the check
 of their numeric arguments.
@@ -42,8 +42,6 @@ __all__ = [
     "active_set_enumerate",
 ]
 
-# patterns solved per stacked batch of the enumeration
-_CHUNK = 4096
 # past steps whose differences an accelerated march step fits (Anderson's m)
 _MEMORY = 6
 # shortened tries of a rejected candidate before the march takes the plain
@@ -292,11 +290,11 @@ def active_set_enumerate(prob: PenalizedProblem) -> np.ndarray:
     i -> j over the regimes at some node are skipped, for none can be
     accepted: costs are nonnegative and every rounding in K's penalty rows
     is monotone, so an on-term's positive computed argument gives
-    u^j > u^i, which a cycle contradicts. Each batch of patterns is one
-    stacked solve, which factors each pattern matrix once. A batch holding
-    an exactly singular pattern matrix makes that solve raise; only then is
-    the batch screened by det != 0, which finds the same zero pivot, and its
-    other patterns solved.
+    u^j > u^i, which a cycle contradicts. The patterns are one stacked
+    solve, which factors each pattern matrix once. An exactly singular
+    pattern matrix makes that solve raise; only then is the stack screened
+    by det != 0, which finds the same zero pivot, and its other patterns
+    solved.
     """
     d, n = prob.system.d, prob.system.N
     bits = d * (d - 1) * n
@@ -310,28 +308,24 @@ def active_set_enumerate(prob: PenalizedProblem) -> np.ndarray:
     top, penalty = lift[:size], lift[size:]
     terms = (reduce[:, size:].T[:, :, None] * penalty[:, None, :]).reshape(bits, -1)
     t = np.arange(bits)
-    acyclic = _acyclic_patterns(d, n)
-    hits = []
-    for start in range(0, acyclic.size, _CHUNK):
-        patterns = acyclic[start:start + _CHUNK]
-        on = (patterns[:, None] >> t & 1).astype(float)
-        aug = top + (on @ terms).reshape(-1, size, size + 1)
-        m, rhs = aug[:, :, :size], -aug[:, :, size:]
-        try:
-            u = np.linalg.solve(m, rhs)[:, :, 0]
-        except np.linalg.LinAlgError:
-            # a zero LU pivot gives det == 0, the same test that makes gesv
-            # raise; each matrix is factored alone, so a pattern's bits do
-            # not depend on the batch it is solved in
-            ok = np.linalg.det(m) != 0.0
-            patterns, on = patterns[ok], on[ok]
-            u = np.linalg.solve(m[ok], rhs[ok])[:, :, 0]
-        # the penalty arguments, as K's penalty rows give them to the march
-        active = np.hstack([u, np.ones((len(u), 1))]) @ penalty.T > 0.0
-        consistent = np.all(active == (on == 1.0), axis=1)
-        hits.extend(zip(patterns[consistent].tolist(), u[consistent]))
-    if not hits:
+    patterns = _acyclic_patterns(d, n)
+    on = (patterns[:, None] >> t & 1).astype(float)
+    aug = top + (on @ terms).reshape(-1, size, size + 1)
+    m, rhs = aug[:, :, :size], -aug[:, :, size:]
+    try:
+        u = np.linalg.solve(m, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        # a zero LU pivot gives det == 0, the same test that makes gesv
+        # raise; each matrix is factored alone, so a pattern's bits do not
+        # depend on the others in the stack
+        ok = np.linalg.det(m) != 0.0
+        patterns, on = patterns[ok], on[ok]
+        u = np.linalg.solve(m[ok], rhs[ok])[:, :, 0]
+    # the penalty arguments, as K's penalty rows give them to the march
+    active = np.hstack([u, np.ones((len(u), 1))]) @ penalty.T > 0.0
+    consistent = np.all(active == (on == 1.0), axis=1)
+    if not consistent.any():
         raise NoConsistentPattern("no penalty pattern reproduces its own signs")
-    if len(hits) > 1:
-        raise MultiplePatterns([p for p, _ in hits])
-    return hits[0][1].reshape(d, n)
+    if consistent.sum() > 1:
+        raise MultiplePatterns(patterns[consistent].tolist())
+    return u[consistent][0].reshape(d, n)

@@ -89,6 +89,8 @@ class ErrorConstants:
     mu = min(1, gamma*kappa / (2||F(0)|| + kappa)) is the contraction factor
     of the iterated-stopping sweep Q started at the root of F;
     L_kappa = (2||F(0)|| + kappa) / gamma and C is :func:`estimate_C`.
+    kappa is c/2, c the smallest cost: any value in (0, c) works, and
+    :meth:`for_system` takes the midpoint.
     """
 
     kappa: float
@@ -106,17 +108,13 @@ class ErrorConstants:
         return min(1.0, self.gamma * self.kappa / (2.0 * self.norm_F0 + self.kappa))
 
     @classmethod
-    def for_system(
-        cls,
-        system: AffineSystem,
-        costs,
-        kappa: float | None = None,
-    ) -> "ErrorConstants":
+    def for_system(cls, system: AffineSystem, costs) -> "ErrorConstants":
         costs = as_costs(costs, system.d)
-        if kappa is None:
-            kappa = costs.min_cost / 2.0  # any value in (0, c) works; take the midpoint
+        if not costs.is_positive:
+            raise ValueError("error constants need strictly positive costs: "
+                             "zero costs leave no kappa in (0, c)")
         return cls(
-            kappa=_number("kappa", kappa, 0, costs.min_cost),
+            kappa=costs.min_cost / 2.0,
             C=estimate_C(system),
             norm_F0=system.norm_F0,
             gamma=system.gamma,
@@ -188,11 +186,14 @@ def iterate_to_fixed_point(step, start, max_sweeps: int = 200, tol: float = 1e-1
     decrease beyond 1e-8 raises the NonMonotoneSweep warning: legitimate when
     the start is arbitrary, a solver bug when the start is the root of F.
     ``max_sweeps`` must be a positive integer and ``tol`` a positive finite
-    number, neither a bool; anything else is a ValueError naming it.
+    number, neither a bool; anything else is a ValueError naming it, and so
+    is a ``start`` with a non-finite entry.
     """
     max_sweeps = _number("max_sweeps", max_sweeps, 0, integer=True)
     tol = _number("tol", tol, 0)
     u = field_values(start).copy()
+    if not np.isfinite(u).all():
+        raise ValueError("start contains non-finite entries")
     increments: list = []
     for sweep in range(1, max_sweeps + 1):
         nxt = field_values(step(u), *u.shape)
@@ -320,14 +321,18 @@ def zero_cost_gap_bound(u_c_rho, u_rho, c: float, rho: float, gamma: float) -> f
     u_rho solves the zero-cost penalized problem, u_c_rho the positive-cost
     one at the same weight, both (d, N) fields of one shape; the inequality
     is componentwise with a 1e-8 allowance, and a violation reports its
-    worst location. A negative or non-finite c or rho, or a gamma that is not
-    positive and finite, is a ValueError naming it.
+    worst location. A negative or non-finite c or rho, a gamma that is not
+    positive and finite, or a field with a non-finite entry is a ValueError
+    naming it.
     """
-    # a NaN bound would pass every gap
+    # a NaN bound or gap would pass every check
     c, rho = _number("c", c, 0, closed=True), _number("rho", rho, 0, closed=True)
     gamma = _number("gamma", gamma, 0)
     a = field_values(u_c_rho)
     b = field_values(u_rho, *a.shape)
+    for name, field in (("u_c_rho", a), ("u_rho", b)):
+        if not np.isfinite(field).all():
+            raise ValueError(f"{name} contains non-finite entries")
     gap = b - a
     bound = (a.shape[0] - 1) * c * rho / gamma
     low = float(gap.min())

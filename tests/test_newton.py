@@ -314,6 +314,16 @@ def test_linear_solve_rejects_a_rhs_of_the_wrong_length(length):
         linear_solve(op, np.arange(1.0, length + 1.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_linear_solve_names_a_non_finite_rhs(bad):
+    # a non-finite rhs was solved, and its non-finite x blamed on the slant
+    # as a SingularSlant
+    rhs = np.ones(4)
+    rhs[2] = bad
+    with pytest.raises(ValueError, match="^rhs contains non-finite entries$"):
+        linear_solve(NodeBand.from_matrix(sp.diags([1.0, 2.0, 4.0, 8.0]), 2), rhs)
+
+
 def test_linear_solve_singular():
     with pytest.raises(SingularSlant):
         linear_solve(NodeBand.from_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]), 1), np.ones(2))

@@ -28,7 +28,6 @@ CASES = [
     ("cost", lambda c: as_costs(c, 2).costs.tobytes(), "0.5", 1, 1.0),
     ("cost", lambda c: SwitchingCostMatrix.uniform(2, c).costs.tobytes(),
      True, np.int64(1), 1.0),
-    ("kappa", lambda k: ErrorConstants.for_system(SYSTEM, 2.0, kappa=k), True, 1, 1.0),
     ("x", lambda x: probe_index(PARAMS, x), math.inf, 1, 1.0),
     ("x", lambda x: probe_index(PARAMS, x), "0.5", np.int64(1), 1.0),
     ("x", lambda x: probe_index(PARAMS, x), True, 1, 1.0),
@@ -40,7 +39,7 @@ CASES = [
 
 @pytest.mark.parametrize("name, call, bad, good, same", CASES, ids=[
     "bool-gamma", "string-rho", "null-rho", "bool-bound-rho", "inf-b", "bool-nu",
-    "string-cost", "bool-uniform-cost", "bool-kappa", "inf-x", "string-x", "bool-x",
+    "string-cost", "bool-uniform-cost", "inf-x", "string-x", "bool-x",
     "nan-regions-rho", "float-N",
 ])
 def test_a_number_is_finite_real_and_in_range(name, call, bad, good, same):

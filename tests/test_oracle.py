@@ -313,10 +313,10 @@ def oracle_pool():
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("step_scale", [0.5, 1.0])
 def test_march_trajectory_matches_the_plain_reference(seed, step_scale):
-    # stepping through preallocated buffers changes no rounding: the result
-    # is bitwise the reference's, after the same number of evaluations. A
-    # last-bit change in a step often washes out of the converged iterate,
-    # so several instances are needed; each takes 18-66 evaluations, with
+    # the march rounds as the plain reference does: the result is bitwise
+    # the reference's, after the same number of evaluations. A last-bit
+    # change in a step often washes out of the converged iterate, so
+    # several instances are needed; each takes 18-66 evaluations, with
     # kept and rejected candidates and kept shortened ones. Scale 1 takes
     # the default step, 0.5 passes half of it explicitly
     rng = np.random.default_rng(seed)
@@ -629,7 +629,7 @@ def test_enumerate_skips_singular_pattern():
 
 def counted_linalg(monkeypatch):
     """Make np.linalg.det and np.linalg.solve record their calls: the number
-    of det calls and the batch size of each solve."""
+    of det calls and the stack size of each solve."""
     calls = {"det": 0, "solve": []}
     det, solve = np.linalg.det, np.linalg.solve
 
@@ -647,36 +647,31 @@ def counted_linalg(monkeypatch):
 
 
 def test_enumeration_factors_each_pattern_once(monkeypatch):
-    # with no singular pattern in a batch, one stacked solve factors each
-    # pattern once and nothing screens it: the 625 acyclic patterns of a
-    # d = 3, N = 2 pool problem are one batch, and the 6561 of d = 2, N = 8
-    # two. A singular pattern makes the solve raise; only then does det
-    # screen the batch, and the rest is solved again
+    # with no singular pattern, one stacked solve factors each pattern once
+    # and nothing screens it: the 625 acyclic patterns of a d = 3, N = 2
+    # pool problem, and the 6561 of d = 2, N = 8. A singular pattern makes
+    # the solve raise; only then does det screen the stack, and the rest is
+    # solved again
     calls = counted_linalg(monkeypatch)
     prob = next(p for p in oracle_pool() if (p.system.d, p.system.N, p.rho) == (3, 2, 1e3))
     active_set_enumerate(prob)
     assert calls == {"det": 0, "solve": [625]}
     system = random_affine_system(np.random.default_rng(64), d=2, n=8)
     active_set_enumerate(PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.1), 5.0))
-    assert calls == {"det": 0, "solve": [625, 4096, 2465]}
+    assert calls == {"det": 0, "solve": [625, 6561]}
     system = AffineSystem(sp.csr_matrix(np.diag([-2.0, 1.0])), np.zeros((2, 1)), gamma=1.0)
     u = active_set_enumerate(PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 1.0), 2.0))
     assert np.array_equal(u, np.zeros((2, 1)))
-    assert calls == {"det": 1, "solve": [625, 4096, 2465, 3, 2]}
+    assert calls == {"det": 1, "solve": [625, 6561, 3, 2]}
 
 
-def test_enumerate_across_batches_matches_newton():
-    # d=2, n=8: 16 penalty terms, 65536 patterns of which 3^8 = 6561 are
-    # acyclic; the solution's pattern, 41792, is acyclic pattern 5482 and
-    # so lies past the first batch of 4096
+def test_enumerate_at_the_term_cap_matches_newton():
+    # d=2, n=8: 16 penalty terms, the cap, and 65536 patterns of which
+    # 3^8 = 6561 are acyclic, the most of any shape the cap allows
     rng = np.random.default_rng(64)
     system = random_affine_system(rng, d=2, n=8)
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.1), rho=5.0)
     exact = active_set_enumerate(prob)
-    lift, _, _ = _march_operators(prob)
-    on = lift[16:] @ np.append(exact.ravel(), 1.0) > 0.0
-    pattern = int(on @ (1 << np.arange(16)))
-    assert np.searchsorted(_acyclic_patterns(2, 8), pattern) >= 4096
     newton, report = solve_penalized(prob, np.zeros((2, 8)))
     assert report.converged
     assert sup_norm(exact - newton) <= 1e-9

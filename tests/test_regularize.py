@@ -149,7 +149,7 @@ def test_q_sweeps_increase_and_contract(two_regime, q_fixed):
     u1 = apply_Q(root, system, COST)
     assert (u1 - root).min() >= -1e-12
     assert sup_norm(q_fixed[0]) <= system.norm_F0 / system.gamma + 1e-12
-    constants = ErrorConstants.for_system(system, COST)  # kappa defaults to c/2
+    constants = ErrorConstants.for_system(system, COST)  # kappa is c/2
     increments = q_fixed[2]
     ratios = [
         increments[k + 1] / increments[k]
@@ -174,7 +174,7 @@ def test_q_error_formula_dominates_observed_gap(two_regime, penalty_reference):
     system, root = two_regime
     u_pen, margin = penalty_reference
     u_exact = u_pen + margin
-    constants = ErrorConstants.for_system(system, COST, kappa=0.25)
+    constants = ErrorConstants.for_system(system, COST)
     u = root.copy()
     for n in range(31):
         bound = constants.L_kappa * (1.0 - constants.mu) ** n / constants.mu
@@ -195,6 +195,25 @@ def test_q_error_formula_dominates_observed_gap(two_regime, penalty_reference):
 def test_fixed_point_stops_at_a_sweep_it_cannot_use(step, message):
     with pytest.raises(ValueError, match=message):
         iterate_to_fixed_point(step, np.zeros((2, 3)))
+
+
+# F(u) = u on two regimes of three nodes
+IDENTITY = AffineSystem(sp.identity(6, format="csr"), np.zeros((2, 3)), gamma=1.0)
+
+
+@pytest.mark.parametrize("step", [
+    lambda u: u,
+    lambda u: apply_Q(u, IDENTITY, 1.0),
+    lambda u: apply_T(u, IDENTITY, 1.0, 1.0),
+], ids=["identity", "apply_Q", "apply_T"])
+def test_fixed_point_names_a_non_finite_start(step):
+    # each step used to report the start's NaN in its own terms: "sweep 1
+    # returned non-finite entries", "psi contains non-finite entries" or
+    # "initial iterate contains non-finite entries"
+    start = np.zeros((2, 3))
+    start[1, 0] = np.nan
+    with pytest.raises(ValueError, match="^start contains non-finite entries$"):
+        iterate_to_fixed_point(step, start)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -390,8 +409,9 @@ def test_error_constants_formulas(two_regime):
         system.gamma * cons.kappa / (2.0 * f0 + cons.kappa)
     )
     assert cons.C >= f0
-    with pytest.raises(ValueError):
-        ErrorConstants.for_system(system, COST, kappa=COST)
+    # zero costs leave no kappa in (0, c)
+    with pytest.raises(ValueError, match="^error constants need strictly positive costs"):
+        ErrorConstants.for_system(system, 0.0)
 
 
 def test_supremum_constant_exact_for_affine(small_instance):
@@ -408,7 +428,7 @@ def test_supremum_constant_exact_for_affine(small_instance):
 def test_penalty_error_bound_zero_above_cost_threshold(two_regime):
     system, _ = two_regime
     threshold = 2.0 * system.norm_F0 / system.gamma
-    cons = ErrorConstants.for_system(system, threshold + 1.0, kappa=0.1)
+    cons = ErrorConstants.for_system(system, threshold + 1.0)
     assert penalty_error_bound(cons, 1e3) == 0.0
 
 
@@ -508,6 +528,16 @@ def test_zero_cost_gap_bound_names_an_unusable_constant(name, value):
     constants = {"c": 0.1, "rho": 10.0, "gamma": 1.0, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be a"):
         zero_cost_gap_bound(low, big, constants["c"], constants["rho"], constants["gamma"])
+
+
+@pytest.mark.parametrize("field", ["u_c_rho", "u_rho"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_zero_cost_gap_bound_names_a_non_finite_field(field, bad):
+    # a NaN gap passed both checks and came back as the max gap
+    fields = {"u_c_rho": np.zeros((2, 3)), "u_rho": np.zeros((2, 3))}
+    fields[field][1, 2] = bad
+    with pytest.raises(ValueError, match=f"^{field} contains non-finite entries$"):
+        zero_cost_gap_bound(fields["u_c_rho"], fields["u_rho"], 0.1, 10.0, 1.0)
 
 
 def test_zero_cost_gap_bound_reads_three_regimes_from_the_fields():
