@@ -5,11 +5,11 @@ through the intervention operator M_i u = max_{j != i} (u^j - c[i, j]) and, in
 the penalized form, through the penalty terms rho * pi(u^j - c[i, j] - u^i).
 
 Fields are plain (d, N) float arrays, taken and returned as such by every
-operation and solver; :func:`field_values` is the one shape check on input.
-It runs where a field enters the package: the public operations below
-check their field, and the private kernels the Newton loop calls on its own
-iterates (:meth:`AffineSystem._apply`, the linearization :func:`_penalized`
-builds, :func:`_sup`) check nothing.
+operation and solver; :func:`field_values`, the one reader of a field,
+checks its shape and finiteness where it enters the package: the public
+operations below check their field, and the private kernels the Newton loop
+calls on its own iterates (:meth:`AffineSystem._apply`, the linearization
+:func:`_penalized` builds, :func:`_sup`) check nothing.
 """
 from __future__ import annotations
 
@@ -75,13 +75,15 @@ def _number(name: str, value, low: float = -math.inf, high: float = math.inf, *,
     raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
-def field_values(u, d: int | None = None, n: int | None = None) -> np.ndarray:
-    """Return ``u`` as a (d, N) float array, checking dimensions when given."""
+def field_values(u, d: int | None = None, n: int | None = None, name: str = "u") -> np.ndarray:
+    """Return ``u``, the field ``name``, as a finite (d, N) float array, of (d, n) when given."""
     v = np.asarray(u, dtype=float)
     if v.ndim != 2:
         raise ValueError(f"expected a (d, N) matrix, got shape {v.shape}")
     if d is not None and v.shape != (d, n):
         raise ValueError(f"dimension mismatch: expected {(d, n)}, got {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} contains non-finite entries")
     return v
 
 
@@ -185,6 +187,8 @@ class NodeBand:
         if len(shape) != 2 or shape[0] != kl + ku + 1 or shape[1] % d:
             raise ValueError(f"ab must be 2-D, with kl + ku + 1 = {kl + ku + 1} rows and a "
                              f"column count that d = {d} divides, got shape {shape}")
+        if not np.isfinite(self.ab).all():
+            raise ValueError("ab contains non-finite entries")
 
     @classmethod
     def from_matrix(cls, matrix, d: int) -> "NodeBand":
@@ -229,7 +233,7 @@ class AffineSystem:
     """
 
     def __init__(self, matrix, rhs, gamma: float):
-        b = field_values(rhs)
+        b = field_values(rhs, name="rhs")
         d, n = b.shape
         if d < 2 or n < 1:
             raise ValueError(f"need at least two regimes and one grid node, got shape {b.shape}")
@@ -240,9 +244,8 @@ class AffineSystem:
         # canonical now: scipy would otherwise sort and merge entries in
         # place later, which the read-only arrays below refuse
         a.sum_duplicates()
-        for name, values in (("matrix", a.data), ("rhs", b)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} contains non-finite entries")
+        if not np.isfinite(a.data).all():
+            raise ValueError("matrix contains non-finite entries")
         for array in (a.data, a.indices, a.indptr):
             array.setflags(write=False)
         self.d, self.N = d, n

@@ -10,14 +10,13 @@ once per iterate, so F and the obstacle are evaluated once per iterate.
 :func:`solve_penalized` and, with its first slot frozen, for the sweeps Q_rho
 and T_rho.
 
-Inputs are checked once, where they enter: :func:`_newton` checks the start
-(its shape and finiteness) and each driver its own arguments, such as
-:func:`solve_obstacle`'s psi. Every iterate is then a (d, N) float array the
-loop made itself, so the linearizations evaluate F through the unchecked
-:meth:`qvipen.core.AffineSystem._apply`, the penalty's linearization checks
-nothing either, and the loop takes the sup-norms of its step, residual and
-iterate with the unchecked :func:`qvipen.core._sup`, without the public
-:func:`qvipen.core.sup_norm`'s coercion and size check.
+Inputs are checked once, where they enter: :func:`qvipen.core.field_values`
+checks every field, the start and psi among them. Every iterate is then a
+(d, N) float array the loop made itself, so the linearizations evaluate F
+through the unchecked :meth:`qvipen.core.AffineSystem._apply`, the penalty's
+linearization checks nothing either, and the loop takes the sup-norms of its
+step, residual and iterate with the unchecked :func:`qvipen.core._sup`,
+without the public :func:`qvipen.core.sup_norm`'s coercion and size check.
 
 The iteration is plain undamped Newton on a piecewise-differentiable residual:
 solve L[u_k] x = G(u_k), set u_{k+1} = u_k - x, repeat. It stops once
@@ -270,9 +269,7 @@ def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
 
 def _newton(system: AffineSystem, linearize, initial, cfg: NewtonConfig | None = None):
     cfg = cfg or _DEFAULT_CONFIG
-    u = field_values(initial, system.d, system.N).copy()
-    if not np.all(np.isfinite(u)):
-        raise ValueError("initial iterate contains non-finite entries")
+    u = field_values(initial, system.d, system.N, name="initial iterate").copy()
     start = time.perf_counter()
     g, keep, coupling = linearize(u)
     increments: list = []
@@ -321,9 +318,7 @@ def solve_penalized(prob: PenalizedProblem, initial, cfg: NewtonConfig | None = 
 
 def solve_obstacle(system: AffineSystem, psi, initial):
     """Solve min(F(v), v - psi) = 0 for a fixed (d, N) obstacle psi."""
-    psi = field_values(psi, system.d, system.N)
-    if not np.isfinite(psi).all():
-        raise ValueError("psi contains non-finite entries")
+    psi = field_values(psi, system.d, system.N, name="psi")
     identity = np.eye(system.d)[:, :, None]
     return _newton(system, lambda u: _min_rows(system._apply(u), u - psi, identity), initial)
 
@@ -336,7 +331,7 @@ def _solve_qvi(system: AffineSystem, costs, initial, epsilon: float = 0.0,
     iteration; for epsilon > 0 it is one time-marching sweep anchored at
     ``initial``. Costs must be positive.
     """
-    anchor = field_values(initial, system.d, system.N)
+    anchor = field_values(initial, system.d, system.N, name="initial iterate")
     costs = as_costs(costs, system.d)
     diagonal = (1.0 + epsilon) * np.eye(system.d)[:, :, None]
     targets = np.arange(system.d)[:, None]

@@ -89,15 +89,23 @@ class ErrorConstants:
     mu = min(1, gamma*kappa / (2||F(0)|| + kappa)) is the contraction factor
     of the iterated-stopping sweep Q started at the root of F;
     L_kappa = (2||F(0)|| + kappa) / gamma and C is :func:`estimate_C`.
-    kappa is c/2, c the smallest cost: any value in (0, c) works, and
-    :meth:`for_system` takes the midpoint.
+    kappa is c/2, c the smallest cost: any value in (0, c) works, and this
+    takes the midpoint. C and ||F(0)|| must be nonnegative, gamma and c positive.
     """
 
-    kappa: float
     C: float
     norm_F0: float
     gamma: float
     min_cost: float
+
+    def __post_init__(self) -> None:
+        for name in ("C", "norm_F0", "gamma", "min_cost"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), 0,
+                                                   closed=name in ("C", "norm_F0")))
+
+    @property
+    def kappa(self) -> float:
+        return self.min_cost / 2.0
 
     @property
     def L_kappa(self) -> float:
@@ -114,7 +122,6 @@ class ErrorConstants:
             raise ValueError("error constants need strictly positive costs: "
                              "zero costs leave no kappa in (0, c)")
         return cls(
-            kappa=costs.min_cost / 2.0,
             C=estimate_C(system),
             norm_F0=system.norm_F0,
             gamma=system.gamma,
@@ -162,7 +169,8 @@ def apply_Q(u, system: AffineSystem, costs) -> np.ndarray:
 def apply_T(u, system: AffineSystem, costs, epsilon: float) -> np.ndarray:
     """One time-marching sweep: the obstacle stays live, the epsilon term
     anchors the solve to the previous iterate."""
-    return _solve_qvi(system, costs, u, _number("epsilon", epsilon, 0))[0]
+    v = field_values(u, system.d, system.N)
+    return _solve_qvi(system, costs, v, _number("epsilon", epsilon, 0))[0]
 
 
 def apply_Q_rho(u, prob: PenalizedProblem) -> np.ndarray:
@@ -187,18 +195,14 @@ def iterate_to_fixed_point(step, start, max_sweeps: int = 200, tol: float = 1e-1
     the start is arbitrary, a solver bug when the start is the root of F.
     ``max_sweeps`` must be a positive integer and ``tol`` a positive finite
     number, neither a bool; anything else is a ValueError naming it, and so
-    is a ``start`` with a non-finite entry.
+    is a ``start``, or a sweep's output, with a non-finite entry.
     """
     max_sweeps = _number("max_sweeps", max_sweeps, 0, integer=True)
     tol = _number("tol", tol, 0)
-    u = field_values(start).copy()
-    if not np.isfinite(u).all():
-        raise ValueError("start contains non-finite entries")
+    u = field_values(start, name="start").copy()
     increments: list = []
     for sweep in range(1, max_sweeps + 1):
-        nxt = field_values(step(u), *u.shape)
-        if not np.all(np.isfinite(nxt)):
-            raise ValueError(f"sweep {sweep} returned non-finite entries")
+        nxt = field_values(step(u), *u.shape, name=f"sweep {sweep}'s output")
         diff = nxt - u
         drop = float(diff.min())
         if drop < -1e-8:
@@ -328,11 +332,8 @@ def zero_cost_gap_bound(u_c_rho, u_rho, c: float, rho: float, gamma: float) -> f
     # a NaN bound or gap would pass every check
     c, rho = _number("c", c, 0, closed=True), _number("rho", rho, 0, closed=True)
     gamma = _number("gamma", gamma, 0)
-    a = field_values(u_c_rho)
-    b = field_values(u_rho, *a.shape)
-    for name, field in (("u_c_rho", a), ("u_rho", b)):
-        if not np.isfinite(field).all():
-            raise ValueError(f"{name} contains non-finite entries")
+    a = field_values(u_c_rho, name="u_c_rho")
+    b = field_values(u_rho, *a.shape, name="u_rho")
     gap = b - a
     bound = (a.shape[0] - 1) * c * rho / gamma
     low = float(gap.min())

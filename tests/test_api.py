@@ -34,7 +34,7 @@ def _settable(obj) -> int:
 
 
 def test_public_settable_value_count():
-    """The public API holds 133 settable values.
+    """The public API holds 132 settable values.
 
     The rule: over the names in ``qvipen.__all__``, count the parameters of
     every public function and method plus the stored fields of every public
@@ -46,4 +46,4 @@ def test_public_settable_value_count():
     updates the number here.
     """
     counts = {name: _settable(getattr(qvipen, name)) for name in qvipen.__all__}
-    assert sum(counts.values()) == 133, counts
+    assert sum(counts.values()) == 132, counts

@@ -323,22 +323,33 @@ def test_band_from_matrix_rejects_a_bad_d(d):
 BAND = np.array([[0.0, -1.0, -1.0, -1.0], [3.0, 3.0, 3.0, 3.0], [-1.0, -1.0, -1.0, 0.0]])
 
 
-@pytest.mark.parametrize("fields, name", [
-    ((1, 1, 1, np.vstack([BAND, np.full((2, 4), 7.0)])), "ab"),
-    ((1, 1, 1, BAND[:2]), "ab"),
-    ((1, -1, 1, BAND), "kl"),
-    ((1, 1, 0.5, BAND), "ku"),
-    ((0, 1, 1, BAND), "d"),
-    ((2, 1, 1, np.ones((3, 5))), "ab"),
-    ((1, 1, 1, BAND[1]), "ab"),
+def _band_with_diagonal(value):
+    """BAND with ``value`` as its diagonal entry in column 2."""
+    ab = BAND.copy()
+    ab[1, 2] = value
+    return ab
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((1, 1, 1, np.vstack([BAND, np.full((2, 4), 7.0)])), "ab must be"),
+    ((1, 1, 1, BAND[:2]), "ab must be"),
+    ((1, -1, 1, BAND), "kl must be"),
+    ((1, 1, 0.5, BAND), "ku must be"),
+    ((0, 1, 1, BAND), "d must be"),
+    ((2, 1, 1, np.ones((3, 5))), "ab must be"),
+    ((1, 1, 1, BAND[1]), "ab must be"),
+    ((1, 1, 1, _band_with_diagonal(np.nan)), "ab contains non-finite entries$"),
+    ((1, 1, 1, _band_with_diagonal(np.inf)), "ab contains non-finite entries$"),
 ], ids=["extra-rows", "missing-row", "negative-kl", "fractional-ku", "zero-d", "odd-columns",
-        "one-dimensional"])
-def test_node_band_checks_its_own_fields(fields, name):
+        "one-dimensional", "nan", "inf"])
+def test_node_band_checks_its_own_fields(fields, message):
     # a hand-built band was taken as given: two extra rows were dropped and
     # the solve answered, a missing row raised IndexError, kl = -1 reached
     # LAPACK as an illegal value, a column count that d does not divide
-    # failed in a reshape, and a 1-D ab raised IndexError in tocsr
-    with pytest.raises(ValueError, match=f"^{name} must be"):
+    # failed in a reshape, a 1-D ab raised IndexError in tocsr, a NaN was
+    # blamed on the solve ("linear solve produced non-finite entries"), and
+    # an inf on the diagonal solved without an error
+    with pytest.raises(ValueError, match=f"^{message}"):
         band = NodeBand(*fields)
         linear_solve(band, np.ones(4))
         band.tocsr()

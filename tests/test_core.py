@@ -21,6 +21,7 @@ from qvipen.newton import solve_penalized, solve_root
 from qvipen.oracle import active_set_enumerate
 from qvipen.oracle import _residual as oracle_residual
 from qvipen.pde import PdeParams, assemble
+from qvipen.regularize import apply_Q, apply_Q_rho, apply_T, apply_T_rho
 from qvipen.testing import random_affine_system
 
 
@@ -160,6 +161,29 @@ def test_public_operations_check_the_field_shape(name):
         FIELD_OPERATIONS[name](np.zeros((2, 2)), prob)
     with pytest.raises(ValueError, match=r"expected a \(d, N\) matrix"):
         FIELD_OPERATIONS[name](np.zeros(6), prob)
+
+
+# the public entries that read a field: the operations above and the sweeps
+FIELD_ENTRIES = {
+    **FIELD_OPERATIONS,
+    "apply_Q": lambda u, prob: apply_Q(u, prob.system, prob.costs),
+    "apply_T": lambda u, prob: apply_T(u, prob.system, prob.costs, 1.0),
+    "apply_Q_rho": apply_Q_rho,
+    "apply_T_rho": lambda u, prob: apply_T_rho(u, prob, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_ENTRIES))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_public_entries_name_a_non_finite_field(name, bad):
+    # the four operations returned NaN without an error, apply_Q blamed psi,
+    # and the other three sweeps the "initial iterate" their caller never
+    # passed
+    prob = PenalizedProblem(identity_system(np.ones((2, 3))), 0.5, 10.0)
+    u = np.zeros((2, 3))
+    u[1, 2] = bad
+    with pytest.raises(ValueError, match="^u contains non-finite entries$"):
+        FIELD_ENTRIES[name](u, prob)
 
 
 @pytest.mark.parametrize("shape", [(5,), (1, 5), (2, 0)])

@@ -186,7 +186,8 @@ def test_q_error_formula_dominates_observed_gap(two_regime, penalty_reference):
 
 
 @pytest.mark.parametrize("step, message", [
-    (lambda u: u + 1.0 if u.max() < 1.0 else u * np.nan, "sweep 2 returned non-finite"),
+    (lambda u: u + 1.0 if u.max() < 1.0 else u * np.nan,
+     "^sweep 2's output contains non-finite entries$"),
     # the (2, 1) output used to broadcast against the (2, 3) start and be
     # returned after two sweeps
     (lambda u: u[:, :1] + 1.0 if u.shape[1] > 1 else u,
@@ -412,6 +413,22 @@ def test_error_constants_formulas(two_regime):
     # zero costs leave no kappa in (0, c)
     with pytest.raises(ValueError, match="^error constants need strictly positive costs"):
         ErrorConstants.for_system(system, 0.0)
+
+
+def test_error_constants_derive_kappa_from_the_cost():
+    cons = ErrorConstants(C=2.0, norm_F0=1.0, gamma=1.0, min_cost=0.5)
+    assert cons.kappa == cons.min_cost / 2.0 == 0.25
+    assert penalty_error_bound(cons, 1e3) > 0.0
+
+
+@pytest.mark.parametrize("name, value", [("gamma", 0.0), ("C", np.nan), ("min_cost", 0.0)])
+def test_error_constants_check_their_fields(name, value):
+    # built directly, they were taken as given: a zero gamma or cost reached
+    # penalty_error_bound as a bare ZeroDivisionError, and a NaN C as "b
+    # must be a positive finite number"
+    fields = {"C": 2.0, "norm_F0": 1.0, "gamma": 1.0, "min_cost": 0.5, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        penalty_error_bound(ErrorConstants(**fields), 1e3)
 
 
 def test_supremum_constant_exact_for_affine(small_instance):
