@@ -12,6 +12,7 @@ import io
 import json
 import math
 import traceback
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +82,12 @@ _NEWTON_KEYS = {f.name for f in dataclasses.fields(NewtonConfig)}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a named case, its (cost, weight) grid, and output."""
+    """One experiment: a named case, its (cost, weight) grid, and output.
+
+    Built directly or by :meth:`from_mapping`, it is checked the same way:
+    ``newton`` is a NewtonConfig, a mapping of its fields or None for the
+    default, and the grids and ``reward_pieces`` are lists or tuples.
+    """
 
     case: str = "two-regime"
     # None takes the case's own grid and probe; a custom case takes two-regime's
@@ -96,6 +102,23 @@ class ExperimentConfig:
     reward_pieces: tuple | None = None
 
     def __post_init__(self) -> None:
+        newton = {} if self.newton is None else self.newton
+        if isinstance(newton, Mapping):
+            bad = sorted(set(newton) - _NEWTON_KEYS)
+            if bad:
+                raise ValueError(f"unknown newton config keys: {', '.join(bad)}")
+            object.__setattr__(self, "newton", NewtonConfig(**newton))
+        elif not isinstance(newton, NewtonConfig):
+            raise ValueError(f"newton must be a mapping of {', '.join(sorted(_NEWTON_KEYS))}, "
+                             f"got {type(newton).__name__} {newton!r}")
+        for name in ("rho_list", "cost_list", "reward_pieces"):
+            value = getattr(self, name)
+            # a string is iterable too, and would be split into characters
+            if value is not None and not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {type(value).__name__} {value!r}")
+        if self.reward_pieces is not None:
+            object.__setattr__(self, "reward_pieces", tuple(
+                tuple(p) if isinstance(p, (list, tuple)) else p for p in self.reward_pieces))
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ValueError(f"output_path must be a string, got "
                              f"{type(self.output_path).__name__} {self.output_path!r}")
@@ -136,30 +159,7 @@ class ExperimentConfig:
         unknown = sorted(set(mapping) - _CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        fields = dict(mapping)
-        newton_map = fields.pop("newton", None)
-        if newton_map is not None:
-            if not isinstance(newton_map, dict):
-                raise ValueError(
-                    f"newton must be a mapping of {', '.join(sorted(_NEWTON_KEYS))}, "
-                    f"got {type(newton_map).__name__} {newton_map!r}"
-                )
-            bad = sorted(set(newton_map) - _NEWTON_KEYS)
-            if bad:
-                raise ValueError(f"unknown newton config keys: {', '.join(bad)}")
-            fields["newton"] = NewtonConfig(**newton_map)
-        for key in ("rho_list", "cost_list", "reward_pieces"):
-            if key in fields and fields[key] is not None:
-                # a string is iterable too, and would be split into characters
-                if not isinstance(fields[key], (list, tuple)):
-                    raise ValueError(
-                        f"{key} must be a list, got {type(fields[key]).__name__} "
-                        f"{fields[key]!r}"
-                    )
-                fields[key] = tuple(
-                    tuple(p) if isinstance(p, (list, tuple)) else p for p in fields[key]
-                )
-        return cls(**fields)
+        return cls(**mapping)
 
     def pde_params(self) -> PdeParams:
         if self.case == "custom":
@@ -287,10 +287,17 @@ class RegimeRegions:
     regime: int
     exact: tuple
     estimated: tuple
-    match: bool
-    missing: tuple    # exact nodes the estimate failed to flag
-    spurious: tuple   # estimated nodes outside the exact region
-    included: bool    # exact subset of estimated
+    match: bool = field(init=False)
+    missing: tuple = field(init=False)    # exact nodes the estimate failed to flag
+    spurious: tuple = field(init=False)   # estimated nodes outside the exact region
+    included: bool = field(init=False)    # exact subset of estimated
+
+    def __post_init__(self) -> None:
+        exact, estimated = set(self.exact), set(self.estimated)
+        self.match = exact == estimated
+        self.missing = tuple(sorted(exact - estimated))
+        self.spurious = tuple(sorted(estimated - exact))
+        self.included = exact <= estimated
 
 
 @dataclass
@@ -299,7 +306,10 @@ class RegionReport:
     C0_estimate: float
     threshold: float
     regions: list
-    match: bool
+    match: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.match = all(r.match for r in self.regions)
 
 
 def _binding_sets(u, costs, tol):
@@ -339,25 +349,8 @@ def extract_regions(config: ExperimentConfig, rho: float) -> RegionReport:
     threshold = C0 * math.log(rho) / rho
     exact = _binding_sets(u, costs, REGION_TOL)
     estimated = _binding_sets(u_rho, costs, threshold)
-    regions = []
-    for i, (ex, est) in enumerate(zip(exact, estimated)):
-        ex_set, est_set = set(ex), set(est)
-        regions.append(RegimeRegions(
-            regime=i,
-            exact=ex,
-            estimated=est,
-            match=ex_set == est_set,
-            missing=tuple(sorted(ex_set - est_set)),
-            spurious=tuple(sorted(est_set - ex_set)),
-            included=ex_set <= est_set,
-        ))
-    return RegionReport(
-        rho_used=float(rho),
-        C0_estimate=C0,
-        threshold=threshold,
-        regions=regions,
-        match=all(r.match for r in regions),
-    )
+    regions = [RegimeRegions(i, ex, est) for i, (ex, est) in enumerate(zip(exact, estimated))]
+    return RegionReport(float(rho), C0, threshold, regions)
 
 
 def _failure(exc: Exception) -> str:

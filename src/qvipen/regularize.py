@@ -90,7 +90,8 @@ class ErrorConstants:
     of the iterated-stopping sweep Q started at the root of F;
     L_kappa = (2||F(0)|| + kappa) / gamma and C is :func:`estimate_C`.
     kappa is c/2, c the smallest cost: any value in (0, c) works, and this
-    takes the midpoint. C and ||F(0)|| must be nonnegative, gamma and c positive.
+    takes the midpoint. ||F(0)|| must be nonnegative, C at least ||F(0)||
+    (the ball C bounds F over holds 0), and gamma and c positive.
     """
 
     C: float
@@ -102,6 +103,8 @@ class ErrorConstants:
         for name in ("C", "norm_F0", "gamma", "min_cost"):
             object.__setattr__(self, name, _number(name, getattr(self, name), 0,
                                                    closed=name in ("C", "norm_F0")))
+        if self.C < self.norm_F0:
+            raise ValueError(f"C must be at least norm_F0 = {self.norm_F0!r}, got {self.C!r}")
 
     @property
     def kappa(self) -> float:

@@ -65,6 +65,35 @@ def test_config_case_defaults_do_not_depend_on_construction(case):
         spec.rho_list, spec.cost_list, spec.probe_point)
 
 
+@pytest.mark.parametrize("mapping", [
+    {"newton": {"tol": 1e-10}},
+    {"newton": None},
+    {"newton": 5},
+    {"newton": ["tol"]},
+    {"newton": {"warp": 9}},
+    {"rho_list": "1000"},
+    {"case": "custom", "d": 2, "reward_pieces": [[0.75, 1.0, -2.0, 2.0]]},
+], ids=["newton-mapping", "newton-none", "newton-int", "newton-list", "newton-unknown-key",
+        "rho-list-string", "reward-pieces-lists"])
+def test_config_construction_paths_agree(mapping):
+    # the constructor used to keep a newton mapping as a dict, split a string
+    # grid into characters and store unhashable list pieces; only
+    # from_mapping checked these
+    def build(make):
+        try:
+            return make(), None
+        except ValueError as exc:
+            return None, str(exc)
+
+    direct, direct_error = build(lambda: ExperimentConfig(**mapping))
+    read, read_error = build(lambda: ExperimentConfig.from_mapping(mapping))
+    assert direct_error == read_error
+    assert direct == read
+    if direct is not None:
+        assert hash(direct) == hash(read)
+        assert isinstance(direct.newton, NewtonConfig)
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="bogus_key"):
         ExperimentConfig.from_mapping({"bogus_key": 1})
@@ -754,11 +783,8 @@ def test_cli_regions_emits_json(tmp_path):
 def region_report(included):
     """A report whose estimate never matches; regime 0 misses node 5 unless included."""
     exact = (3,) if included else (3, 5)
-    region = RegimeRegions(regime=0, exact=exact, estimated=(3, 4), match=False,
-                           missing=() if included else (5,), spurious=(4,),
-                           included=included)
-    return RegionReport(rho_used=1e3, C0_estimate=1.0,
-                        threshold=0.1, regions=[region], match=False)
+    region = RegimeRegions(regime=0, exact=exact, estimated=(3, 4))
+    return RegionReport(rho_used=1e3, C0_estimate=1.0, threshold=0.1, regions=[region])
 
 
 @pytest.mark.parametrize("included, status", [(True, 0), (False, 1)])

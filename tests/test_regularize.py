@@ -421,11 +421,13 @@ def test_error_constants_derive_kappa_from_the_cost():
     assert penalty_error_bound(cons, 1e3) > 0.0
 
 
-@pytest.mark.parametrize("name, value", [("gamma", 0.0), ("C", np.nan), ("min_cost", 0.0)])
+@pytest.mark.parametrize("name, value", [("gamma", 0.0), ("C", np.nan), ("min_cost", 0.0),
+                                         ("C", 0.0), ("C", 0.5)])
 def test_error_constants_check_their_fields(name, value):
     # built directly, they were taken as given: a zero gamma or cost reached
-    # penalty_error_bound as a bare ZeroDivisionError, and a NaN C as "b
-    # must be a positive finite number"
+    # penalty_error_bound as a bare ZeroDivisionError, a NaN C as "b must be
+    # a positive finite number", and a C below norm_F0, which estimate_C
+    # never returns, gave a bound from constants that cannot occur
     fields = {"C": 2.0, "norm_F0": 1.0, "gamma": 1.0, "min_cost": 0.5, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be a"):
         penalty_error_bound(ErrorConstants(**fields), 1e3)
