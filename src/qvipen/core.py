@@ -76,12 +76,13 @@ def _number(name: str, value, low: float = -math.inf, high: float = math.inf, *,
 
 
 def field_values(u, d: int | None = None, n: int | None = None, name: str = "u") -> np.ndarray:
-    """Return ``u``, the field ``name``, as a finite (d, N) float array, of (d, n) when given."""
+    """Return ``u``, the field ``name``, as a finite (d, N) float array, of
+    (d, n) when given; a ValueError names the field."""
     v = np.asarray(u, dtype=float)
     if v.ndim != 2:
-        raise ValueError(f"expected a (d, N) matrix, got shape {v.shape}")
+        raise ValueError(f"{name}: expected a (d, N) matrix, got shape {v.shape}")
     if d is not None and v.shape != (d, n):
-        raise ValueError(f"dimension mismatch: expected {(d, n)}, got {v.shape}")
+        raise ValueError(f"{name}: dimension mismatch: expected {(d, n)}, got {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
@@ -91,9 +92,9 @@ def field_values(u, d: int | None = None, n: int | None = None, name: str = "u")
 class SwitchingCostMatrix:
     """Pairwise costs c[i, j] >= 0 of switching from regime i to regime j.
 
-    Each entry is a finite real number, never a bool; the diagonal ones are
-    meaningless and stored as zero. A uniform scalar cost is the common
-    case; build it with :meth:`uniform`.
+    Each entry is a finite real number, never a bool, and each off-diagonal
+    one nonnegative; the diagonal ones are meaningless and stored as zero.
+    A uniform scalar cost is the common case; build it with :meth:`uniform`.
     """
 
     costs: np.ndarray
@@ -104,13 +105,12 @@ class SwitchingCostMatrix:
             raise ValueError(f"cost matrix must be square, got shape {entries.shape}")
         if entries.shape[0] < 2:
             raise ValueError("cost matrix needs at least two regimes")
-        # each entry as given, before a float cast that reads "0.5" and True
+        # each entry as given, not through a float cast that reads "0.5" and True
+        c = np.zeros(entries.shape)
         for (i, j), x in np.ndenumerate(entries):
-            _number(f"costs[{i}, {j}]", x)
-        c = np.array(self.costs, dtype=float)
-        np.fill_diagonal(c, 0.0)
-        if np.any(c < 0.0):
-            raise ValueError("switching costs must be nonnegative")
+            cost = _number(f"costs[{i}, {j}]", x, -math.inf if i == j else 0, closed=True)
+            if i != j:
+                c[i, j] = cost
         c.flags.writeable = False
         object.__setattr__(self, "costs", c)
 
@@ -400,6 +400,6 @@ def penalized_residual(u, prob: PenalizedProblem) -> np.ndarray:
 
 def penalized_slant(u, prob: PenalizedProblem) -> sp.csr_matrix:
     """The penalized slant as regime-major CSR."""
-    from .newton import slant_band  # newton imports this module
+    from .newton import _slant_band  # newton imports this module
     v = field_values(u, prob.system.d, prob.system.N)
-    return slant_band(prob.system, *_penalized(prob)(v)[1:]).tocsr()
+    return _slant_band(prob.system, *_penalized(prob)(v)[1:]).tocsr()

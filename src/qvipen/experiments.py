@@ -16,7 +16,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     AffineSystem,
@@ -361,7 +360,7 @@ def _failure(exc: Exception) -> str:
 
 def _tiny_instance(config: ExperimentConfig):
     """A tiny instance with a known closed form: F_i(u) = u^i - b_i."""
-    system = AffineSystem(sp.identity(2, format="csr"), np.array([[0.0], [2.0]]), gamma=1.0)
+    system = AffineSystem(np.eye(2), np.array([[0.0], [2.0]]), gamma=1.0)
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.0), 1.0)
     newton_u, _ = solve_penalized(prob, np.zeros((2, 1)), config.newton)
     march_u = pseudo_time_solve(prob, tol=1e-10)

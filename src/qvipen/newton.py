@@ -2,7 +2,7 @@
 
 Every Newton problem is one function ``linearize(u) -> (G(u), keep,
 coupling)``: the residual at u and the slant of G at the same point,
-diag(keep) A + C, in the terms of :func:`slant_band` (``keep`` a (d, N)
+diag(keep) A + C, in the terms of :func:`_slant_band` (``keep`` a (d, N)
 row mask of the system matrix A, None for all rows; ``coupling`` the
 (d, d, N) per-node block C, None for none). :func:`_newton` calls it
 once per iterate, so F and the obstacle are evaluated once per iterate.
@@ -31,7 +31,7 @@ Every band system is solved as one step on a workspace: a LAPACK band LU
 array, a copy of A^T's band in its layout, from which a step writes its
 slant's transpose over the LU array, and a node-major right-hand side.
 The band layout lives in :class:`_Workspace` alone: :func:`linear_solve`
-takes one step on a fresh workspace, and :func:`slant_band` writes its
+takes one step on a fresh workspace, and :func:`_slant_band` writes its
 slant on one. Each system holds one, allocated at its first Newton solve; a
 solve borrows it for its duration, and a solve that finds it taken, nested
 in or concurrent with another on the same system, allocates its own.
@@ -83,7 +83,6 @@ __all__ = [
     "SingularSlant",
     "MaxIterExceeded",
     "linear_solve",
-    "slant_band",
     "solve_root",
     "solve_penalized",
     "solve_obstacle",
@@ -178,7 +177,7 @@ class _Workspace:
     rows, else None; ``unpivoted`` holds the bytes of the pivots of a
     factorization that interchanges none. A system keeps one for its Newton
     solves; :func:`linear_solve` takes one step on a fresh one, and
-    :func:`slant_band` writes one slant on a fresh one.
+    :func:`_slant_band` writes one slant on a fresh one.
     """
 
     __slots__ = ("base", "lu", "lower", "columns", "blocks", "transposed", "rhs", "flat",
@@ -207,7 +206,7 @@ class _Workspace:
     def write(self, keep, coupling) -> None:
         """Write the transpose of the slant L = diag(keep) A + C, which is
         A^T diag(keep) + C^T, over every entry of ``lu``; ``keep`` and
-        ``coupling`` are those of :func:`slant_band`. In this orientation a
+        ``coupling`` are those of :func:`_slant_band`. In this orientation a
         dropped row of A is a column of A^T, so it is zeroed as one element
         of ``columns``; ``keep.T`` read flat is the mask in ``lu``'s
         node-major column order."""
@@ -253,12 +252,13 @@ class _Workspace:
         return x.reshape(self.rhs.shape).T
 
 
-def slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
+def _slant_band(system: AffineSystem, keep=None, coupling=None) -> NodeBand:
     """The slant diag(keep) A + C, where A is the system's band.
 
-    ``keep`` is a (d, N) mask of the rows of A to keep (all when None), and
-    the (d, d, N) array ``coupling`` puts C[i, j, l] at row (i, l), column
-    (j, l), coupling the components of one node. The slant's transpose is
+    ``keep`` is a boolean (d, N) mask of the rows of A to keep (all when
+    None), and the float (d, d, N) array ``coupling`` puts C[i, j, l] at row
+    (i, l), column (j, l), coupling the components of one node; neither is
+    checked, as a linearization makes both. The slant's transpose is
     written as a Newton step writes it, on a fresh :class:`_Workspace`, and
     transposed back: a fresh NodeBand of A's widths.
     """

@@ -34,10 +34,10 @@ DOMAIN_RIGHT = 2.0  # right end of the domain, where u = 0
 class RewardFunction:
     """Piecewise-linear running reward, zero outside the listed pieces.
 
-    Each piece is (lo, hi, slope, intercept), four finite numbers, never a
-    bool or a string, with lo < hi, and claims the half-open interval
-    (lo, hi]; pieces must not overlap, though one may end where the next
-    begins.
+    Each piece is a sequence of four entries (lo, hi, slope, intercept),
+    each a finite real number, never a bool or a string, with lo < hi; it
+    claims the half-open interval (lo, hi]. Pieces must not overlap, though
+    one may end where the next begins.
     """
 
     pieces: tuple = ()
@@ -46,18 +46,16 @@ class RewardFunction:
         pieces = []
         for k, raw in enumerate(self.pieces):
             try:
-                # float() reads these too, but they are not numbers
-                if any(isinstance(x, (bool, str, bytes)) for x in raw):
-                    raise TypeError(raw)
-                p = tuple(map(float, raw))
-                ok = len(p) == 4 and np.all(np.isfinite(p)) and p[0] < p[1]
-            except (TypeError, ValueError):
-                p, ok = raw, False
-            if not ok:
-                raise ValueError(
-                    f"reward piece {k} is {p!r}: need four finite numbers "
-                    "(lo, hi, slope, intercept) with lo < hi"
-                )
+                entries = tuple(raw)
+            except TypeError:
+                entries = ()
+            if len(entries) != 4:
+                raise ValueError(f"reward piece {k} is {raw!r}: need four entries "
+                                 "(lo, hi, slope, intercept)")
+            p = tuple(_number(f"reward piece {k} {name}", x)
+                      for name, x in zip(("lo", "hi", "slope", "intercept"), entries))
+            if not p[0] < p[1]:
+                raise ValueError(f"reward piece {k} is {p}: need lo < hi")
             pieces.append(p)
         pieces = tuple(pieces)
         ordered = sorted(pieces)

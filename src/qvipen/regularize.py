@@ -233,7 +233,8 @@ def phi_minimize(nu: float, a: float, b: float):
     Returns (n_star, minimum). The continuous minimizer sits where
     a**x = -b/(nu*ln a); scanning up to its ceiling plus one is exhaustive
     because phi is convex. The result is checked against the closed-form
-    upper bound before returning.
+    upper bound before returning; an ArithmeticError reports a minimum
+    above it.
     """
     nu, a, b = _phi_arguments(nu, a, b)
     log_a = math.log(a)
@@ -245,7 +246,9 @@ def phi_minimize(nu: float, a: float, b: float):
     values = [nu * a**n + b * n for n in range(top + 1)]
     n_star = int(np.argmin(values))
     m = values[n_star]
-    assert m <= phi_upper_bound(nu, a, b) * (1.0 + 1e-12) + 1e-300
+    if not m <= phi_upper_bound(nu, a, b) * (1.0 + 1e-12) + 1e-300:
+        raise ArithmeticError(f"min phi = {m!r} exceeds its closed-form bound "
+                              f"at nu = {nu!r}, a = {a!r}, b = {b!r}")
     return n_star, m
 
 

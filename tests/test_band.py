@@ -19,9 +19,9 @@ from qvipen.core import (
 )
 from qvipen.newton import (
     SingularSlant,
+    _slant_band,
     _transposed,
     linear_solve,
-    slant_band,
     solve_obstacle,
     solve_penalized,
     solve_root,
@@ -123,7 +123,7 @@ def _captured_slant(monkeypatch, solve):
     """The slant, as a function of the iterate, of the problem a solve hands
     to the Newton loop, captured without solving."""
     system, linearize = _captured_linearization(monkeypatch, solve)
-    return lambda v: slant_band(system, *linearize(v)[1:])
+    return lambda v: _slant_band(system, *linearize(v)[1:])
 
 
 def test_affine_band_is_the_node_major_matrix(system):
@@ -255,7 +255,7 @@ def test_frozen_penalty_slant_matches_definition(system, case, epsilon, monkeypa
         sweep = lambda: regularize.apply_Q_rho(frozen, prob)  # noqa: E731
     got = _captured_linearization(monkeypatch, sweep)[1](v)
     assert np.abs(got[0] - residual).max() <= 1e-12 * np.abs(residual).max()
-    _assert_slant(slant_band(system, *got[1:]), ref)
+    _assert_slant(_slant_band(system, *got[1:]), ref)
 
 
 def test_band_solve_backward_error_at_converged_iterate():
@@ -268,7 +268,7 @@ def test_band_solve_backward_error_at_converged_iterate():
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(3, 1 / 64), 32e3)
     u, report = solve_penalized(prob, root)
     assert report.converged
-    band = slant_band(system, coupling=_penalized(prob)(u)[2])
+    band = _slant_band(system, coupling=_penalized(prob)(u)[2])
     op = band.tocsr()
     norm_op = abs(op).sum(axis=1).max()
     rng = np.random.default_rng(71)
@@ -288,7 +288,7 @@ def test_singular_band_raises_with_iterate_and_report(d):
     diagonal = np.arange(1.0, d * n + 1.0)
     diagonal[n + 1] = 0.0
     system = AffineSystem(np.diag(diagonal), np.ones((d, n)), gamma=1.0)
-    band = slant_band(system)
+    band = _slant_band(system)
     assert isinstance(band, NodeBand)
     with pytest.raises(SingularSlant) as info:
         linear_solve(band, np.ones(d * n))
@@ -393,7 +393,7 @@ def test_keep_masked_slant_with_unequal_widths(d):
     for i in range(d):
         for j in range(d):
             expected[i * n + np.arange(n), j * n + np.arange(n)] += coupling[i, j]
-    assert np.array_equal(slant_band(system, keep, coupling).tocsr().toarray(), expected)
+    assert np.array_equal(_slant_band(system, keep, coupling).tocsr().toarray(), expected)
 
 
 def test_band_solve_leaves_the_cached_band_intact():
@@ -450,7 +450,7 @@ def test_band_solve_is_bitwise_lapack_band_lu(d):
     # then the unit lower factor's transpose
     prob, u = _pde_penalized(d)
     residual, _, coupling = _penalized(prob)(u)
-    band = slant_band(prob.system, coupling=coupling)
+    band = _slant_band(prob.system, coupling=coupling)
     assert band.kl == band.ku == d
     ref, lu, ipiv = _transposed_lu(band.tocsr(), d)
     assert np.array_equal(ipiv, np.arange(ipiv.size))

@@ -22,7 +22,7 @@ from qvipen.oracle import active_set_enumerate
 from qvipen.oracle import _residual as oracle_residual
 from qvipen.pde import PdeParams, assemble
 from qvipen.regularize import apply_Q, apply_Q_rho, apply_T, apply_T_rho
-from qvipen.testing import random_affine_system
+from qvipen.testing import monotonicity_slack, random_affine_system
 
 
 def identity_system(b):
@@ -184,6 +184,19 @@ def test_public_entries_name_a_non_finite_field(name, bad):
     u[1, 2] = bad
     with pytest.raises(ValueError, match="^u contains non-finite entries$"):
         FIELD_ENTRIES[name](u, prob)
+
+
+@pytest.mark.parametrize("name", ["u", "v"])
+@pytest.mark.parametrize("bad, message", [
+    (np.full((2, 3), np.nan), " contains non-finite entries$"),
+    (np.zeros((2, 2)), r": dimension mismatch: expected \(2, 3\), got \(2, 2\)$"),
+], ids=["nan", "shape"])
+def test_monotonicity_slack_names_the_field_it_rejects(name, bad, message):
+    # a NaN v was reported as "u contains non-finite entries", and a
+    # mis-shaped v failed as a numpy broadcast error
+    fields = {"u": np.zeros((2, 3)), "v": np.zeros((2, 3)), name: bad}
+    with pytest.raises(ValueError, match=f"^{name}{message}"):
+        monotonicity_slack(identity_system(np.ones((2, 3))), fields["u"], fields["v"])
 
 
 @pytest.mark.parametrize("shape", [(5,), (1, 5), (2, 0)])

@@ -592,15 +592,15 @@ def test_cli_rejects_non_integer_sizes_and_custom_only_fields(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("pieces, message", [
-    ([[1, 2]], "reward piece 0 is (1.0, 2.0)"),
+    ([[1, 2]], "reward piece 0 is (1, 2): need four entries (lo, hi, slope, intercept)"),
     ([[0, 1, 1, 0], [0.5, 1.5, 1, 0]], "overlap"),
-    ([[1.0, 0.5, 1, 0]], "reward piece 0 is (1.0, 0.5, 1.0, 0.0)"),
-    ([[0.0, float("nan"), 1, 0]], "reward piece 0 is (0.0, nan, 1.0, 0.0)"),
-    ([1], "reward piece 0 is 1:"),
-    ([[0, 1, 1, 0], ["a", 1, 1, 0]], "reward piece 1 is ('a', 1, 1, 0)"),
-    ([[True, 2, 1, 1]], "reward piece 0 is (True, 2, 1, 1)"),
-    ([["0.5", 1, 1, 0]], "reward piece 0 is ('0.5', 1, 1, 0)"),
-    ([[0, 1, False, 0]], "reward piece 0 is (0, 1, False, 0)"),
+    ([[1.0, 0.5, 1, 0]], "reward piece 0 is (1.0, 0.5, 1.0, 0.0): need lo < hi"),
+    ([[0.0, float("nan"), 1, 0]], "reward piece 0 hi must be a finite number, got nan"),
+    ([1], "reward piece 0 is 1: need four entries"),
+    ([[0, 1, 1, 0], ["a", 1, 1, 0]], "reward piece 1 lo must be a finite number, got 'a'"),
+    ([[True, 2, 1, 1]], "reward piece 0 lo must be a finite number, got True"),
+    ([["0.5", 1, 1, 0]], "reward piece 0 lo must be a finite number, got '0.5'"),
+    ([[0, 1, False, 0]], "reward piece 0 slope must be a finite number, got False"),
 ], ids=["short", "overlapping", "inverted", "nan", "not-a-sequence", "not-a-number",
         "bool-lo", "numeric-string", "bool-slope"])
 def test_cli_rejects_invalid_reward_pieces(tmp_path, capsys, pieces, message):

@@ -23,9 +23,9 @@ from qvipen.newton import (
     NewtonConfig,
     SingularSlant,
     _min_rows,
+    _slant_band,
     _solve_qvi,
     linear_solve,
-    slant_band,
     solve_obstacle,
     solve_penalized,
     solve_root,
@@ -167,7 +167,7 @@ def test_newton_globalizes_from_below(three_regime):
     chain = []
     for _ in range(30):
         g, _, coupling = _penalized(prob)(u)
-        delta = linear_solve(slant_band(system, coupling=coupling), -g.ravel()).reshape(u.shape)
+        delta = linear_solve(_slant_band(system, coupling=coupling), -g.ravel()).reshape(u.shape)
         u = u + delta
         chain.append(u.copy())
         if sup_norm(delta) / max(sup_norm(u), 1.0) < 1e-9:
@@ -249,7 +249,7 @@ def test_obstacle_tie_selects_f_row():
     u = np.zeros((2, 1))
     # at u = 0 both branches evaluate to 0; the slant must be F's
     _, keep, coupling = _min_rows(system.evaluate(u), u, np.eye(2)[:, :, None])
-    slant = slant_band(system, keep, coupling).tocsr()
+    slant = _slant_band(system, keep, coupling).tocsr()
     assert (slant != system.matrix).nnz == 0
 
 
@@ -296,7 +296,7 @@ def test_linear_solve_backward_error(two_regime):
     _, system, root = two_regime
     prob = PenalizedProblem(system, SwitchingCostMatrix.uniform(2, 0.125), rho=32e3)
     u, _ = solve_penalized(prob, root)
-    band = slant_band(system, coupling=_penalized(prob)(u)[2])
+    band = _slant_band(system, coupling=_penalized(prob)(u)[2])
     op = band.tocsr()
     rng = np.random.default_rng(61)
     for _ in range(5):
@@ -432,12 +432,12 @@ def test_each_newton_solve_evaluates_F_once_per_iterate(three_regime, name, monk
 
 def _reference_newton(system, linearize, initial, cfg):
     """The Newton loop with a fresh slant and a fresh factorization at every
-    step, through the public slant_band and linear_solve."""
+    step, through _slant_band and the public linear_solve."""
     u = np.array(initial, dtype=float)
     g, keep, coupling = linearize(u)
     increments, residuals = [], [sup_norm(g)]
     for _ in range(cfg.max_iter):
-        delta = linear_solve(slant_band(system, keep, coupling), -g.ravel()).reshape(u.shape)
+        delta = linear_solve(_slant_band(system, keep, coupling), -g.ravel()).reshape(u.shape)
         u = u + delta
         g, keep, coupling = linearize(u)
         residuals.append(sup_norm(g))

@@ -1,6 +1,7 @@
 """Every numeric parameter: a finite real number in its range, never a bool."""
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -56,14 +57,21 @@ def test_a_number_is_finite_real_and_in_range(name, call, bad, good, same):
 @pytest.mark.parametrize("build", [
     SwitchingCostMatrix, lambda c: as_costs(c, 2), lambda c: PenalizedProblem(SYSTEM, c, 1.0),
 ], ids=["matrix", "as-costs", "problem"])
-@pytest.mark.parametrize("costs, entry", [
-    ([[0, "0.5"], ["0.5", 0]], "costs[0, 1]"),
-    (np.array([[False, True], [True, False]]), "costs[0, 0]"),
-    ([[0, True], [True, 0]], "costs[0, 1]"),
-], ids=["string", "bool-array", "bool-entry"])
-def test_a_cost_matrix_entry_is_a_number(build, costs, entry):
-    # numpy's float cast read each as a cost: "0.5" as 0.5 and True as 1
-    with pytest.raises(ValueError, match=f"^{re.escape(entry)} must be a finite number, got "):
+@pytest.mark.parametrize("costs, message", [
+    ([[0, "0.5"], ["0.5", 0]], "costs[0, 1] must be a nonnegative finite number, got '0.5'"),
+    (np.array([[False, True], [True, False]]), "costs[0, 0] must be a finite number, got False"),
+    ([[0, True], [True, 0]], "costs[0, 1] must be a nonnegative finite number, got True"),
+    # np.True_ shows as True or as np.True_, by numpy version
+    ([[0, np.True_], [np.True_, 0]], "costs[0, 1] must be a nonnegative finite number, got "),
+    ([[0, Decimal("1")], [Decimal("1"), 0]],
+     "costs[0, 1] must be a nonnegative finite number, got Decimal('1')"),
+    ([[0, -0.5], [0.5, 0]], "costs[0, 1] must be a nonnegative finite number, got -0.5"),
+], ids=["string", "bool-array", "bool-entry", "numpy-bool-entry", "decimal-entry",
+        "negative-entry"])
+def test_a_cost_matrix_entry_is_a_number(build, costs, message):
+    # numpy's float cast read the first three as costs, "0.5" as 0.5 and
+    # True as 1, and a negative entry was rejected without its name
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         build(costs)
 
 
@@ -92,3 +100,22 @@ def test_a_zero_dimensional_cost_is_a_scalar(build):
         with pytest.raises(ValueError, match=f"^cost must be a nonnegative finite number, "
                                              f"got {re.escape(shown)}$"):
             build(bad)
+
+
+@pytest.mark.parametrize("entry, shown", [(np.True_, ""), (Decimal("1"), "Decimal('1')")],
+                         ids=["numpy-bool", "decimal"])
+def test_a_reward_piece_entry_is_a_number(entry, shown):
+    # float() read each as a slope of 1.0
+    with pytest.raises(ValueError, match=f"^reward piece 0 slope must be a finite number, "
+                                         f"got {re.escape(shown)}"):
+        RewardFunction(((0, 1, entry, 0),))
+
+
+@pytest.mark.parametrize("pieces", [
+    np.array([[0.75, 1, -2, 2]]),
+    [[np.float32(0.75), np.int64(1), -2, 2.0]],
+], ids=["numpy-row", "numpy-scalars"])
+def test_a_numeric_reward_piece_keeps_its_float_bits(pieces):
+    expected = RewardFunction.two_regime().pieces
+    got = RewardFunction(pieces).pieces
+    assert got == expected and all(type(x) is float for x in got[0])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from qvipen import regularize
 from qvipen import (
     AffineSystem,
     ErrorConstants,
@@ -378,6 +379,14 @@ def test_integer_descent_minimizer_matches_exhaustive_scan():
     assert n_star == scan
     bound = phi_upper_bound(nu, a, b)
     assert m <= bound <= 1.01 * m
+
+
+def test_integer_descent_minimizer_reports_a_minimum_above_its_bound(monkeypatch):
+    # a bare assert, which python -O strips, guarded the result
+    monkeypatch.setattr(regularize, "phi_upper_bound", lambda nu, a, b: -1.0)
+    with pytest.raises(ArithmeticError, match=r"^min phi = 0\.75 exceeds its closed-form "
+                                              r"bound at nu = 1\.0, a = 0\.5, b = 0\.25$"):
+        phi_minimize(1.0, 0.5, 0.25)
 
 
 def test_integer_descent_validates_inputs():
